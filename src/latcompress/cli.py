@@ -24,6 +24,7 @@ from .analysis import BoundQuery, select_parameter
 from .compression import (
     Dataset,
     WeightSet,
+    choose_route,
     compress,
     weights_step_cross_pair,
 )
@@ -241,6 +242,7 @@ def _cmd_compress(args) -> int:
     rule = _resolve_rule(args, data.d)
     args.modulus_hint = rule.L
     spec, level = _resolve_index_set(args, data.d, args.cap_frequencies)
+    route_choice = choose_route(data.N, rule, spec, args.cap_frequencies)
     start = time.perf_counter()
     ws = compress(
         data, rule, spec,
@@ -256,6 +258,7 @@ def _cmd_compress(args) -> int:
             "rule": rule.to_json(),
             "index_set": ws.index_set.to_json(),
             "algorithm": ws.algorithm,
+            "route_choice": route_choice,
             "level": level,
             "count": ws.index_set.count,
             "N": data.N,

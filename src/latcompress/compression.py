@@ -14,8 +14,9 @@ samples.
 Four interchangeable algorithms produce the same vectors: a direct
 reference summation, an FFT-bucketed route for arbitrary sets, and two
 kernel routes (Dirichlet products) for rectangles and step crosses that
-never enumerate the set at all.  A fifth route specialises to data that
-itself sits on a rank-1 lattice.
+never enumerate the set at all.  ``compress`` picks among the fast ones
+by predicted cost (:func:`choose_route`).  A fifth route specialises to
+data that itself sits on a rank-1 lattice.
 """
 
 from __future__ import annotations
@@ -25,13 +26,20 @@ import json
 import math
 import os
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .index_sets import DEFAULT_CAP, CapExceeded, IndexSet
+from .index_sets import (
+    DEFAULT_CAP,
+    CapExceeded,
+    IndexSet,
+    _step_cross_shapes,
+    rectangle_halfwidths,
+)
 from .lattice import LatticeRule, generate_points
 
 __all__ = [
@@ -44,6 +52,7 @@ __all__ = [
     "weights_step_cross",
     "weights_step_cross_pair",
     "weights_lattice_data",
+    "choose_route",
     "compress",
 ]
 
@@ -137,6 +146,11 @@ def _coefficients(data: Dataset, c: Union[str, Sequence[float]]) -> np.ndarray:
     return arr
 
 
+def _pair_coefficients(data: Dataset) -> list[np.ndarray]:
+    """Coefficients of the two weight vectors: all ones, and the responses."""
+    return [np.ones(data.N, dtype=np.float64), np.asarray(data.Y)]
+
+
 def dirichlet_kernel(n: int, x):
     """Dirichlet kernel ``D_n(x) = sum_{|k| <= n} exp(2 pi i k x)``.
 
@@ -181,21 +195,44 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
         )
 
 
-def _block_bounds(n: int, block: int) -> list[tuple[int, int]]:
-    return [(s, min(s + block, n)) for s in range(0, n, block)]
+# Elements of the (rows x |K|) phase block general-FFT builds at once.
+_FFT_BLOCK = 1 << 22
 
 
-def _run_blocks(bounds, fn, threads: int) -> list:
-    """Apply fn to the row blocks, in parallel when asked.
+def _sum_blocks(n_rows: int, block: int, fn, threads: int) -> list:
+    """Sum ``fn(s, e)`` over consecutive row blocks ``[s, e)``.
 
-    Block boundaries depend only on the problem size, and the results are
-    combined in block order afterwards, so the output is bitwise
-    independent of the thread count.
+    ``fn`` returns a list of arrays; the result is their elementwise sums
+    over all blocks.  Each block's partials are added into the
+    accumulators in block order as soon as that block is done, and at
+    most ``threads`` blocks are in flight, so peak memory is that of
+    ``threads`` blocks plus the accumulators, whatever the row count.
+    Block boundaries depend only on the problem size and the additions
+    happen in a fixed order, so the output is bitwise independent of the
+    thread count.
     """
-    if threads > 1 and len(bounds) > 1:
+    starts = range(0, n_rows, block)
+    acc: list = []
+
+    def add(parts) -> None:
+        if not acc:
+            acc.extend(np.zeros_like(p) for p in parts)
+        for a, p in zip(acc, parts):
+            a += p
+
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(lambda se: fn(se[0], se[1]), bounds))
-    return [fn(s, e) for s, e in bounds]
+            pending: deque = deque()
+            for s in starts:
+                if len(pending) == threads:
+                    add(pending.popleft().result())
+                pending.append(pool.submit(fn, s, min(s + block, n_rows)))
+            while pending:
+                add(pending.popleft().result())
+    else:
+        for s in starts:
+            add(fn(s, min(s + block, n_rows)))
+    return acc
 
 
 def weights_naive(
@@ -225,25 +262,6 @@ def weights_naive(
     return out / data.N
 
 
-def _adjoint_transform(
-    X: np.ndarray, cvec: np.ndarray, freq: np.ndarray, threads: int
-) -> np.ndarray:
-    """phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n), blocked over n."""
-    n_rows, m = X.shape[0], freq.shape[0]
-    block = max(1, (1 << 22) // max(m, 1))
-    ft = freq.T.astype(np.float64)
-
-    def one(s: int, e: int) -> np.ndarray:
-        ph = np.exp(2j * np.pi * (X[s:e] @ ft))
-        return cvec[s:e] @ ph
-
-    parts = _run_blocks(_block_bounds(n_rows, block), one, threads)
-    acc = np.zeros(m, dtype=np.complex128)
-    for p in parts:
-        acc += p
-    return acc / n_rows
-
-
 def _fold_to_nodes(
     phihat: np.ndarray, freq: np.ndarray, rule: LatticeRule
 ) -> np.ndarray:
@@ -252,6 +270,29 @@ def _fold_to_nodes(
     h_re = np.bincount(residues, weights=phihat.real, minlength=rule.L)
     h_im = np.bincount(residues, weights=phihat.imag, minlength=rule.L)
     return rule.L * np.fft.ifft(h_re + 1j * h_im)
+
+
+def _general_fft_kernel(
+    data: Dataset,
+    rule: LatticeRule,
+    freq: np.ndarray,
+    cvecs: list[np.ndarray],
+    threads: int,
+) -> list[np.ndarray]:
+    """One adjoint transform pass shared by every coefficient vector.
+
+    phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n), blocked over n, then
+    folded onto the nodes.  A block holds about ``_FFT_BLOCK`` phases.
+    """
+    block = max(1, _FFT_BLOCK // max(freq.shape[0], 1))
+    ft = freq.T.astype(np.float64)
+
+    def one(s: int, e: int) -> list[np.ndarray]:
+        ph = np.exp(2j * np.pi * (data.X[s:e] @ ft))
+        return [cv[s:e] @ ph for cv in cvecs]
+
+    sums = _sum_blocks(data.N, block, one, threads)
+    return [_fold_to_nodes(acc / data.N, freq, rule) for acc in sums]
 
 
 def weights_general_fft(
@@ -271,47 +312,29 @@ def weights_general_fft(
     _check_dims(data.d, rule, index_set)
     freq = _require_frequencies(index_set, cap)
     cvec = _coefficients(data, c)
-    phihat = _adjoint_transform(data.X, cvec, freq, threads)
-    return _fold_to_nodes(phihat, freq, rule)
+    return _general_fft_kernel(data, rule, freq, [cvec], threads)[0]
 
 
-def _general_fft_pair(
+def _require_family(index_set: IndexSet, family: str) -> None:
+    if index_set.family != family:
+        raise ValueError(
+            f"algorithm {family!r} cannot serve family "
+            f"{index_set.family!r}"
+        )
+
+
+def _rectangle_kernel(
     data: Dataset,
     rule: LatticeRule,
     index_set: IndexSet,
-    threads: int,
-    cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficient choices in one pass over the transform matrix."""
-    freq = _require_frequencies(index_set, cap)
-    m = freq.shape[0]
-    block = max(1, (1 << 22) // max(m, 1))
-    ft = freq.T.astype(np.float64)
-    ones = np.ones(data.N, dtype=np.float64)
-
-    def one(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        ph = np.exp(2j * np.pi * (data.X[s:e] @ ft))
-        return ones[s:e] @ ph, data.Y[s:e] @ ph
-
-    parts = _run_blocks(_block_bounds(data.N, block), one, threads)
-    acc1 = np.zeros(m, dtype=np.complex128)
-    acc2 = np.zeros(m, dtype=np.complex128)
-    for p1, p2 in parts:
-        acc1 += p1
-        acc2 += p2
-    return (
-        _fold_to_nodes(acc1 / data.N, freq, rule),
-        _fold_to_nodes(acc2 / data.N, freq, rule),
-    )
-
-
-def _rectangle_pair_kernel(
-    data: Dataset,
-    rule: LatticeRule,
-    widths: np.ndarray,
     cvecs: list[np.ndarray],
     threads: int,
 ) -> list[np.ndarray]:
+    """Products of one Dirichlet kernel per coordinate, blocked over n."""
+    _require_family(index_set, "rectangle")
+    widths = rectangle_halfwidths(
+        index_set.alpha, index_set.gamma, index_set.param
+    )
     nodes = generate_points(rule)
     L, d = rule.L, data.d
     block = max(1, (1 << 21) // max(L, 1))
@@ -326,12 +349,7 @@ def _rectangle_pair_kernel(
             )
         return [cv[s:e] @ prod for cv in cvecs]
 
-    parts = _run_blocks(_block_bounds(data.N, block), one, threads)
-    outs = [np.zeros(L, dtype=np.float64) for _ in cvecs]
-    for part in parts:
-        for i, p in enumerate(part):
-            outs[i] += p
-    return [o / data.N for o in outs]
+    return [o / data.N for o in _sum_blocks(data.N, block, one, threads)]
 
 
 def weights_rectangle(
@@ -347,55 +365,36 @@ def weights_rectangle(
     enumerated.  Cost O(L N d), independent of the cardinality.
     """
     _check_dims(data.d, rule, index_set)
-    if index_set.family != "rectangle":
-        raise ValueError(
-            f"rectangle kernel weights need a rectangle set, "
-            f"got family {index_set.family!r}"
-        )
-    from .index_sets import rectangle_halfwidths
-
-    widths = rectangle_halfwidths(
-        index_set.alpha, index_set.gamma, index_set.param
-    )
     cvec = _coefficients(data, c)
-    return _rectangle_pair_kernel(data, rule, widths, [cvec], threads)[0]
+    return _rectangle_kernel(data, rule, index_set, [cvec], threads)[0]
 
 
-def _step_cross_pair_kernel(
+def _step_cross_sweep(
+    index_set: IndexSet,
+) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+    """Nonempty shape vectors of a step cross and their (low, up) table."""
+    return _step_cross_shapes(
+        2.0 * index_set.alpha, tuple(index_set.gamma), int(index_set.param)
+    )
+
+
+def _step_cross_kernel(
     data: Dataset,
     rule: LatticeRule,
     index_set: IndexSet,
     cvecs: list[np.ndarray],
     threads: int,
 ) -> list[np.ndarray]:
-    from .index_sets import (
-        _dyadic_bounds,
-        enumerate_shape_vectors,
-    )
+    """Sum over shapes of per-coordinate Dirichlet kernel differences.
 
-    alpha = index_set.alpha
-    gamma = tuple(index_set.gamma)
+    Within the lexicographic sweep over shapes, partial products are
+    reused across shared prefixes.
+    """
+    _require_family(index_set, "step-cross")
+    shapes, bounds_tbl = _step_cross_sweep(index_set)
     m = int(index_set.param)
-    two_alpha = 2.0 * alpha
     d, L = data.d, rule.L
     nodes = generate_points(rule)
-
-    bounds_tbl = [
-        [_dyadic_bounds(two_alpha, gamma[j], t) for t in range(m + 1)]
-        for j in range(d)
-    ]
-    shapes = []
-    for t in enumerate_shape_vectors(m, d):
-        row = tuple(int(v) for v in t)
-        empty = False
-        for j in range(1, d):
-            low, up = bounds_tbl[j][row[j]]
-            if row[j] >= 1 and up == low:
-                empty = True
-                break
-        if not empty:
-            shapes.append(row)
-
     block = max(1, (1 << 28) // (8 * max(1, d * (m + 2) * L)))
 
     def one(s: int, e: int) -> list[np.ndarray]:
@@ -438,12 +437,7 @@ def _step_cross_pair_kernel(
             prev = row
         return [cv[s:e] @ total for cv in cvecs]
 
-    parts = _run_blocks(_block_bounds(data.N, block), one, threads)
-    outs = [np.zeros(L, dtype=np.float64) for _ in cvecs]
-    for part in parts:
-        for i, p in enumerate(part):
-            outs[i] += p
-    return [o / data.N for o in outs]
+    return [o / data.N for o in _sum_blocks(data.N, block, one, threads)]
 
 
 def weights_step_cross(
@@ -461,13 +455,8 @@ def weights_step_cross(
     reused across shared prefixes.  Cost O(|shapes| L N d) at worst.
     """
     _check_dims(data.d, rule, index_set)
-    if index_set.family != "step-cross":
-        raise ValueError(
-            f"step-cross kernel weights need a step-cross set, "
-            f"got family {index_set.family!r}"
-        )
     cvec = _coefficients(data, c)
-    return _step_cross_pair_kernel(data, rule, index_set, [cvec], threads)[0]
+    return _step_cross_kernel(data, rule, index_set, [cvec], threads)[0]
 
 
 def weights_step_cross_pair(
@@ -478,17 +467,104 @@ def weights_step_cross_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both weight vectors of a step cross in one shared kernel pass."""
     _check_dims(data.d, rule, index_set)
-    if index_set.family != "step-cross":
-        raise ValueError(
-            f"step-cross kernel weights need a step-cross set, "
-            f"got family {index_set.family!r}"
-        )
-    ones = np.ones(data.N, dtype=np.float64)
-    resp = np.asarray(data.Y, dtype=np.float64)
-    w1, w2 = _step_cross_pair_kernel(
-        data, rule, index_set, [ones, resp], threads
+    w1, w2 = _step_cross_kernel(
+        data, rule, index_set, _pair_coefficients(data), threads
     )
     return w1, w2
+
+
+_KERNEL_ROUTES = {
+    "rectangle": _rectangle_kernel,
+    "step-cross": _step_cross_kernel,
+}
+
+# Predicted single-thread seconds per element of each route's work,
+# calibrated on a 2-vCPU x86-64 virtual machine from the benchmark's
+# per-layer compression.weights_s (perfbench/run.py --trace 1, seed 1):
+#   general-FFT, per sample and frequency: cross-4d took 2.84 s for
+#   N |K| = 3,000 x 18,425, i.e. 51 ns;
+#   kernel routes, per sample and node: paper-2d took 6.22 s for
+#   N L = 20,000 x 509 with 25 array passes and 12 Dirichlet kernels,
+#   stepcross-6d 3.26 s for 10,000 x 127 with 286 passes and 29 kernels;
+#   solved, 4.8 ns per pass and 41 ns per kernel;
+#   enumeration of a lazy set, per row and coordinate: index_sets.
+#   enumerate_s on stepcross-6d, 0.044 s for 49,761 rows of 6.
+_FFT_S = 5e-8
+_PASS_S = 5e-9
+_DIRICHLET_S = 4e-8
+_ENUM_S = 1.5e-7
+
+
+def _kernel_work(index_set: IndexSet) -> tuple[int, int]:
+    """(array passes, Dirichlet kernels) a kernel route makes.
+
+    Each is an operation over a full (rows x L) block, so its cost per
+    sample and node is fixed; the counts follow the rectangle product and
+    the step-cross sweep of ``_step_cross_kernel``.
+    """
+    d = index_set.d
+    if index_set.family == "rectangle":
+        # d differences, d - 1 products and the two dot products
+        return 2 * d + 1, d
+    shapes, bounds = _step_cross_sweep(index_set)
+    kernels: set[tuple[int, int]] = set()
+    factors: set[tuple[int, int]] = set()
+    products = 0
+    prev = shapes[0]
+    for i, row in enumerate(shapes):
+        keep = 0 if i == 0 else next(j for j in range(d) if row[j] != prev[j])
+        products += d - max(keep, 1)
+        for j, t in enumerate(row):
+            low, up = bounds[j][t]
+            kernels.add((j, up))
+            if j > 0 and t > 0:
+                kernels.add((j, low))
+                factors.add((j, t))
+        prev = row
+    # d differences, the kernel differences, the prefix products, one
+    # accumulation per shape, the zeroed total and the two dot products
+    return d + len(factors) + products + len(shapes) + 3, len(kernels)
+
+
+def choose_route(
+    n_samples: int,
+    rule: LatticeRule,
+    index_set: IndexSet,
+    cap: int = DEFAULT_CAP,
+) -> dict:
+    """Predict the cost of every route that can serve a set; pick the least.
+
+    ``general-fft`` serves any set at about ``N |K|`` complex phases, plus
+    the enumeration of a lazy set; a lazy set above ``cap`` rows is no
+    candidate.  The kernel route of a rectangle or a step cross costs
+    about ``N L`` times the full-size array passes and Dirichlet kernels
+    its sweep makes.  Both costs are linear in N, so a subsample takes
+    the route the full data would.  The set is sized by
+    :meth:`IndexSet.cardinality`, which caches the count on it, and is
+    never enumerated.
+
+    Returns:
+        ``{"route": name, "costs": {route: predicted seconds}}`` over the
+        candidate routes.
+
+    Raises:
+        CapExceeded: when no route is left, i.e. a lazy set that only
+            general-FFT can serve holds more than ``cap`` rows.
+    """
+    count = index_set.cardinality(cap)
+    lazy = index_set.frequencies is None
+    costs = {}
+    if not (lazy and count > cap):
+        enum = count * index_set.d * _ENUM_S if lazy else 0.0
+        costs["general-fft"] = n_samples * count * _FFT_S + enum
+    if index_set.family in _KERNEL_ROUTES:
+        passes, kernels = _kernel_work(index_set)
+        costs[index_set.family] = (
+            n_samples * rule.L * (passes * _PASS_S + kernels * _DIRICHLET_S)
+        )
+    if not costs:
+        raise CapExceeded(count, cap)
+    return {"route": min(costs, key=costs.get), "costs": costs}
 
 
 def _points_on_rule(rule: LatticeRule, X: np.ndarray) -> bool:
@@ -729,9 +805,9 @@ def compress(
         data: samples to compress.
         rule: node lattice.
         index_set: frequency set; named families may arrive lazy.
-        algorithm: "auto" picks the kernel route for rectangles and step
-            crosses and the FFT route otherwise; explicit choices are
-            "naive", "general-fft", "rectangle", "step-cross".
+        algorithm: "auto" takes the route :func:`choose_route` predicts
+            to be cheapest; explicit choices are "naive", "general-fft",
+            "rectangle", "step-cross".
         threads: worker threads for the blocked passes; the result is
             bitwise identical for any value.
         cap: cardinality cap applied when the set must be enumerated.
@@ -742,30 +818,19 @@ def compress(
         not cancel the imaginary parts.
     """
     _check_dims(data.d, rule, index_set)
+    if index_set.frequencies is None:
+        # A copy of the lazy set: sizing it below caches the count here,
+        # not on the caller's object, and the result's descriptor reuses it.
+        index_set = index_set.descriptor()
     if algorithm == "auto":
-        algorithm = {
-            "rectangle": "rectangle",
-            "step-cross": "step-cross",
-        }.get(index_set.family, "general-fft")
-    if algorithm == "rectangle":
-        from .index_sets import rectangle_halfwidths
-
-        if index_set.family != "rectangle":
-            raise ValueError(
-                f"algorithm 'rectangle' cannot serve family "
-                f"{index_set.family!r}"
-            )
-        widths = rectangle_halfwidths(
-            index_set.alpha, index_set.gamma, index_set.param
-        )
-        ones = np.ones(data.N, dtype=np.float64)
-        w1, w2 = _rectangle_pair_kernel(
-            data, rule, widths, [ones, np.asarray(data.Y)], threads
-        )
-    elif algorithm == "step-cross":
-        w1, w2 = weights_step_cross_pair(data, rule, index_set, threads)
-    elif algorithm == "general-fft":
-        w1, w2 = _general_fft_pair(data, rule, index_set, threads, cap)
+        algorithm = choose_route(data.N, rule, index_set, cap)["route"]
+    pair = _pair_coefficients(data)
+    if algorithm == "general-fft":
+        freq = _require_frequencies(index_set, cap)
+        w1, w2 = _general_fft_kernel(data, rule, freq, pair, threads)
+    elif algorithm in _KERNEL_ROUTES:
+        kernel = _KERNEL_ROUTES[algorithm]
+        w1, w2 = kernel(data, rule, index_set, pair, threads)
     elif algorithm == "naive":
         w1 = weights_naive(data, "ones", rule, index_set)
         w2 = weights_naive(data, "responses", rule, index_set)

@@ -324,24 +324,53 @@ def _dyadic_bounds(
     return low, up
 
 
-def _step_cross_piece_sizes(
-    two_alpha: float, gamma: tuple[float, ...], shapes: np.ndarray
-) -> list[int]:
-    """Exact cardinality of each disjoint rectangle-difference piece."""
-    sizes: list[int] = []
-    for t in shapes:
-        size = 2 * _halfwidth(two_alpha, gamma[0], 2.0 ** int(t[0])) + 1
-        for j in range(1, len(gamma)):
-            tj = int(t[j])
-            low, up = _dyadic_bounds(two_alpha, gamma[j], tj)
-            if tj == 0:
-                size *= 2 * up + 1
-            else:
-                size *= 2 * (up - low)
-            if size == 0:
-                break
-        sizes.append(size)
-    return sizes
+def _step_cross_shapes(
+    two_alpha: float, gamma: tuple[float, ...], m: int
+) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+    """Shapes of the nonempty disjoint pieces, and their bounds table.
+
+    The step cross of order m is the disjoint union, over the shape
+    vectors t with ``||t||_1 = m``, of the pieces whose coordinate j
+    ranges over ``|k_j| <= up`` when ``j = 0`` or ``t_j = 0``, and over
+    the annulus ``low < |k_j| <= up`` otherwise, with ``(low, up) =
+    bounds[j][t_j]``.  Shapes come out in lexicographic order; those with
+    an empty annulus are dropped.
+    """
+    bounds = [
+        [_dyadic_bounds(two_alpha, gj, t) for t in range(m + 1)]
+        for gj in gamma
+    ]
+    shapes = []
+    for t in enumerate_shape_vectors(m, len(gamma)):
+        row = tuple(int(v) for v in t)
+        if all(
+            tj == 0 or bounds[j][tj][1] > bounds[j][tj][0]
+            for j, tj in enumerate(row) if j > 0
+        ):
+            shapes.append(row)
+    return shapes, bounds
+
+
+def _piece_axis(j: int, t: int, low: int, up: int) -> np.ndarray:
+    """Values coordinate j takes in a piece at dyadic level t, ascending."""
+    full = np.arange(-up, up + 1, dtype=np.int64)
+    if j == 0 or t == 0:
+        return full
+    return full[np.abs(full) > low]
+
+
+def _step_cross_count(
+    shapes: list[tuple[int, ...]], bounds: list[list[tuple[int, int]]]
+) -> int:
+    """Exact cardinality: the sum of the disjoint piece sizes."""
+    total = 0
+    for row in shapes:
+        size = 1
+        for j, tj in enumerate(row):
+            low, up = bounds[j][tj]
+            size *= 2 * up + 1 if j == 0 or tj == 0 else 2 * (up - low)
+        total += size
+    return total
 
 
 def enumerate_step_cross(
@@ -352,10 +381,11 @@ def enumerate_step_cross(
 ) -> np.ndarray:
     """Union of dyadic rectangles over all shapes ``||t||_1 = m``.
 
-    The set is assembled as the plain union of the cumulative boxes
-    ``{k : per-coordinate profile <= 2^(t_j) for all j}`` over the shape
-    vectors, with duplicates removed; the cap check uses the exact
-    cardinality obtained from the equivalent disjoint decomposition.
+    Each disjoint piece of the dyadic decomposition is a product of
+    per-coordinate value ranges; the pieces are built as index grids,
+    concatenated and sorted into lexicographic row order.  The cap check
+    uses the exact cardinality, summed from the piece sizes before any
+    row is built.
 
     Examples:
         >>> enumerate_step_cross(1.0, (1.0,), 2).ravel().tolist()
@@ -368,75 +398,22 @@ def enumerate_step_cross(
         raise ValueError(f"step-cross order must be nonnegative, got {m}")
     two_alpha = 2.0 * alpha
     gam = tuple(gamma)
-    shapes = enumerate_shape_vectors(m, gamma.d)
-    total = sum(_step_cross_piece_sizes(two_alpha, gam, shapes))
+    shapes, bounds = _step_cross_shapes(two_alpha, gam, m)
+    total = _step_cross_count(shapes, bounds)
     if total > cap:
         raise CapExceeded(total, cap)
-    seen: set[tuple[int, ...]] = set()
-    for t in shapes:
-        widths = [
-            _halfwidth(two_alpha, gam[j], 2.0 ** int(t[j]))
-            for j in range(len(gam))
-        ]
-        if any(w < 0 for w in widths):
-            continue
-        axes = [range(-w, w + 1) for w in widths]
-        stack = [()]
-        for ax in axes:
-            stack = [pre + (kj,) for pre in stack for kj in ax]
-        seen.update(stack)
-    rows = sorted(seen)
-    if len(rows) != total:
-        raise AssertionError(
-            f"union size {len(rows)} disagrees with the disjoint "
-            f"decomposition total {total}"
+    axes = [
+        [_piece_axis(j, t, *bounds[j][t]) for t in range(m + 1)]
+        for j in range(gamma.d)
+    ]
+    pieces = []
+    for row in shapes:
+        grids = np.meshgrid(
+            *[axes[j][tj] for j, tj in enumerate(row)], indexing="ij"
         )
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), gamma.d)
-
-
-def _enumerate_step_cross_disjoint(
-    alpha: float,
-    gamma: Union[ProductWeights, Sequence[float]],
-    m: int,
-) -> np.ndarray:
-    """Second route to the step cross: concatenate the disjoint pieces.
-
-    Kept separate from :func:`enumerate_step_cross` so tests can confirm
-    the two constructions produce the same set and that the pieces are
-    pairwise disjoint.
-    """
-    alpha = _validate_geometry(alpha)
-    gamma = _as_gamma(gamma)
-    two_alpha = 2.0 * alpha
-    gam = tuple(gamma)
-    rows: list[tuple[int, ...]] = []
-    for t in enumerate_shape_vectors(int(m), gamma.d):
-        up0 = _halfwidth(two_alpha, gam[0], 2.0 ** int(t[0]))
-        if up0 < 0:
-            continue
-        axes: list[list[int]] = [list(range(-up0, up0 + 1))]
-        empty = False
-        for j in range(1, len(gam)):
-            low, up = _dyadic_bounds(two_alpha, gam[j], int(t[j]))
-            if int(t[j]) == 0:
-                vals = list(range(-up, up + 1))
-            else:
-                vals = [v for v in range(-up, up + 1) if abs(v) > low]
-            if not vals:
-                empty = True
-                break
-            axes.append(sorted(vals))
-        if empty:
-            continue
-        piece = [()]
-        for ax in axes:
-            piece = [pre + (kj,) for pre in piece for kj in ax]
-        rows.extend(piece)
-    if len(rows) != len(set(rows)):
-        raise AssertionError("disjoint pieces overlap")
-    return np.asarray(sorted(rows), dtype=np.int64).reshape(
-        len(rows), gamma.d
-    )
+        pieces.append(np.stack([g.ravel() for g in grids], axis=1))
+    rows = np.concatenate(pieces)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _min_dyadic_level(factor: float) -> int:
@@ -644,8 +621,9 @@ class IndexSet:
             for w in rectangle_halfwidths(self.alpha, gam, self.param):
                 n *= 2 * int(w) + 1
         elif self.family == "step-cross":
-            shapes = enumerate_shape_vectors(int(self.param), self.d)
-            n = sum(_step_cross_piece_sizes(two_alpha, gam, shapes))
+            n = _step_cross_count(
+                *_step_cross_shapes(two_alpha, gam, int(self.param))
+            )
         else:
             n = len(self.frequencies)
         self.count = n

@@ -43,6 +43,11 @@ __all__ = [
 
 _PRIMES = (29, 31, 53, 61)
 
+_KERNEL_WEIGHTS = {
+    "rectangle": weights_rectangle,
+    "step-cross": weights_step_cross,
+}
+
 
 def _result(name, checks, residual, failures):
     return {
@@ -69,9 +74,11 @@ def oracle_suite(
     """Fast weight algorithms against the direct-summation reference.
 
     Random instances cycle through the three named families plus custom
-    (possibly asymmetric) sets.  With ``inject_fault`` the first
-    instance's fast output is perturbed by 1e-3 in one entry, which the
-    comparison must catch and localise.
+    (possibly asymmetric) sets.  Every route ``compress`` may choose for
+    an instance is checked: general-FFT on all of them, and the kernel
+    route too on rectangles and step crosses.  With ``inject_fault`` the
+    first instance's first fast output is perturbed by 1e-3 in one
+    entry, which the comparison must catch and localise.
     """
     rng = np.random.default_rng([int(seed), 101])
     failures: list[str] = []
@@ -89,31 +96,33 @@ def oracle_suite(
         alpha = (1.0, 0.75, 1.001, 1.0)[kind]
         if kind == 0:
             spec = IndexSet.cross(alpha, gamma, 20.0)
-            fast = weights_general_fft(data, "ones", rule, spec, threads)
         elif kind == 1:
             spec = IndexSet.rectangle(alpha, gamma, 12.0)
-            fast = weights_rectangle(data, "ones", rule, spec, threads)
         elif kind == 2:
             spec = IndexSet.step_cross(alpha, gamma, 4)
-            fast = weights_step_cross(data, "ones", rule, spec, threads)
         else:
             rows = rng.integers(-6, 7, size=(10, d))
             spec = IndexSet.custom(rows, alpha, gamma)
-            fast = weights_general_fft(data, "responses", rule, spec, threads)
         c = "responses" if kind == 3 else "ones"
+        routes = {"general-fft": weights_general_fft}
+        if spec.family in _KERNEL_WEIGHTS:
+            routes[spec.family] = _KERNEL_WEIGHTS[spec.family]
         ref = weights_naive(data, c, rule, spec)
-        if inject_fault and i == 0:
-            fast = np.array(fast, copy=True)
-            fast[L // 2] += 1e-3
-        gap = _relative_gap(fast, ref)
-        worst = max(worst, gap)
-        checks += 1
-        if gap > 1e-9:
-            node = int(np.argmax(np.abs(fast - ref)))
-            failures.append(
-                f"instance {i} ({spec.family}, L={L}, d={d}): weight at "
-                f"node {node} deviates by {gap:.3e} relative"
-            )
+        for j, (route, weights) in enumerate(routes.items()):
+            fast = weights(data, c, rule, spec, threads)
+            if inject_fault and i == 0 and j == 0:
+                fast = np.array(fast, copy=True)
+                fast[L // 2] += 1e-3
+            gap = _relative_gap(fast, ref)
+            worst = max(worst, gap)
+            checks += 1
+            if gap > 1e-9:
+                node = int(np.argmax(np.abs(fast - ref)))
+                failures.append(
+                    f"instance {i} ({spec.family} by {route}, L={L}, "
+                    f"d={d}): weight at node {node} deviates by "
+                    f"{gap:.3e} relative"
+                )
     return _result("oracle-equivalence", checks, worst, failures)
 
 

@@ -92,6 +92,7 @@ def test_criterion_1_fast_weights_match_naive(capsys) -> None:
     t0 = time.perf_counter()
     worst = 0.0
     counts = {"cross": 0, "rectangle": 0, "step-cross": 0, "custom": 0}
+    routes = {"general-fft": 0, "rectangle": 0, "step-cross": 0}
     for i in range(200):
         rng = np.random.default_rng(1000 + i)
         d = int(rng.integers(1, 5))
@@ -108,21 +109,28 @@ def test_criterion_1_fast_weights_match_naive(capsys) -> None:
                 rng.integers(-8, 9, size=(M, d)), 1.0, ProductWeights.ones(d)
             )
         counts[spec.family] += 1
-        ws = compress(data, rule, spec)
-        dev = max(
-            _rel_dev(ws.w_xz, weights_naive(data, "ones", rule, spec)),
-            _rel_dev(ws.w_xyz, weights_naive(data, "responses", rule, spec)),
-        )
-        worst = max(worst, dev)
+        ref1 = weights_naive(data, "ones", rule, spec)
+        ref2 = weights_naive(data, "responses", rule, spec)
+        # Every route auto may take for the set, each named explicitly.
+        if spec.family in ("rectangle", "step-cross"):
+            algorithms = ("general-fft", spec.family)
+        else:
+            algorithms = ("auto",)
+        for algorithm in algorithms:
+            ws = compress(data, rule, spec, algorithm=algorithm)
+            routes[ws.algorithm] += 1
+            dev = max(_rel_dev(ws.w_xz, ref1), _rel_dev(ws.w_xyz, ref2))
+            worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed <= 120.0 and counts["custom"] == 20
     _announce(
         capsys, 1, ok,
-        f"200 instances {counts}, worst relative deviation "
-        f"{worst:.2e}, {elapsed:.1f} s",
+        f"200 instances {counts}, routes {routes}, worst relative "
+        f"deviation {worst:.2e}, {elapsed:.1f} s",
     )
     assert worst <= 1e-9
     assert counts["custom"] == 20
+    assert routes == {"general-fft": 200, "rectangle": 60, "step-cross": 60}
     assert elapsed <= 120.0
 
 

@@ -219,18 +219,29 @@ class TestCompressCommand:
 
     def test_cbc_route(self, dataset_file, tmp_path, capsys) -> None:
         path, _ = dataset_file
-        out = str(tmp_path / "w.json")
-        rc = main([
-            "compress", "--data", path, "--cbc", "--modulus", "31",
-            "--cbc-alpha", "1.5", "--family", "step-cross", "--alpha",
-            "1.0", "--gamma", "one", "--order", "3", "--out", out,
-        ])
-        assert rc == 0
-        capsys.readouterr()
-        ws = WeightSet.load(out)
         want = cbc_construct(31, 2, 1.5, ProductWeights.ones(2))
-        assert ws.rule == want
-        assert ws.algorithm == "step-cross"
+        cases = [
+            # 21 frequencies against 31 nodes times the sweep's passes:
+            # the phases are cheaper.  28,673 frequencies: the sweep is.
+            ("1.0", "3", "general-fft"),
+            ("0.5", "10", "step-cross"),
+        ]
+        for alpha, order, route in cases:
+            out = str(tmp_path / f"w{order}.json")
+            rc = main([
+                "compress", "--data", path, "--cbc", "--modulus", "31",
+                "--cbc-alpha", "1.5", "--family", "step-cross", "--alpha",
+                alpha, "--gamma", "one", "--order", order, "--out", out,
+            ])
+            assert rc == 0
+            summary = json.loads(capsys.readouterr().out)
+            ws = WeightSet.load(out)
+            assert ws.rule == want
+            assert ws.algorithm == summary["algorithm"] == route
+            choice = summary["route_choice"]
+            assert choice["route"] == route
+            assert set(choice["costs"]) == {"general-fft", "step-cross"}
+            assert min(choice["costs"], key=choice["costs"].get) == route
 
     def test_missing_out_is_usage_error(self, dataset_file) -> None:
         path, _ = dataset_file

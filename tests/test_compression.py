@@ -1,13 +1,16 @@
 """Weight computation: reference route, fast routes, serialisation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from latcompress import compression, index_sets
 from latcompress.compression import (
     Dataset,
     WeightSet,
+    choose_route,
     compress,
     dirichlet_kernel,
     weights_general_fft,
@@ -232,8 +235,32 @@ class TestThreads:
         data = _dataset(16, 2500, 2)
         rule = LatticeRule(31, (1, 12))
         a = weights_general_fft(data, "responses", rule, spec, threads=1)
-        b = weights_general_fft(data, "responses", rule, spec, threads=4)
-        np.testing.assert_array_equal(a, b)
+        for threads in (2, 4):
+            b = weights_general_fft(
+                data, "responses", rule, spec, threads=threads
+            )
+            np.testing.assert_array_equal(a, b)
+
+    def test_general_fft_memory_flat_in_samples(self, monkeypatch) -> None:
+        # Small blocks make the per-block partial sums (|K| complex each)
+        # outweigh a block's working arrays: holding every partial until
+        # the end would grow the peak by about 2 |K| 16 bytes per block.
+        monkeypatch.setattr(compression, "_FFT_BLOCK", 1 << 14)
+        spec = IndexSet.cross(1.0, (1.0, 1.0), 3000.0)
+        assert spec.count == 1125  # 14 rows a block
+        rule = LatticeRule(61, (1, 25))
+        for threads in (1, 2):
+            peaks = []
+            for n in (400, 3200):
+                data = _dataset(19, n, 2)
+                tracemalloc.start()
+                try:
+                    compress(data, rule, spec, "general-fft", threads)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # 200 more blocks would add about 7 MB of partials.
+            assert peaks[1] - peaks[0] < 1 << 20, peaks
 
     def test_rectangle_bitwise(self) -> None:
         data = _dataset(17, 15000, 2)
@@ -246,11 +273,13 @@ class TestThreads:
     def test_compress_bitwise(self) -> None:
         data = _dataset(18, 3000, 2)
         rule = LatticeRule(61, (1, 25))
-        spec = IndexSet.step_cross(1.0, (1.0, 0.5), 5)
-        a = compress(data, rule, spec, threads=1)
-        b = compress(data, rule, spec, threads=4)
-        np.testing.assert_array_equal(a.w_xz, b.w_xz)
-        np.testing.assert_array_equal(a.w_xyz, b.w_xyz)
+        spec = IndexSet.step_cross(0.5, (1.0, 0.5), 9)
+        for algorithm in ("general-fft", "step-cross"):
+            a = compress(data, rule, spec, algorithm, threads=1)
+            for threads in (2, 4):
+                b = compress(data, rule, spec, algorithm, threads=threads)
+                np.testing.assert_array_equal(a.w_xz, b.w_xz)
+                np.testing.assert_array_equal(a.w_xyz, b.w_xyz)
 
 
 class TestLatticeData:
@@ -312,14 +341,24 @@ class TestLatticeData:
 
 class TestCompress:
     def test_auto_routes(self) -> None:
+        # One case on each side of the cost model for each kernel family:
+        # general-FFT costs about |K| per sample, a kernel route about L
+        # times its array passes, so at L = 13 a handful of frequencies
+        # favours general-FFT and thousands favour the kernel route.
         data = _dataset(21, 30, 2)
         rule = LatticeRule(13, (1, 5))
         cases = [
             (IndexSet.cross(1.0, (1.0, 1.0), 10.0), "general-fft"),
-            (IndexSet.rectangle(1.0, (1.0, 1.0), 10.0), "rectangle"),
-            (IndexSet.step_cross(1.0, (1.0, 1.0), 3), "step-cross"),
+            (IndexSet.rectangle(1.0, (1.0, 1.0), 3.0), "general-fft"),
+            (IndexSet.rectangle(1.0, (1.0, 1.0), 400.0), "rectangle"),
+            (IndexSet.step_cross(2.0, (1.0, 1.0), 3), "general-fft"),
+            (IndexSet.step_cross(0.5, (1.0, 1.0), 8), "step-cross"),
         ]
         for spec, expected in cases:
+            costs = choose_route(data.N, rule, spec)["costs"]
+            if len(costs) == 2:
+                # each pinned case sits well clear of the break-even point
+                assert max(costs.values()) > 3.0 * min(costs.values())
             ws = compress(data, rule, spec)
             assert ws.algorithm == expected
             assert ws.is_real
@@ -344,6 +383,9 @@ class TestCompress:
         assert ws.index_set.frequencies is None
         assert ws.index_set.count == spec.count
         assert ws.mean_y2 == data.mean_y2
+        lazy = IndexSet.cross(1.0, (1.0, 1.0), 12.0, materialize=False)
+        assert compress(data, rule, lazy).index_set.count == spec.count
+        assert lazy.count is None  # the caller's lazy set is left as it was
 
     def test_custom_symmetric_realised(self) -> None:
         data = _dataset(24, 20, 2)
@@ -369,6 +411,70 @@ class TestCompress:
             compress(data, rule, cross, algorithm="rectangle")
         with pytest.raises(ValueError, match="unknown algorithm"):
             compress(data, rule, cross, algorithm="magic")
+
+
+class TestChooseRoute:
+    def test_candidates_and_costs(self) -> None:
+        rule = LatticeRule(13, (1, 5))
+        cross = IndexSet.cross(1.0, (1.0, 1.0), 10.0)
+        plan = choose_route(30, rule, cross)
+        assert plan == {"route": "general-fft", "costs": plan["costs"]}
+        assert list(plan["costs"]) == ["general-fft"]
+        step = IndexSet.step_cross(0.5, (1.0, 1.0), 8)
+        plan = choose_route(30, rule, step)
+        assert set(plan["costs"]) == {"general-fft", "step-cross"}
+        assert plan["route"] == min(plan["costs"], key=plan["costs"].get)
+        assert all(c > 0.0 for c in plan["costs"].values())
+
+    def test_linear_in_samples(self) -> None:
+        # A subsample takes the route the full data takes.
+        rule = LatticeRule(127, (1, 35, 57))
+        spec = IndexSet.step_cross(1.0, (1.0, 1.0, 1.0), 6)
+        small = choose_route(200, rule, spec)
+        large = choose_route(20000, rule, spec)
+        assert small["route"] == large["route"]
+        for route, cost in small["costs"].items():
+            assert large["costs"][route] == pytest.approx(100.0 * cost)
+
+    def test_lazy_set_pays_enumeration(self) -> None:
+        rule = LatticeRule(31, (1, 12))
+        lazy = IndexSet.step_cross(1.0, (1.0, 1.0), 5, materialize=False)
+        full = lazy.materialized()
+        lazy_cost = choose_route(50, rule, lazy)["costs"]
+        full_cost = choose_route(50, rule, full)["costs"]
+        assert lazy_cost["general-fft"] > full_cost["general-fft"]
+        assert lazy_cost["step-cross"] == full_cost["step-cross"]
+
+    def test_cap_removes_general_fft(self) -> None:
+        rule = LatticeRule(31, (1, 12))
+        step = IndexSet.step_cross(1.0, (1.0, 1.0), 5, materialize=False)
+        count = step.cardinality()
+        plan = choose_route(50, rule, step, cap=count - 1)
+        assert plan["route"] == "step-cross"
+        assert list(plan["costs"]) == ["step-cross"]
+        cross = IndexSet.cross(1.0, (1.0, 1.0), 30.0, materialize=False)
+        with pytest.raises(CapExceeded) as exc:
+            choose_route(50, rule, cross, cap=cross.cardinality() - 1)
+        assert exc.value.predicted == cross.cardinality()
+
+    def test_never_enumerates(self, monkeypatch) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cost model enumerated a set")
+
+        for name in (
+            "enumerate_cross", "enumerate_rectangle", "enumerate_step_cross"
+        ):
+            monkeypatch.setattr(index_sets, name, refuse)
+        monkeypatch.setattr(IndexSet, "materialized", refuse)
+        rule = LatticeRule(127, (1, 35, 57, 19, 44, 101, 7, 88))
+        gamma = ProductWeights.ones(8)
+        for spec in (
+            IndexSet.cross(1.0, gamma, 8.0, materialize=False),
+            IndexSet.rectangle(1.0, gamma, 1e4, materialize=False),
+            IndexSet.step_cross(0.5, gamma, 10, materialize=False),
+        ):
+            plan = choose_route(1000, rule, spec)
+            assert plan["route"] in plan["costs"]
 
 
 class TestWeightSet:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from latcompress.index_sets import (
     CapExceeded,
     IndexSet,
-    _enumerate_step_cross_disjoint,
+    _dyadic_bounds,
+    _halfwidth,
     cardinality_bound_cross,
     cross_cardinality_constant,
     enumerate_cross,
@@ -25,6 +26,39 @@ from latcompress.lattice import ProductWeights
 
 def _rows(freq: np.ndarray) -> set:
     return set(map(tuple, np.asarray(freq).tolist()))
+
+
+def _cartesian(axes) -> list[tuple[int, ...]]:
+    rows = [()]
+    for ax in axes:
+        rows = [pre + (kj,) for pre in rows for kj in ax]
+    return rows
+
+
+def _step_cross_union(alpha, gamma, m) -> np.ndarray:
+    """Oracle: the plain union of the cumulative dyadic boxes, as tuples."""
+    gam = tuple(ProductWeights(tuple(gamma)))
+    seen: set = set()
+    for t in enumerate_shape_vectors(m, len(gam)):
+        widths = [_halfwidth(2.0 * alpha, gj, 2.0 ** int(tj))
+                  for gj, tj in zip(gam, t)]
+        seen.update(_cartesian(range(-w, w + 1) for w in widths))
+    return np.asarray(sorted(seen), dtype=np.int64).reshape(-1, len(gam))
+
+
+def _step_cross_disjoint(alpha, gamma, m) -> np.ndarray:
+    """Oracle: the disjoint rectangle-difference pieces, as tuples."""
+    gam = tuple(ProductWeights(tuple(gamma)))
+    rows: list[tuple[int, ...]] = []
+    for t in enumerate_shape_vectors(m, len(gam)):
+        axes = []
+        for j, (gj, tj) in enumerate(zip(gam, t)):
+            low, up = _dyadic_bounds(2.0 * alpha, gj, int(tj))
+            vals = range(-up, up + 1)
+            axes.append([v for v in vals if j == 0 or tj == 0 or abs(v) > low])
+        rows.extend(_cartesian(axes))
+    assert len(rows) == len(set(rows)), "disjoint pieces overlap"
+    return np.asarray(sorted(rows), dtype=np.int64).reshape(-1, len(gam))
 
 
 def _brute_box(widths) -> np.ndarray:
@@ -173,10 +207,14 @@ class TestStepCross:
 
     @pytest.mark.parametrize("alpha, gamma, m", STEP_CONFIGS)
     def test_dual_route(self, alpha, gamma, m) -> None:
-        # Union-of-boxes and disjoint-difference constructions must agree.
-        union = enumerate_step_cross(alpha, gamma, m)
-        disjoint = _enumerate_step_cross_disjoint(alpha, gamma, m)
-        np.testing.assert_array_equal(union, disjoint)
+        # The vectorised enumerator, the union of cumulative boxes and the
+        # disjoint-difference pieces must give the same rows in the same
+        # order, and the count must match without enumerating.
+        rows = enumerate_step_cross(alpha, gamma, m)
+        for oracle in (_step_cross_union, _step_cross_disjoint):
+            np.testing.assert_array_equal(rows, oracle(alpha, gamma, m))
+        lazy = IndexSet.step_cross(alpha, gamma, m, materialize=False)
+        assert lazy.cardinality() == len(rows)
 
     def test_sandwich(self) -> None:
         for d in (1, 2, 3):

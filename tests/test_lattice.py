@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latcompress.lattice import (
@@ -163,11 +163,22 @@ class TestKernel:
         st.sampled_from([0.75, 1.0, 1.5, 2.0]),
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     )
+    @example(0.75, 0.9999999999999999)
+    @example(0.75, 1e-17)
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_periodicity(self, alpha: float, x: float) -> None:
+        # Compare against the arguments the floats actually represent:
+        # x + 1.0 and 1.0 - x round, and for alpha < 1 the kernel's cusp
+        # at 0 turns a 1e-16 shift of the argument into about 1e-7.
         v = phi_alpha(alpha, x)
-        assert phi_alpha(alpha, 1.0 - x) == pytest.approx(v, abs=1e-11)
-        assert phi_alpha(alpha, x + 1.0) == pytest.approx(v, abs=1e-11)
+        mirror = 1.0 - x
+        assert phi_alpha(alpha, mirror) == pytest.approx(
+            phi_alpha(alpha, 1.0 - mirror), abs=1e-11
+        )
+        shifted = x + 1.0
+        assert phi_alpha(alpha, shifted) == pytest.approx(
+            phi_alpha(alpha, shifted - 1.0), abs=1e-11
+        )
         assert v <= phi_alpha(alpha, 0.0) + 1e-12
 
     def test_domain(self) -> None:
