@@ -246,7 +246,8 @@ def _cmd_compress(args) -> int:
     start = time.perf_counter()
     ws = compress(
         data, rule, spec,
-        algorithm=args.algorithm,
+        algorithm=(route_choice["route"] if args.algorithm == "auto"
+                   else args.algorithm),
         threads=args.threads,
         cap=args.cap_frequencies,
     )

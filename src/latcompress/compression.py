@@ -11,12 +11,17 @@ loss needs from the data: evaluating a model on the ``L`` nodes and
 taking two weighted dot products replaces the sweep over all ``N``
 samples.
 
-Four interchangeable algorithms produce the same vectors: a direct
-reference summation, an FFT-bucketed route for arbitrary sets, and two
-kernel routes (Dirichlet products) for rectangles and step crosses that
-never enumerate the set at all.  ``compress`` picks among the fast ones
-by predicted cost (:func:`choose_route`).  A fifth route specialises to
-data that itself sits on a rank-1 lattice.
+Every route folds the set's Fourier data of the samples onto the
+residues of ``k . g`` modulo L and finishes with one length-L FFT.  The
+routes sit in one table, ``_ROUTES``, with one calling convention:
+``(data, rule, index_set, cvecs, threads, cap)`` in, one weight vector
+per coefficient vector out.  ``naive`` sums directly and is the
+reference; ``general-fft`` serves any set; ``rectangle`` and
+``step-cross`` run a Dirichlet-kernel sweep plan and never enumerate the
+set.  ``compress`` takes the route :func:`choose_route` predicts to be
+cheapest, pricing a sweep from the plan it runs.  The ``weights_*``
+functions are one-vector entries into the table;
+:func:`weights_lattice_data` specialises to data on a rank-1 lattice.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -146,11 +151,6 @@ def _coefficients(data: Dataset, c: Union[str, Sequence[float]]) -> np.ndarray:
     return arr
 
 
-def _pair_coefficients(data: Dataset) -> list[np.ndarray]:
-    """Coefficients of the two weight vectors: all ones, and the responses."""
-    return [np.ones(data.N, dtype=np.float64), np.asarray(data.Y)]
-
-
 def dirichlet_kernel(n: int, x):
     """Dirichlet kernel ``D_n(x) = sum_{|k| <= n} exp(2 pi i k x)``.
 
@@ -180,11 +180,6 @@ def dirichlet_kernel(n: int, x):
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(out)
     return out
-
-
-def _require_frequencies(index_set: IndexSet, cap: int) -> np.ndarray:
-    mat = index_set.materialized(cap)
-    return mat.frequencies
 
 
 def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
@@ -235,6 +230,247 @@ def _sum_blocks(n_rows: int, block: int, fn, threads: int) -> list:
     return acc
 
 
+def _phase_axes(freq: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per coordinate, the distinct values of the frequency column and
+    the gather that maps them back onto the rows."""
+    axes = []
+    for j in range(freq.shape[1]):
+        u, inv = np.unique(freq[:, j], return_inverse=True)
+        axes.append((u.astype(np.float64), inv))
+    return axes
+
+
+def _phase_matrix(X: np.ndarray, axes) -> np.ndarray:
+    """Phases ``exp(2 pi i k . x)``, one row per point of X and one
+    column per frequency row described by :func:`_phase_axes`.
+
+    Built per coordinate from the distinct frequency values, so the
+    exponential count is ``rows * sum_j |unique(k_j)|`` rather than
+    ``rows * |K| * d``; the rest is gathers and elementwise products.
+    """
+    (u, inv), *rest = axes
+    ph = np.exp(2j * np.pi * np.outer(X[:, 0], u))[:, inv]
+    for j, (u, inv) in enumerate(rest, 1):
+        ph *= np.exp(2j * np.pi * np.outer(X[:, j], u))[:, inv]
+    return ph
+
+
+def _lattice_fft(
+    freq: np.ndarray, coef: np.ndarray, rule: LatticeRule
+) -> np.ndarray:
+    """``sum_k coef_k exp(2 pi i k . z_l)`` at every node ``z_l``.
+
+    Coefficients sharing a residue ``k . g mod L`` alias to the same
+    one-dimensional frequency along the lattice, so they are bucketed
+    first and one length-L inverse FFT finishes; cost O(d |K| + L log L).
+    """
+    residues = (freq @ np.asarray(rule.g, dtype=np.int64)) % rule.L
+    b_re = np.bincount(residues, weights=coef.real, minlength=rule.L)
+    b_im = np.bincount(residues, weights=coef.imag, minlength=rule.L)
+    return rule.L * np.fft.ifft(b_re + 1j * b_im)
+
+
+# The weight routes: (data, rule, index_set, cvecs, threads, cap) in, one
+# vector per coefficient vector out; ``cap`` bounds any enumeration.
+
+
+def _naive_route(
+    data: Dataset,
+    rule: LatticeRule,
+    index_set: IndexSet,
+    cvecs: list[np.ndarray],
+    threads: int,
+    cap: int,
+    work_cap: int = NAIVE_CAP,
+) -> list[np.ndarray]:
+    """Direct summation over nodes, samples and frequencies, refused when
+    ``L N |K|`` exceeds ``work_cap``.  The reference the other routes are
+    tested against, so it shares none of their helpers; it runs on one
+    thread whatever ``threads`` says."""
+    freq = index_set.materialized(cap).frequencies
+    work = rule.L * data.N * len(freq)
+    if work > work_cap:
+        raise CapExceeded(work, work_cap)
+    nodes = generate_points(rule)
+    ft = freq.T.astype(np.float64)
+    out = np.empty((len(cvecs), rule.L), dtype=np.complex128)
+    for ell in range(rule.L):
+        phase = (data.X - nodes[ell][None, :]) @ ft
+        ph = np.exp(2j * np.pi * phase)
+        for i, cvec in enumerate(cvecs):
+            out[i, ell] = (cvec @ ph).sum()
+    return list(out / data.N)
+
+
+def _general_fft_route(
+    data: Dataset,
+    rule: LatticeRule,
+    index_set: IndexSet,
+    cvecs: list[np.ndarray],
+    threads: int,
+    cap: int,
+) -> list[np.ndarray]:
+    """One adjoint transform pass shared by every coefficient vector.
+
+    phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n), blocked over n, then
+    folded onto the nodes: the lattice FFT of the frequencies -k.  A
+    block holds about ``_FFT_BLOCK`` phases.
+    """
+    freq = index_set.materialized(cap).frequencies
+    axes = _phase_axes(freq)
+    block = max(1, _FFT_BLOCK // max(freq.shape[0], 1))
+
+    def one(s: int, e: int) -> list[np.ndarray]:
+        ph = _phase_matrix(data.X[s:e], axes)
+        return [cv[s:e] @ ph for cv in cvecs]
+
+    sums = _sum_blocks(data.N, block, one, threads)
+    return [_lattice_fft(-freq, acc / data.N, rule) for acc in sums]
+
+
+class _SweepPlan(NamedTuple):
+    """The Dirichlet-kernel sweep of a rectangle or a step cross: a sum
+    over shapes of products of one factor per coordinate.
+
+    ``kernels`` lists the distinct ``(coordinate, order)`` kernels;
+    ``factors`` maps ``(coordinate, level)`` to ``(up, low)``, the kernel
+    of order ``up`` less that of order ``low`` unless it is None;
+    ``steps`` gives per shape, in order, the length of the prefix product
+    kept from the shape before, and the shape.  ``passes`` counts the
+    full-size array passes of a two-vector run, ``held`` the full-size
+    arrays a block holds at once (its memory is ``8 rows L held``).
+    """
+
+    kernels: tuple
+    factors: dict
+    steps: list
+    passes: int
+    held: int
+
+
+def _sweep_plan(index_set: IndexSet) -> _SweepPlan:
+    """The sweep of a rectangle (one shape) or a step cross."""
+    d = index_set.d
+    if index_set.family == "rectangle":
+        widths = rectangle_halfwidths(
+            index_set.alpha, index_set.gamma, index_set.param
+        )
+        shapes, bounds = [(0,) * d], [[(-1, int(w))] for w in widths]
+    else:
+        shapes, bounds = _step_cross_shapes(
+            2.0 * index_set.alpha, tuple(index_set.gamma),
+            int(index_set.param),
+        )
+    factors: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+    steps = []
+    prev: Optional[tuple[int, ...]] = None
+    for row in shapes:
+        keep = 0
+        if prev is not None:
+            while row[keep] == prev[keep]:
+                keep += 1
+        steps.append((keep, row))
+        for j, t in enumerate(row):
+            low, up = bounds[j][t]
+            factors[(j, t)] = (up, None if j == 0 or t == 0 else low)
+        prev = row
+    kernels = dict.fromkeys(
+        (j, n) for (j, _), pair in factors.items() for n in pair
+        if n is not None
+    )
+    diffs = sum(low is not None for _, low in factors.values())
+    products = sum(d - max(keep, 1) for keep, _ in steps)
+    # passes: the coordinate differences, the kernel differences, the
+    # prefix products, one sum per shape, the zeroed total, two dot
+    # products; held: differences, kernels, factors, prefixes and total
+    return _SweepPlan(
+        tuple(kernels), factors, steps,
+        d + diffs + products + len(steps) + 3,
+        2 * d + len(kernels) + diffs + 1,
+    )
+
+
+def _sweep_route(
+    data: Dataset,
+    rule: LatticeRule,
+    index_set: IndexSet,
+    cvecs: list[np.ndarray],
+    threads: int,
+    cap: int,
+) -> list[np.ndarray]:
+    """Kernel route of a rectangle or a step cross, run from its sweep
+    plan; the set is never enumerated, so ``cap`` does not apply.
+
+    Per block of samples: the kernels of each coordinate's differences
+    to the nodes, their differences, then the shapes in order, each
+    reusing the prefix product it shares with the shape before.
+    """
+    plan = _sweep_plan(index_set)
+    d, L = data.d, rule.L
+    nodes = generate_points(rule)
+    block = max(1, (1 << 28) // (8 * L * plan.held))
+
+    def one(s: int, e: int) -> list[np.ndarray]:
+        diffs = [
+            data.X[s:e, j][:, None] - nodes[None, :, j] for j in range(d)
+        ]
+        kernels = {
+            (j, n): dirichlet_kernel(n, diffs[j]) for j, n in plan.kernels
+        }
+        factors = {
+            (j, t): kernels[j, up] if low is None
+            else kernels[j, up] - kernels[j, low]
+            for (j, t), (up, low) in plan.factors.items()
+        }
+        total = np.zeros((e - s, L), dtype=np.float64)
+        stack: list[np.ndarray] = []
+        for keep, row in plan.steps:
+            del stack[keep:]
+            for j in range(keep, d):
+                f = factors[j, row[j]]
+                stack.append(f if j == 0 else stack[-1] * f)
+            total += stack[-1]
+        return [cv[s:e] @ total for cv in cvecs]
+
+    return [o / data.N for o in _sum_blocks(data.N, block, one, threads)]
+
+
+_ROUTES = {
+    "naive": _naive_route,
+    "general-fft": _general_fft_route,
+    "rectangle": _sweep_route,
+    "step-cross": _sweep_route,
+}
+
+
+def _run(
+    algorithm: str,
+    data: Dataset,
+    cs: list,
+    rule: LatticeRule,
+    index_set: IndexSet,
+    threads: int = 1,
+    cap: int = DEFAULT_CAP,
+    **extra,
+) -> list[np.ndarray]:
+    """One weight vector per coefficient choice in ``cs``, by the table
+    route ``algorithm``, which must be able to serve the set."""
+    _check_dims(data.d, rule, index_set)
+    route = _ROUTES.get(algorithm)
+    if route is None:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected auto, naive, "
+            f"general-fft, rectangle or step-cross"
+        )
+    if route is _sweep_route and index_set.family != algorithm:
+        raise ValueError(
+            f"algorithm {algorithm!r} cannot serve family "
+            f"{index_set.family!r}"
+        )
+    cvecs = [_coefficients(data, c) for c in cs]
+    return route(data, rule, index_set, cvecs, threads, cap, **extra)
+
+
 def weights_naive(
     data: Dataset,
     c: Union[str, Sequence[float]],
@@ -247,52 +483,7 @@ def weights_naive(
 
     Every fast algorithm is tested against this one.
     """
-    _check_dims(data.d, rule, index_set)
-    freq = _require_frequencies(index_set, DEFAULT_CAP)
-    work = rule.L * data.N * len(freq)
-    if work > cap:
-        raise CapExceeded(work, cap)
-    cvec = _coefficients(data, c)
-    nodes = generate_points(rule)
-    out = np.empty(rule.L, dtype=np.complex128)
-    ft = freq.T.astype(np.float64)
-    for ell in range(rule.L):
-        phase = (data.X - nodes[ell][None, :]) @ ft
-        out[ell] = (cvec @ np.exp(2j * np.pi * phase)).sum()
-    return out / data.N
-
-
-def _fold_to_nodes(
-    phihat: np.ndarray, freq: np.ndarray, rule: LatticeRule
-) -> np.ndarray:
-    """Bucket coefficients by residue -k.g mod L, then one inverse FFT."""
-    residues = (-(freq @ np.asarray(rule.g, dtype=np.int64))) % rule.L
-    h_re = np.bincount(residues, weights=phihat.real, minlength=rule.L)
-    h_im = np.bincount(residues, weights=phihat.imag, minlength=rule.L)
-    return rule.L * np.fft.ifft(h_re + 1j * h_im)
-
-
-def _general_fft_kernel(
-    data: Dataset,
-    rule: LatticeRule,
-    freq: np.ndarray,
-    cvecs: list[np.ndarray],
-    threads: int,
-) -> list[np.ndarray]:
-    """One adjoint transform pass shared by every coefficient vector.
-
-    phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n), blocked over n, then
-    folded onto the nodes.  A block holds about ``_FFT_BLOCK`` phases.
-    """
-    block = max(1, _FFT_BLOCK // max(freq.shape[0], 1))
-    ft = freq.T.astype(np.float64)
-
-    def one(s: int, e: int) -> list[np.ndarray]:
-        ph = np.exp(2j * np.pi * (data.X[s:e] @ ft))
-        return [cv[s:e] @ ph for cv in cvecs]
-
-    sums = _sum_blocks(data.N, block, one, threads)
-    return [_fold_to_nodes(acc / data.N, freq, rule) for acc in sums]
+    return _run("naive", data, [c], rule, index_set, work_cap=cap)[0]
 
 
 def weights_general_fft(
@@ -309,47 +500,7 @@ def weights_general_fft(
     folding it onto the residues of ``k . g`` modulo L and a single
     length-L inverse FFT finish the job.  Cost O(d |K| N + L log L).
     """
-    _check_dims(data.d, rule, index_set)
-    freq = _require_frequencies(index_set, cap)
-    cvec = _coefficients(data, c)
-    return _general_fft_kernel(data, rule, freq, [cvec], threads)[0]
-
-
-def _require_family(index_set: IndexSet, family: str) -> None:
-    if index_set.family != family:
-        raise ValueError(
-            f"algorithm {family!r} cannot serve family "
-            f"{index_set.family!r}"
-        )
-
-
-def _rectangle_kernel(
-    data: Dataset,
-    rule: LatticeRule,
-    index_set: IndexSet,
-    cvecs: list[np.ndarray],
-    threads: int,
-) -> list[np.ndarray]:
-    """Products of one Dirichlet kernel per coordinate, blocked over n."""
-    _require_family(index_set, "rectangle")
-    widths = rectangle_halfwidths(
-        index_set.alpha, index_set.gamma, index_set.param
-    )
-    nodes = generate_points(rule)
-    L, d = rule.L, data.d
-    block = max(1, (1 << 21) // max(L, 1))
-
-    def one(s: int, e: int) -> list[np.ndarray]:
-        prod = dirichlet_kernel(
-            int(widths[0]), data.X[s:e, 0][:, None] - nodes[None, :, 0]
-        )
-        for j in range(1, d):
-            prod = prod * dirichlet_kernel(
-                int(widths[j]), data.X[s:e, j][:, None] - nodes[None, :, j]
-            )
-        return [cv[s:e] @ prod for cv in cvecs]
-
-    return [o / data.N for o in _sum_blocks(data.N, block, one, threads)]
+    return _run("general-fft", data, [c], rule, index_set, threads, cap)[0]
 
 
 def weights_rectangle(
@@ -364,80 +515,7 @@ def weights_rectangle(
     The frequency sum factorises per coordinate, so the set is never
     enumerated.  Cost O(L N d), independent of the cardinality.
     """
-    _check_dims(data.d, rule, index_set)
-    cvec = _coefficients(data, c)
-    return _rectangle_kernel(data, rule, index_set, [cvec], threads)[0]
-
-
-def _step_cross_sweep(
-    index_set: IndexSet,
-) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
-    """Nonempty shape vectors of a step cross and their (low, up) table."""
-    return _step_cross_shapes(
-        2.0 * index_set.alpha, tuple(index_set.gamma), int(index_set.param)
-    )
-
-
-def _step_cross_kernel(
-    data: Dataset,
-    rule: LatticeRule,
-    index_set: IndexSet,
-    cvecs: list[np.ndarray],
-    threads: int,
-) -> list[np.ndarray]:
-    """Sum over shapes of per-coordinate Dirichlet kernel differences.
-
-    Within the lexicographic sweep over shapes, partial products are
-    reused across shared prefixes.
-    """
-    _require_family(index_set, "step-cross")
-    shapes, bounds_tbl = _step_cross_sweep(index_set)
-    m = int(index_set.param)
-    d, L = data.d, rule.L
-    nodes = generate_points(rule)
-    block = max(1, (1 << 28) // (8 * max(1, d * (m + 2) * L)))
-
-    def one(s: int, e: int) -> list[np.ndarray]:
-        diffs = [
-            data.X[s:e, j][:, None] - nodes[None, :, j] for j in range(d)
-        ]
-        kernels: dict[tuple[int, int], np.ndarray] = {}
-
-        def kernel(j: int, order: int) -> np.ndarray:
-            key = (j, order)
-            if key not in kernels:
-                kernels[key] = dirichlet_kernel(order, diffs[j])
-            return kernels[key]
-
-        factors: dict[tuple[int, int], np.ndarray] = {}
-
-        def factor(j: int, t: int) -> np.ndarray:
-            key = (j, t)
-            if key not in factors:
-                low, up = bounds_tbl[j][t]
-                if j == 0 or t == 0:
-                    factors[key] = kernel(j, up)
-                else:
-                    factors[key] = kernel(j, up) - kernel(j, low)
-            return factors[key]
-
-        total = np.zeros((e - s, L), dtype=np.float64)
-        stack: list[np.ndarray] = []
-        prev: Optional[tuple[int, ...]] = None
-        for row in shapes:
-            keep = 0
-            if prev is not None:
-                while keep < d and row[keep] == prev[keep]:
-                    keep += 1
-            del stack[keep:]
-            for j in range(keep, d):
-                f = factor(j, row[j])
-                stack.append(f if j == 0 else stack[-1] * f)
-            total += stack[-1]
-            prev = row
-        return [cv[s:e] @ total for cv in cvecs]
-
-    return [o / data.N for o in _sum_blocks(data.N, block, one, threads)]
+    return _run("rectangle", data, [c], rule, index_set, threads)[0]
 
 
 def weights_step_cross(
@@ -454,9 +532,7 @@ def weights_step_cross(
     within the lexicographic sweep over shapes, partial products are
     reused across shared prefixes.  Cost O(|shapes| L N d) at worst.
     """
-    _check_dims(data.d, rule, index_set)
-    cvec = _coefficients(data, c)
-    return _step_cross_kernel(data, rule, index_set, [cvec], threads)[0]
+    return _run("step-cross", data, [c], rule, index_set, threads)[0]
 
 
 def weights_step_cross_pair(
@@ -466,64 +542,26 @@ def weights_step_cross_pair(
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both weight vectors of a step cross in one shared kernel pass."""
-    _check_dims(data.d, rule, index_set)
-    w1, w2 = _step_cross_kernel(
-        data, rule, index_set, _pair_coefficients(data), threads
-    )
-    return w1, w2
+    cs = ["ones", "responses"]
+    return tuple(_run("step-cross", data, cs, rule, index_set, threads))
 
-
-_KERNEL_ROUTES = {
-    "rectangle": _rectangle_kernel,
-    "step-cross": _step_cross_kernel,
-}
 
 # Predicted single-thread seconds per element of each route's work,
 # calibrated on a 2-vCPU x86-64 virtual machine from the benchmark's
 # per-layer compression.weights_s (perfbench/run.py --trace 1, seed 1):
-#   general-FFT, per sample and frequency: cross-4d took 2.84 s for
-#   N |K| = 3,000 x 18,425, i.e. 51 ns;
+#   general-FFT, per sample and frequency: cross-4d took 1.93 s (median
+#   of seeds 1-3) for N |K| = 3,000 x 18,425 with per-coordinate phases,
+#   i.e. 35 ns;
 #   kernel routes, per sample and node: paper-2d took 6.22 s for
 #   N L = 20,000 x 509 with 25 array passes and 12 Dirichlet kernels,
 #   stepcross-6d 3.26 s for 10,000 x 127 with 286 passes and 29 kernels;
 #   solved, 4.8 ns per pass and 41 ns per kernel;
 #   enumeration of a lazy set, per row and coordinate: index_sets.
 #   enumerate_s on stepcross-6d, 0.044 s for 49,761 rows of 6.
-_FFT_S = 5e-8
+_FFT_S = 3.5e-8
 _PASS_S = 5e-9
 _DIRICHLET_S = 4e-8
 _ENUM_S = 1.5e-7
-
-
-def _kernel_work(index_set: IndexSet) -> tuple[int, int]:
-    """(array passes, Dirichlet kernels) a kernel route makes.
-
-    Each is an operation over a full (rows x L) block, so its cost per
-    sample and node is fixed; the counts follow the rectangle product and
-    the step-cross sweep of ``_step_cross_kernel``.
-    """
-    d = index_set.d
-    if index_set.family == "rectangle":
-        # d differences, d - 1 products and the two dot products
-        return 2 * d + 1, d
-    shapes, bounds = _step_cross_sweep(index_set)
-    kernels: set[tuple[int, int]] = set()
-    factors: set[tuple[int, int]] = set()
-    products = 0
-    prev = shapes[0]
-    for i, row in enumerate(shapes):
-        keep = 0 if i == 0 else next(j for j in range(d) if row[j] != prev[j])
-        products += d - max(keep, 1)
-        for j, t in enumerate(row):
-            low, up = bounds[j][t]
-            kernels.add((j, up))
-            if j > 0 and t > 0:
-                kernels.add((j, low))
-                factors.add((j, t))
-        prev = row
-    # d differences, the kernel differences, the prefix products, one
-    # accumulation per shape, the zeroed total and the two dot products
-    return d + len(factors) + products + len(shapes) + 3, len(kernels)
 
 
 def choose_route(
@@ -538,8 +576,8 @@ def choose_route(
     the enumeration of a lazy set; a lazy set above ``cap`` rows is no
     candidate.  The kernel route of a rectangle or a step cross costs
     about ``N L`` times the full-size array passes and Dirichlet kernels
-    its sweep makes.  Both costs are linear in N, so a subsample takes
-    the route the full data would.  The set is sized by
+    of the sweep plan it runs.  Both costs are linear in N, so a
+    subsample takes the route the full data would.  The set is sized by
     :meth:`IndexSet.cardinality`, which caches the count on it, and is
     never enumerated.
 
@@ -557,10 +595,10 @@ def choose_route(
     if not (lazy and count > cap):
         enum = count * index_set.d * _ENUM_S if lazy else 0.0
         costs["general-fft"] = n_samples * count * _FFT_S + enum
-    if index_set.family in _KERNEL_ROUTES:
-        passes, kernels = _kernel_work(index_set)
-        costs[index_set.family] = (
-            n_samples * rule.L * (passes * _PASS_S + kernels * _DIRICHLET_S)
+    if index_set.family in _ROUTES:
+        plan = _sweep_plan(index_set)
+        costs[index_set.family] = n_samples * rule.L * (
+            plan.passes * _PASS_S + len(plan.kernels) * _DIRICHLET_S
         )
     if not costs:
         raise CapExceeded(count, cap)
@@ -622,7 +660,7 @@ def weights_lattice_data(
         raise ValueError(
             f"index set d={index_set.d} does not match lattice d={rule.d}"
         )
-    freq = _require_frequencies(index_set, cap)
+    freq = index_set.materialized(cap).frequencies
     N = data_rule.L
     if dataset is not None:
         if dataset.N != N or not _points_on_rule(data_rule, dataset.X):
@@ -642,7 +680,7 @@ def weights_lattice_data(
                 f"expected {N} responses in node order, got {resp.shape}"
             )
         phihat = np.fft.ifft(resp)[kh]
-    return _fold_to_nodes(phihat, freq, rule)
+    return _lattice_fft(-freq, phihat, rule)
 
 
 @dataclass(eq=False)
@@ -780,17 +818,6 @@ class WeightSet:
         )
 
 
-def _realised(w: np.ndarray, context: str) -> np.ndarray:
-    worst = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if worst > _IMAG_TOL:
-        raise ValueError(
-            f"{context}: weights came out complex "
-            f"(largest imaginary part {worst:.3e}); symmetric families "
-            f"must produce real vectors"
-        )
-    return np.ascontiguousarray(w.real)
-
-
 def compress(
     data: Dataset,
     rule: LatticeRule,
@@ -824,33 +851,20 @@ def compress(
         index_set = index_set.descriptor()
     if algorithm == "auto":
         algorithm = choose_route(data.N, rule, index_set, cap)["route"]
-    pair = _pair_coefficients(data)
-    if algorithm == "general-fft":
-        freq = _require_frequencies(index_set, cap)
-        w1, w2 = _general_fft_kernel(data, rule, freq, pair, threads)
-    elif algorithm in _KERNEL_ROUTES:
-        kernel = _KERNEL_ROUTES[algorithm]
-        w1, w2 = kernel(data, rule, index_set, pair, threads)
-    elif algorithm == "naive":
-        w1 = weights_naive(data, "ones", rule, index_set)
-        w2 = weights_naive(data, "responses", rule, index_set)
-    else:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected auto, naive, "
-            f"general-fft, rectangle or step-cross"
-        )
+    w1, w2 = _run(
+        algorithm, data, ["ones", "responses"], rule, index_set, threads, cap
+    )
     if np.iscomplexobj(w1):
-        if index_set.family == "custom":
-            worst = max(
-                float(np.max(np.abs(w1.imag))),
-                float(np.max(np.abs(w2.imag))),
+        worst = max(float(np.max(np.abs(w.imag))) for w in (w1, w2))
+        if worst <= _IMAG_TOL:
+            w1 = np.ascontiguousarray(w1.real)
+            w2 = np.ascontiguousarray(w2.real)
+        elif index_set.family != "custom":
+            raise ValueError(
+                f"family {index_set.family!r}: weights came out complex "
+                f"(largest imaginary part {worst:.3e}); symmetric "
+                f"families must produce real vectors"
             )
-            if worst <= _IMAG_TOL:
-                w1 = np.ascontiguousarray(w1.real)
-                w2 = np.ascontiguousarray(w2.real)
-        else:
-            w1 = _realised(w1, f"family {index_set.family!r}")
-            w2 = _realised(w2, f"family {index_set.family!r}")
     spec = index_set.descriptor()
     spec.cardinality(cap)
     return WeightSet(w1, w2, data.mean_y2, rule, spec, algorithm)

@@ -717,6 +717,9 @@ class IndexSet:
         return out.materialized(cap) if materialize else out
 
     def __eq__(self, other) -> bool:
+        # ``count`` follows from the family metadata, or from the rows of
+        # a custom set, so it is not compared: caching it by a call to
+        # ``cardinality`` must not change equality.
         if not isinstance(other, IndexSet):
             return NotImplemented
         if (
@@ -724,7 +727,6 @@ class IndexSet:
             or self.alpha != other.alpha
             or tuple(self.gamma) != tuple(other.gamma)
             or self.param != other.param
-            or self.count != other.count
         ):
             return False
         a, b = self.frequencies, other.frequencies

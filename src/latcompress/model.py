@@ -23,7 +23,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .compression import Dataset, WeightSet
+from .compression import (
+    Dataset,
+    WeightSet,
+    _lattice_fft,
+    _phase_axes,
+    _phase_matrix,
+)
 from .index_sets import CapExceeded
 from .lattice import LatticeRule, ProductWeights
 
@@ -174,26 +180,12 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
         raise ValueError(
             f"points have {pts.shape[1]} coordinates, model has {model.d}"
         )
-    freq = model.frequencies
-    m = model.size
-    uniques = []
-    inverses = []
-    for j in range(model.d):
-        u, inv = np.unique(freq[:, j], return_inverse=True)
-        uniques.append(u.astype(np.float64))
-        inverses.append(inv)
+    axes = _phase_axes(model.frequencies)
     out = np.empty(pts.shape[0], dtype=np.complex128)
-    block = max(1, (1 << 22) // max(m, 1))
+    block = max(1, (1 << 22) // max(model.size, 1))
     for s in range(0, pts.shape[0], block):
         e = min(s + block, pts.shape[0])
-        ph = np.exp(
-            2j * np.pi * np.outer(pts[s:e, 0], uniques[0])
-        )[:, inverses[0]]
-        for j in range(1, model.d):
-            ph *= np.exp(
-                2j * np.pi * np.outer(pts[s:e, j], uniques[j])
-            )[:, inverses[j]]
-        out[s:e] = ph @ model.theta
+        out[s:e] = _phase_matrix(pts[s:e], axes) @ model.theta
     if scalar:
         return complex(out[0])
     return out
@@ -208,12 +200,7 @@ def eval_model_on_lattice(model: TrigModel, rule: LatticeRule) -> np.ndarray:
     """
     if rule.d != model.d:
         raise ValueError(f"rule has d={rule.d}, model has d={model.d}")
-    residues = (
-        model.frequencies @ np.asarray(rule.g, dtype=np.int64)
-    ) % rule.L
-    b_re = np.bincount(residues, weights=model.theta.real, minlength=rule.L)
-    b_im = np.bincount(residues, weights=model.theta.imag, minlength=rule.L)
-    return rule.L * np.fft.ifft(b_re + 1j * b_im)
+    return _lattice_fft(model.frequencies, model.theta, rule)
 
 
 def regularizer(

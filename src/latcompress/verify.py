@@ -15,11 +15,10 @@ import numpy as np
 from .analysis import BoundQuery, loss_gap_envelope, select_parameter
 from .compression import (
     Dataset,
+    choose_route,
     compress,
     weights_general_fft,
     weights_naive,
-    weights_rectangle,
-    weights_step_cross,
 )
 from .index_sets import IndexSet, enumerate_cross, enumerate_step_cross
 from .lattice import LatticeRule, ProductWeights, cbc_construct
@@ -42,11 +41,6 @@ __all__ = [
 ]
 
 _PRIMES = (29, 31, 53, 61)
-
-_KERNEL_WEIGHTS = {
-    "rectangle": weights_rectangle,
-    "step-cross": weights_step_cross,
-}
 
 
 def _result(name, checks, residual, failures):
@@ -74,9 +68,9 @@ def oracle_suite(
     """Fast weight algorithms against the direct-summation reference.
 
     Random instances cycle through the three named families plus custom
-    (possibly asymmetric) sets.  Every route ``compress`` may choose for
-    an instance is checked: general-FFT on all of them, and the kernel
-    route too on rectangles and step crosses.  With ``inject_fault`` the
+    (possibly asymmetric) sets.  Every route :func:`choose_route` prices
+    for an instance, i.e. every route ``compress`` may choose for it, is
+    run through ``compress`` and checked.  With ``inject_fault`` the
     first instance's first fast output is perturbed by 1e-3 in one
     entry, which the comparison must catch and localise.
     """
@@ -104,12 +98,11 @@ def oracle_suite(
             rows = rng.integers(-6, 7, size=(10, d))
             spec = IndexSet.custom(rows, alpha, gamma)
         c = "responses" if kind == 3 else "ones"
-        routes = {"general-fft": weights_general_fft}
-        if spec.family in _KERNEL_WEIGHTS:
-            routes[spec.family] = _KERNEL_WEIGHTS[spec.family]
+        routes = choose_route(n, rule, spec)["costs"]
         ref = weights_naive(data, c, rule, spec)
-        for j, (route, weights) in enumerate(routes.items()):
-            fast = weights(data, c, rule, spec, threads)
+        for j, route in enumerate(routes):
+            ws = compress(data, rule, spec, route, threads)
+            fast = ws.w_xyz if c == "responses" else ws.w_xz
             if inject_fault and i == 0 and j == 0:
                 fast = np.array(fast, copy=True)
                 fast[L // 2] += 1e-3

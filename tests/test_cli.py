@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from latcompress import cli, compression
 from latcompress.cli import (
     _coprime_generator,
     load_dataset,
@@ -217,9 +218,21 @@ class TestCompressCommand:
         capsys.readouterr()
         assert open(a + ".w64", "rb").read() == open(b + ".w64", "rb").read()
 
-    def test_cbc_route(self, dataset_file, tmp_path, capsys) -> None:
+    def test_cbc_route(
+        self, dataset_file, tmp_path, capsys, monkeypatch
+    ) -> None:
         path, _ = dataset_file
         want = cbc_construct(31, 2, 1.5, ProductWeights.ones(2))
+        # The command prices the routes once and compresses by the choice.
+        priced = []
+        real = compression.choose_route
+
+        def counted(*args, **kwargs):
+            priced.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "choose_route", counted)
+        monkeypatch.setattr(compression, "choose_route", counted)
         cases = [
             # 21 frequencies against 31 nodes times the sweep's passes:
             # the phases are cheaper.  28,673 frequencies: the sweep is.
@@ -242,6 +255,8 @@ class TestCompressCommand:
             assert choice["route"] == route
             assert set(choice["costs"]) == {"general-fft", "step-cross"}
             assert min(choice["costs"], key=choice["costs"].get) == route
+            assert len(priced) == 1
+            priced.clear()
 
     def test_missing_out_is_usage_error(self, dataset_file) -> None:
         path, _ = dataset_file

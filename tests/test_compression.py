@@ -151,17 +151,43 @@ class TestFastAgainstNaive:
         assert _gap(fast, ref) < 1e-9
         assert float(np.max(np.abs(ref.imag))) > 1e-3
 
-    def test_step_cross_pair_matches_singles(self) -> None:
+    @pytest.mark.parametrize("route", sorted(compression._ROUTES))
+    def test_pair_matches_singles(self, route) -> None:
+        # The two-vector pass of every route gives, to the bit, the
+        # vectors of two one-vector passes.
         data = _dataset(7, 35, 2)
         rule = LatticeRule(13, (1, 5))
-        spec = IndexSet.step_cross(1.0, (1.0, 0.5), 4)
-        w1, w2 = weights_step_cross_pair(data, rule, spec)
-        np.testing.assert_array_equal(
-            w1, weights_step_cross(data, "ones", rule, spec)
-        )
-        np.testing.assert_array_equal(
-            w2, weights_step_cross(data, "responses", rule, spec)
-        )
+        if route == "rectangle":
+            spec = IndexSet.rectangle(1.0, (1.0, 0.5), 9.0)
+        else:
+            spec = IndexSet.step_cross(1.0, (1.0, 0.5), 4)
+        run = compression._ROUTES[route]
+        ones, ys = np.ones(data.N), data.Y
+        pair = run(data, rule, spec, [ones, ys], 1, index_sets.DEFAULT_CAP)
+        for w, c in zip(pair, (ones, ys)):
+            single = run(data, rule, spec, [c], 1, index_sets.DEFAULT_CAP)
+            np.testing.assert_array_equal(w, single[0])
+        if route == "step-cross":
+            for w, v in zip(pair, weights_step_cross_pair(data, rule, spec)):
+                np.testing.assert_array_equal(w, v)
+
+    def test_sweep_builds_the_planned_kernels(self, monkeypatch) -> None:
+        # The cost model counts the plan's kernels; the sweep must build
+        # each of them once per block, and no others.
+        calls = []
+
+        def counted(n, x):
+            calls.append(n)
+            return dirichlet_kernel(n, x)
+
+        monkeypatch.setattr(compression, "dirichlet_kernel", counted)
+        data = _dataset(7, 35, 3)
+        rule = LatticeRule(17, (1, 4, 10))
+        spec = IndexSet.step_cross(0.5, (1.0, 0.5, 0.25), 5)
+        plan = compression._sweep_plan(spec)
+        weights_step_cross_pair(data, rule, spec)
+        assert len(calls) == len(plan.kernels) > 2 * spec.d
+        assert sorted(calls) == sorted(n for _, n in plan.kernels)
 
     def test_family_guards(self) -> None:
         data = _dataset(8, 10, 2)
@@ -267,14 +293,20 @@ class TestThreads:
         rule = LatticeRule(509, (1, 208))
         spec = IndexSet.rectangle(1.0, (1.0, 1.0), 36.0)
         a = weights_rectangle(data, "responses", rule, spec, threads=1)
-        b = weights_rectangle(data, "responses", rule, spec, threads=4)
-        np.testing.assert_array_equal(a, b)
+        for threads in (2, 4):
+            b = weights_rectangle(
+                data, "responses", rule, spec, threads=threads
+            )
+            np.testing.assert_array_equal(a, b)
 
     def test_compress_bitwise(self) -> None:
+        # At L = 509 the step-cross sweep splits the samples into blocks.
         data = _dataset(18, 3000, 2)
-        rule = LatticeRule(61, (1, 25))
         spec = IndexSet.step_cross(0.5, (1.0, 0.5), 9)
-        for algorithm in ("general-fft", "step-cross"):
+        for algorithm, rule in (
+            ("general-fft", LatticeRule(61, (1, 25))),
+            ("step-cross", LatticeRule(509, (1, 208))),
+        ):
             a = compress(data, rule, spec, algorithm, threads=1)
             for threads in (2, 4):
                 b = compress(data, rule, spec, algorithm, threads=threads)
@@ -374,6 +406,12 @@ class TestCompress:
         ws = compress(data, rule, spec, algorithm="naive")
         assert ws.algorithm == "naive"
         assert ws.is_real
+        # The cardinality cap binds every route, the reference included.
+        lazy = IndexSet.cross(1.0, (1.0, 1.0), 9.0, materialize=False)
+        assert lazy.cardinality() == 33
+        for algorithm in ("naive", "general-fft"):
+            with pytest.raises(CapExceeded):
+                compress(data, rule, lazy, algorithm=algorithm, cap=32)
 
     def test_descriptor_is_lazy_with_count(self) -> None:
         data = _dataset(23, 15, 2)

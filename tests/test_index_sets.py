@@ -381,3 +381,9 @@ class TestIndexSet:
         assert a == b
         assert a != c
         assert a != "cross"
+        # A cached count is no part of a set's identity.
+        lazy = IndexSet.cross(1.0, (1.0, 1.0), 9.0, materialize=False)
+        fresh = IndexSet.cross(1.0, (1.0, 1.0), 9.0, materialize=False)
+        assert lazy == fresh
+        lazy.cardinality()
+        assert lazy == fresh and fresh == lazy
