@@ -190,8 +190,10 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
         )
 
 
-# Elements of the (rows x |K|) phase block general-FFT builds at once.
+# Elements of the (rows x |K|) phase block general-FFT builds at once,
+# and of each phase block of the naive route.
 _FFT_BLOCK = 1 << 22
+_NAIVE_BLOCK = 1 << 20
 
 
 def _sum_blocks(n_rows: int, block: int, fn, threads: int) -> list:
@@ -283,22 +285,33 @@ def _naive_route(
     cap: int,
     work_cap: int = NAIVE_CAP,
 ) -> list[np.ndarray]:
-    """Direct summation over nodes, samples and frequencies, refused when
-    ``L N |K|`` exceeds ``work_cap``.  The reference the other routes are
-    tested against, so it shares none of their helpers; it runs on one
-    thread whatever ``threads`` says."""
+    """Direct summation, refused when ``L N |K|`` exceeds ``work_cap``.
+
+    The double sum factors as (L x |K| node phases) . ((|K| x N sample
+    phases) . c): the sample sums ``sum_n c_n exp(2 pi i k . x_n)`` come
+    first, then ``W_l = (1/N) sum_k exp(-2 pi i k . z_l)`` times them.
+    Still a direct sum with one complex exponential per entry and no
+    FFT, at a cost of ``O((L + N) |K|)``; each phase block holds about
+    ``_NAIVE_BLOCK`` entries.  The reference the other routes are tested
+    against, so it shares none of their helpers; it runs on one thread
+    whatever ``threads`` says."""
     freq = index_set.materialized(cap).frequencies
     work = rule.L * data.N * len(freq)
     if work > work_cap:
         raise CapExceeded(work, work_cap)
-    nodes = generate_points(rule)
     ft = freq.T.astype(np.float64)
+    step = max(1, _NAIVE_BLOCK // max(len(freq), 1))
+    sums = [np.zeros(len(freq), dtype=np.complex128) for _ in cvecs]
+    for s in range(0, data.N, step):
+        ph = np.exp(2j * np.pi * (data.X[s:s + step] @ ft))
+        for acc, cvec in zip(sums, cvecs):
+            acc += cvec[s:s + step] @ ph
+    nodes = generate_points(rule)
     out = np.empty((len(cvecs), rule.L), dtype=np.complex128)
-    for ell in range(rule.L):
-        phase = (data.X - nodes[ell][None, :]) @ ft
-        ph = np.exp(2j * np.pi * phase)
-        for i, cvec in enumerate(cvecs):
-            out[i, ell] = (cvec @ ph).sum()
+    for s in range(0, rule.L, step):
+        ph = np.exp(-2j * np.pi * (nodes[s:s + step] @ ft))
+        for i, acc in enumerate(sums):
+            out[i, s:s + step] = ph @ acc
     return list(out / data.N)
 
 
@@ -548,19 +561,20 @@ def weights_step_cross_pair(
 
 # Predicted single-thread seconds per element of each route's work,
 # calibrated on a 2-vCPU x86-64 virtual machine from the benchmark's
-# per-layer compression.weights_s (perfbench/run.py --trace 1, seed 1):
+# per-layer compression.weights_s (perfbench/run.py --trace 1):
 #   general-FFT, per sample and frequency: cross-4d took 1.93 s (median
 #   of seeds 1-3) for N |K| = 3,000 x 18,425 with per-coordinate phases,
 #   i.e. 35 ns;
-#   kernel routes, per sample and node: paper-2d took 6.22 s for
+#   kernel routes, per sample and node (medians of seeds 1-3): paper-2d
+#   took 5.28 s through compress(algorithm="step-cross") for
 #   N L = 20,000 x 509 with 25 array passes and 12 Dirichlet kernels,
-#   stepcross-6d 3.26 s for 10,000 x 127 with 286 passes and 29 kernels;
-#   solved, 4.8 ns per pass and 41 ns per kernel;
+#   stepcross-6d 2.96 s for 10,000 x 127 with 286 passes and 29 kernels;
+#   solved, 4.8 ns per pass and 33 ns per kernel;
 #   enumeration of a lazy set, per row and coordinate: index_sets.
 #   enumerate_s on stepcross-6d, 0.044 s for 49,761 rows of 6.
 _FFT_S = 3.5e-8
-_PASS_S = 5e-9
-_DIRICHLET_S = 4e-8
+_PASS_S = 4.8e-9
+_DIRICHLET_S = 3.3e-8
 _ENUM_S = 1.5e-7
 
 

@@ -20,6 +20,12 @@ module evaluates that quantity exactly as displayed, constructs good
 generating vectors component by component (plain quadratic scan and an
 FFT-accelerated scan that returns bitwise-identical vectors), and exposes
 the standard upper bound constant for the error decay.
+
+Both read one cached table of ``phi_alpha(r / L)``: a Bernoulli
+polynomial for integer ``alpha``, otherwise Hurwitz zeta values and one
+length-L FFT.  The scalar :func:`phi_alpha` evaluates non-integer
+``alpha`` with mpmath and is kept as the reference the table is tested
+against; nothing on the CBC or worst-case-error path calls it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import bernoulli_poly, is_prime, primitive_root, zeta
+from .special import (
+    bernoulli_poly,
+    hurwitz_zeta,
+    is_prime,
+    primitive_root,
+    zeta,
+)
 
 __all__ = [
     "ProductWeights",
@@ -225,8 +237,9 @@ def phi_alpha(alpha: float, x: float) -> float:
               (2\\pi)^{2\\alpha}}{(2\\alpha)!}\\, B_{2\\alpha}(\\{x\\}),
 
     which is evaluated directly.  For non-integer ``alpha`` the sum is a
-    Clausen-type cosine series evaluated in high precision and rounded
-    once to float.
+    Clausen-type cosine series evaluated in high precision with mpmath
+    and rounded once to float; this is the reference for the table that
+    the lattice functions read (:func:`_phi_table`).
 
     Parameters
     ----------
@@ -266,6 +279,20 @@ def phi_alpha(alpha: float, x: float) -> float:
 def _phi_table(alpha: float, L: int) -> np.ndarray:
     """Kernel values ``phi_alpha(r / L)`` for ``r = 0, ..., L - 1``.
 
+    For integer ``alpha`` the Bernoulli polynomial of :func:`phi_alpha`
+    is evaluated at every ``r / L``.  Otherwise the frequencies ``h`` are
+    grouped by their residue ``s = h mod L``; each group sums to a pair
+    of Hurwitz zeta values,
+
+    .. math:: c_0 = 2 L^{-2\\alpha} \\zeta(2\\alpha), \\qquad
+              c_s = L^{-2\\alpha} \\bigl[\\zeta(2\\alpha, s/L)
+              + \\zeta(2\\alpha, 1 - s/L)\\bigr],
+
+    and the table is the real part of one length-L FFT of ``c``, at a cost
+    of ``O(L log L)`` with no call into mpmath (Nuyens and Cools, Math.
+    Comp. 2006).  For ``alpha`` from 0.51 to 2.6 and ``L`` up to 1021 it
+    agrees with the scalar reference to within ``2e-15 phi_alpha(0)``.
+
     Stored symmetrically: the value at ``r`` is computed once for
     ``min(r, L - r)`` and mirrored, so ``tbl[r]`` and ``tbl[L - r]`` are
     the same float.  The worst-case error and both CBC scans share this
@@ -280,10 +307,14 @@ def _phi_table(alpha: float, L: int) -> np.ndarray:
         xs = np.arange(half + 1, dtype=np.float64) / float(L)
         vals[: half + 1] = scale * bernoulli_poly(2 * n, xs)
     else:
-        for r in range(half + 1):
-            vals[r] = phi_alpha(alpha, r / L)
-    for r in range(half + 1, L):
-        vals[r] = vals[L - r]
+        s = 2.0 * alpha
+        hz = hurwitz_zeta(s, np.arange(1, L, dtype=np.float64) / float(L))
+        c = np.empty(L, dtype=np.float64)
+        c[0] = 2.0 * zeta(s)
+        c[1:] = hz + hz[::-1]
+        c *= float(L) ** (-s)
+        vals[: half + 1] = np.fft.fft(c).real[: half + 1]
+    vals[half + 1:] = vals[L - half - 1:0:-1]
     vals.flags.writeable = False
     return vals
 
@@ -427,12 +458,20 @@ def cbc_construct(
 
     The first component is fixed to 1.  Each further component is chosen
     from ``{1, ..., L - 1}`` to minimise the closed-form worst-case error
-    with all earlier components held fixed; ties go to the smallest
-    candidate.  The plain scan costs ``O(L^2)`` per component, the fast
-    scan ``O(L log L)`` via a primitive-root reordering and one FFT, and
-    both return the same vector bit for bit: the FFT pass only shortlists
+    with all earlier components held fixed, as scored in floating point
+    from the kernel table.  Of candidates with bitwise-equal scores the
+    smallest wins, but exact ties are not settled by size: at the second
+    component ``z``, ``-z``, ``z^-1`` and ``-z^-1`` (mod L) score the same
+    in exact arithmetic, and rounding picks among them.  The twins give
+    the same lattice up to a swap or a sign of coordinates, so the same
+    worst-case error; at ``L = 509``, ``alpha = 0.62`` they include
+    ``(1, 209)`` and ``(1, 151)``, since ``209 * 151 = 1 (mod 509)``.  The
+    plain scan costs ``O(L^2)`` per component, the fast scan
+    ``O(L log L)`` via a primitive-root reordering and one FFT, and both
+    return the same vector bit for bit: the FFT pass only shortlists
     candidates inside a tiny score window, and everything in the window
-    is re-scored with the exact dot product the plain scan uses.
+    is re-scored, smallest first, with the exact dot product the plain
+    scan uses.
 
     Parameters
     ----------

@@ -2,8 +2,9 @@
 
 This module provides the handful of classical quantities the lattice and
 analysis layers need: the Riemann zeta function on the real axis right of
-the pole, Bernoulli numbers and polynomials in exact rational arithmetic,
-and small helpers from elementary number theory (trial-division primality,
+the pole and the Hurwitz zeta function vectorised over its shift,
+Bernoulli numbers and polynomials in exact rational arithmetic, and small
+helpers from elementary number theory (trial-division primality,
 primitive roots modulo a prime).
 
 Everything here is deterministic and depends only on the Python standard
@@ -20,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "zeta",
+    "hurwitz_zeta",
     "bernoulli_number",
     "bernoulli_poly_coefficients",
     "bernoulli_poly",
@@ -92,6 +94,65 @@ def zeta(s: float) -> float:
         if tail == 0.0:
             break
         total += (float(b) / math.factorial(2 * k)) * rising * tail
+    return total
+
+
+def hurwitz_zeta(s: float, a):
+    """Hurwitz zeta function ``sum_{i >= 0} (a + i)^(-s)`` for real ``s > 1``.
+
+    The Euler-Maclaurin expansion of :func:`zeta`, shifted by ``a``: the
+    first ``N`` terms are summed directly and the tail starts at
+    ``x = a + N``,
+
+    .. math::
+
+        \\frac{x^{1-s}}{s-1} + \\frac{x^{-s}}{2}
+        + \\sum_{k \\ge 1} \\frac{B_{2k}}{(2k)!}\\,
+          s (s+1) \\cdots (s+2k-2)\\, x^{-s-2k+1},
+
+    with the same cutoff ``N = 24`` and the same Bernoulli numbers up to
+    ``B_16``.  Since ``x >= 24`` for every ``a > 0``, the truncation error
+    is as far below roundoff as it is for ``zeta``.  The sum runs from
+    the tail to the largest term, one array pass per term.
+
+    Parameters
+    ----------
+    s : float
+        Argument, strictly greater than 1.
+    a : float or ndarray
+        Shift(s), each strictly positive.
+
+    Returns
+    -------
+    float or ndarray
+        ``zeta(s, a)`` with relative error near 1e-15, shaped like ``a``.
+
+    Examples
+    --------
+    >>> abs(hurwitz_zeta(2.0, 1.0) - zeta(2.0)) < 1e-15
+    True
+    """
+    s = float(s)
+    if not math.isfinite(s) or s <= 1.0:
+        raise ValueError(f"hurwitz_zeta requires s > 1, got {s!r}")
+    arr = np.asarray(a, dtype=np.float64)
+    if not np.all(arr > 0.0):
+        raise ValueError("hurwitz_zeta requires every shift a > 0")
+    n = _EM_CUTOFF
+    x = arr + float(n)
+    power = x ** (-s)
+    total = x * power / (s - 1.0) + 0.5 * power
+    term = power / x  # x^(-s-2k+1) at k = 1, then times x^-2 per k
+    step = 1.0 / (x * x)
+    rising = s
+    for k, b in enumerate(_EM_BERNOULLI, start=1):
+        total += (float(b) / math.factorial(2 * k)) * rising * term
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        term = term * step
+    for i in range(n - 1, -1, -1):
+        total += (arr + float(i)) ** (-s)
+    if np.isscalar(a) or (isinstance(a, np.ndarray) and a.ndim == 0):
+        return float(total)
     return total
 
 

@@ -231,6 +231,32 @@ class TestFastAgainstNaive:
         w = weights_general_fft(data, "responses", rule, spec)
         np.testing.assert_allclose(w, np.full(7, data.Y.mean()), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "seed, n, L, g, spec",
+        [
+            (16, 6, 7, (1, 3), IndexSet.cross(1.0, (1.0, 0.5), 6.0)),
+            (17, 5, 11, (1, 4, 7), IndexSet.step_cross(1.0, (1.0,) * 3, 2)),
+            (18, 4, 5, (2, 3),
+             IndexSet.custom([(0, 0), (1, 2), (2, -1)], 1.0, (1.0, 1.0))),
+        ],
+    )
+    def test_naive_matches_triple_loop(self, seed, n, L, g, spec) -> None:
+        # The factored reference against the definition summed term by
+        # term: one loop over nodes, samples and frequencies.
+        data = _dataset(seed, n, len(g))
+        rule = LatticeRule(L, g)
+        nodes = generate_points(rule)
+        for c, cvec in (("ones", np.ones(n)), ("responses", data.Y)):
+            ref = np.zeros(L, dtype=np.complex128)
+            for ell in range(L):
+                for x, cn in zip(data.X, cvec):
+                    for k in spec.frequencies:
+                        ref[ell] += cn * np.exp(
+                            2j * np.pi * np.dot(k, x - nodes[ell])
+                        )
+            got = weights_naive(data, c, rule, spec)
+            assert _gap(got, ref / n) < 1e-12
+
     def test_naive_cap(self) -> None:
         data = _dataset(13, 50, 2)
         rule = LatticeRule(13, (1, 5))

@@ -187,6 +187,43 @@ class TestKernel:
         with pytest.raises(ValueError):
             phi_alpha(0.0, 0.3)
 
+    @pytest.mark.parametrize("L", [13, 127, 509, 1021])
+    @pytest.mark.parametrize("alpha", [0.51, 0.62, 0.75, 1.31, 2.6])
+    def test_table_against_scalar(self, alpha: float, L: int) -> None:
+        # The Hurwitz-zeta table against the mpmath kernel: every residue
+        # at L = 13, else both ends, the middle and a spread between.
+        tbl = _phi_table(alpha, L)
+        if L == 13:
+            rs = range(L)
+        else:
+            spread = np.linspace(3, L - 2, 17).astype(int)
+            rs = sorted({0, 1, 2, L // 2, L // 2 + 1, L - 1, *spread})
+        peak = phi_alpha(alpha, 0.0)
+        for r in rs:
+            assert abs(tbl[r] - phi_alpha(alpha, r / L)) <= 1e-12 * peak
+        for r in range(1, L):
+            assert tbl[r] == tbl[L - r]
+
+    def test_noninteger_table_skips_mpmath(self, monkeypatch) -> None:
+        # The table, the CBC scans and the worst-case error all run
+        # without mpmath; only the scalar phi_alpha reference uses it.
+        import mpmath
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath called on the table path")
+
+        monkeypatch.setattr(mpmath, "clcos", refuse)
+        monkeypatch.setattr(mpmath, "zeta", refuse)
+        _phi_table.cache_clear()
+        gamma = ProductWeights.ones(2)
+        tbl = _phi_table(0.62, 509)
+        assert tbl[0] == pytest.approx(2.0 * zeta(1.24), rel=1e-13)
+        for fast in (True, False):
+            rule = cbc_construct(61, 2, 0.83, gamma, fast=fast)
+            assert worst_case_error(rule, 0.83, gamma) > 0.0
+        with pytest.raises(AssertionError, match="mpmath called"):
+            phi_alpha(0.62, 0.3)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.62, 2.0])
     def test_table_symmetric_and_pointwise(self, alpha: float) -> None:
         L = 13
@@ -259,9 +296,11 @@ class TestBoundConstant:
 
 
 class TestCBC:
-    @pytest.mark.parametrize("L", [31, 61])
-    @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.62])
-    def test_fast_matches_standard(self, L: int, alpha: float) -> None:
+    @pytest.mark.parametrize(
+        "alpha, L",
+        [(a, L) for a in (1.0, 2.0, 0.62) for L in (31, 61)] + [(0.62, 509)],
+    )
+    def test_fast_matches_standard(self, alpha: float, L: int) -> None:
         gamma = ProductWeights.polynomial(2.0, 3)
         fast = cbc_construct(L, 3, alpha, gamma, fast=True)
         slow = cbc_construct(L, 3, alpha, gamma, fast=False)

@@ -1,4 +1,4 @@
-"""Scalar number-theory helpers: zeta, Bernoulli data, primes."""
+"""Number-theory helpers: zeta, Hurwitz zeta, Bernoulli data, primes."""
 
 import math
 from fractions import Fraction
@@ -12,6 +12,7 @@ from latcompress.special import (
     bernoulli_number,
     bernoulli_poly,
     bernoulli_poly_coefficients,
+    hurwitz_zeta,
     is_prime,
     prime_factors,
     primitive_root,
@@ -63,6 +64,51 @@ def test_zeta_vs_partial_sums(s: float) -> None:
     lo = partial + (n + 1) ** (1 - s) / (s - 1)
     hi = partial + n ** (1 - s) / (s - 1)
     assert lo - 1e-12 <= zeta(s) <= hi + 1e-12
+
+
+# Frozen reference values, mpmath.zeta(s, a) at 30 digits: shifts near
+# 0, arguments near 1, and the table's shifts r / L.
+HURWITZ_REFERENCE = (
+    (1.001, 0.5, 1001.9648639703559),
+    (1.02, 0.001, 1198.7306336665274),
+    (1.02, 0.999, 50.58033038104016),
+    (1.04, 0.25, 29.45443566628444),
+    (1.24, 1e-06, 27542291.79445448),
+    (1.24, 1 / 509, 2276.348042462533),
+    (1.5, 1.0, 2.612375348685488),
+    (2.0, 0.1, 101.43329915079275),
+    (2.62, 0.5, 6.685988329364712),
+    (3.0, 1 / 3, 27.56106119970081),
+    (5.2, 0.75, 4.524785687917135),
+    (12.0, 0.9, 3.5411608854531016),
+)
+
+
+@pytest.mark.parametrize("s, a, expected", HURWITZ_REFERENCE)
+def test_hurwitz_matches_reference(s: float, a: float, expected: float) -> None:
+    assert hurwitz_zeta(s, a) == pytest.approx(expected, rel=1e-14)
+
+
+def test_hurwitz_vectorised() -> None:
+    # One array call gives the scalar values; a = 1 is Riemann zeta and
+    # the shift recurrence zeta(s, a) = a^-s + zeta(s, a + 1) holds.
+    s = 1.24
+    a = np.array([1e-3, 0.2, 0.5, 1.0])
+    vals = hurwitz_zeta(s, a)
+    assert isinstance(vals, np.ndarray) and vals.shape == a.shape
+    for ai, v in zip(a, vals):
+        assert v == hurwitz_zeta(s, float(ai))
+    assert vals[3] == pytest.approx(zeta(s), rel=1e-15)
+    np.testing.assert_allclose(
+        vals, a ** -s + hurwitz_zeta(s, a + 1.0), rtol=1e-14
+    )
+
+
+def test_hurwitz_domain() -> None:
+    with pytest.raises(ValueError):
+        hurwitz_zeta(1.0, 0.5)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(2.0, np.array([0.5, 0.0]))
 
 
 BERNOULLI_EXACT = (
