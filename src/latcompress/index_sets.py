@@ -8,8 +8,16 @@ The decay profile :math:`r_\alpha(\gamma, k) = \prod_j \max(|k_j|^{2\alpha}
 * step cross: a union of dyadic rectangles
   :math:`\bigcup_{\|t\|_1 = m} \{k : r_\alpha(\gamma_j, k_j) \le 2^{t_j}\}`.
 
-All boundary comparisons go through one shared predicate with a relative
-slack of 1e-12, so enumeration and membership can never disagree about a
+Each family gives every coordinate a cost that never decreases with
+|k_j|, accumulates the costs from left to right and compares the total
+with a budget: the cross multiplies the profile factors against nu, the
+step cross adds the smallest dyadic levels against m, and the rectangle's
+costs are all zero, so only its half-widths bound it.  A family is
+therefore one table of runs per coordinate (the largest |k_j| of each run
+and its cost), and one walk over those tables counts a set, emits its
+rows in lexicographic order, or tests a single frequency.  Every budget
+comparison goes through one predicate with a relative slack of 1e-12, so
+counting, enumeration and membership can never disagree about a
 frequency sitting exactly on a level line.
 """
 
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -167,59 +175,140 @@ def rectangle_halfwidths(
     )
 
 
-def _halfwidth_at_partial(
-    two_alpha: float, gamma_j: float, partial: float, nu: float
-) -> int:
-    """Largest q >= 0 with ``partial * factor(q)`` within nu, else -1.
+class _Runs(NamedTuple):
+    """The per-coordinate run tables of a named family.
 
-    The boundary is settled by the same left-to-right product a scalar
-    membership query accumulates, so enumeration and membership agree
-    bit for bit.
+    Coordinate j's values split into runs: run r holds the k_j with
+    ``ups[j][r - 1] < |k_j| <= ups[j][r]`` (run 0: ``|k_j| <= ups[j][0]``),
+    all at cost ``costs[j][r]``, and costs never decrease along a table.
+    A frequency belongs to the set when its costs, accumulated from left
+    to right by ``combine`` from the ufunc's identity, stay within
+    ``budget`` after every coordinate (:func:`_admits`).
     """
-    if not _within(partial * 1.0, nu):
-        return -1
-    guess = (gamma_j * (nu * _SLACK / partial)) ** (1.0 / two_alpha)
-    q = max(0, int(math.floor(guess)))
-    while q > 0 and not _within(
-        partial * _coord_factor(two_alpha, gamma_j, q), nu
-    ):
-        q -= 1
-    while _within(
-        partial * _coord_factor(two_alpha, gamma_j, q + 1), nu
-    ):
-        q += 1
-    return q
+
+    ups: tuple[np.ndarray, ...]
+    costs: tuple[np.ndarray, ...]
+    combine: np.ufunc
+    budget: float
 
 
-def _cross_recurse(
-    two_alpha: float,
-    gamma: tuple[float, ...],
-    nu: float,
-    j: int,
-    partial: float,
-    prefix: list[int],
-    sink: Optional[list[tuple[int, ...]]],
-) -> int:
-    """Count (and optionally emit) cross frequencies below the prefix."""
-    d = len(gamma)
-    q = _halfwidth_at_partial(two_alpha, gamma[j], partial, nu)
-    if q < 0:
-        return 0
-    if j == d - 1:
-        if sink is not None:
-            base = tuple(prefix)
-            for kj in range(-q, q + 1):
-                sink.append(base + (kj,))
-        return 2 * q + 1
-    total = 0
-    for kj in range(-q, q + 1):
-        f = _coord_factor(two_alpha, gamma[j], kj)
-        prefix.append(kj)
-        total += _cross_recurse(
-            two_alpha, gamma, nu, j + 1, partial * f, prefix, sink
-        )
-        prefix.pop()
-    return total
+def _family_runs(
+    family: str,
+    alpha: float,
+    gamma: Union[ProductWeights, Sequence[float]],
+    param: float,
+) -> _Runs:
+    """Run tables of a cross, rectangle or step cross.
+
+    * cross: one run per ``|k_j| = q`` up to the half-width at nu, costing
+      the scalar profile factor; costs multiply, the budget is nu.
+    * rectangle: one run up to the half-width at nu, costing 0.
+    * step cross: run t reaches the half-width at ``2^t`` and costs t,
+      for t = 0..m; costs add, the budget is m.
+    """
+    alpha = _validate_geometry(alpha)
+    gamma = _as_gamma(gamma)
+    two_alpha = 2.0 * alpha
+    if family == "rectangle":
+        ups = [np.array([w]) for w in rectangle_halfwidths(alpha, gamma, param)]
+        return _Runs(tuple(ups), (np.zeros(1),) * gamma.d, np.add, 0.0)
+    if family == "step-cross":
+        m = int(param)
+        if m < 0:
+            raise ValueError(f"step-cross order must be nonnegative, got {m}")
+        ups = [
+            np.array([_halfwidth(two_alpha, gj, 2.0 ** t) for t in range(m + 1)])
+            for gj in gamma
+        ]
+        costs = (np.arange(m + 1, dtype=np.float64),) * gamma.d
+        return _Runs(tuple(ups), costs, np.add, float(m))
+    nu = float(param)
+    if not math.isfinite(nu) or nu < 1.0:
+        raise ValueError(f"cross level must be at least 1, got {nu!r}")
+    ups = [np.arange(_halfwidth(two_alpha, gj, nu) + 1) for gj in gamma]
+    costs = [
+        np.array([_coord_factor(two_alpha, gj, q) for q in range(len(up))])
+        for gj, up in zip(gamma, ups)
+    ]
+    return _Runs(tuple(ups), tuple(costs), np.multiply, nu)
+
+
+def _admits(runs: _Runs, acc, cost):
+    """Whether a prefix of accumulated cost ``acc`` may take a run of
+    ``cost``: the one predicate enumeration, counting and membership share.
+    """
+    return _within(runs.combine(acc, cost), runs.budget)
+
+
+def _last_run(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Index of the last run each accumulated cost admits, -1 for none.
+
+    Costs never decrease, so the admitted runs form a prefix of the table;
+    a binary search with the exact predicate finds where it ends.
+    """
+    last = np.full(len(acc), -1)
+    step = 1 << len(costs).bit_length() >> 1
+    while step:
+        cand = last + step
+        ok = cand < len(costs)
+        ok[ok] = _admits(runs, acc[ok], costs[cand[ok]])
+        last[ok] = cand[ok]
+        step >>= 1
+    return last
+
+
+def _walk(runs: _Runs, rows: bool):
+    """Expand prefixes one coordinate at a time, in lexicographic order.
+
+    Each prefix admits ``|k_j| <= h``, with h the reach of its last
+    admitted run.  With ``rows`` the prefixes are repeated and extended by
+    ``-h..h``, which keeps lexicographic row order; the (M, d) rows are
+    returned.  Otherwise prefixes are grouped by accumulated cost and
+    carry exact Python-int multiplicities, so no row is ever held; the
+    cardinality is returned.
+    """
+    acc = np.full(1, float(runs.combine.identity))
+    out = np.zeros((1, 0), dtype=np.int64) if rows else np.ones(1, dtype=object)
+    for ups, costs in zip(runs.ups, runs.costs):
+        last = _last_run(runs, acc, costs)
+        if rows:
+            h = np.where(last >= 0, ups[last], -1)
+            n = 2 * h + 1
+            kj = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n + h, n)
+            out = np.column_stack((np.repeat(out, n, axis=0), kj))
+            run = np.searchsorted(ups, np.abs(kj))
+            acc = runs.combine(np.repeat(acc, n), costs[run])
+        else:
+            n = last + 1
+            run = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            acc, group = np.unique(
+                runs.combine(np.repeat(acc, n), costs[run]), return_inverse=True
+            )
+            sizes = np.diff(2 * ups + 1, prepend=0).astype(object)
+            grouped = np.zeros(len(acc), dtype=object)
+            np.add.at(grouped, group, np.repeat(out, n) * sizes[run])
+            out = grouped
+    return out if rows else int(out.sum())
+
+
+def _capped_rows(runs: _Runs, count: int, cap: int) -> np.ndarray:
+    """The rows of a set of ``count`` rows, refused above ``cap``."""
+    if count > cap:
+        raise CapExceeded(count, cap)
+    return _walk(runs, rows=True)
+
+
+def _enumerate(
+    family: str,
+    alpha: float,
+    gamma: Union[ProductWeights, Sequence[float]],
+    param: float,
+    cap: int,
+) -> np.ndarray:
+    """Rows of a named family, counted first so the cap binds before any
+    row is built."""
+    runs = _family_runs(family, alpha, gamma, param)
+    return _capped_rows(runs, _walk(runs, rows=False), cap)
 
 
 def enumerate_cross(
@@ -235,8 +324,9 @@ def enumerate_cross(
         gamma: product weights, one per coordinate.
         nu: level of the cross, at least 1 (below 1 the set is empty of
             even the origin, which is rejected).
-        cap: maximum cardinality; a counting pass runs first and raises
-            :class:`CapExceeded` with the predicted size when breached.
+        cap: maximum cardinality; the exact count is taken first, without
+            building rows, and :class:`CapExceeded` carries it when the
+            cap is breached.
 
     Returns:
         Array of shape (M, d) in lexicographic row order.
@@ -245,19 +335,7 @@ def enumerate_cross(
         >>> enumerate_cross(1.0, (1.0,), 1.0).ravel().tolist()
         [-1, 0, 1]
     """
-    alpha = _validate_geometry(alpha)
-    gamma = _as_gamma(gamma)
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 1.0:
-        raise ValueError(f"cross level must be at least 1, got {nu!r}")
-    two_alpha = 2.0 * alpha
-    gam = tuple(gamma)
-    count = _cross_recurse(two_alpha, gam, nu, 0, 1.0, [], None)
-    if count > cap:
-        raise CapExceeded(count, cap)
-    rows: list[tuple[int, ...]] = []
-    _cross_recurse(two_alpha, gam, nu, 0, 1.0, [], rows)
-    return np.asarray(rows, dtype=np.int64).reshape(len(rows), gamma.d)
+    return _enumerate("cross", alpha, gamma, nu, cap)
 
 
 def enumerate_rectangle(
@@ -267,16 +345,7 @@ def enumerate_rectangle(
     cap: int = DEFAULT_CAP,
 ) -> np.ndarray:
     """All frequencies in the rectangle at level nu, lexicographically."""
-    gamma = _as_gamma(gamma)
-    widths = rectangle_halfwidths(alpha, gamma, nu)
-    count = 1
-    for w in widths:
-        count *= 2 * int(w) + 1
-    if count > cap:
-        raise CapExceeded(count, cap)
-    axes = [np.arange(-int(w), int(w) + 1, dtype=np.int64) for w in widths]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=1)
+    return _enumerate("rectangle", alpha, gamma, nu, cap)
 
 
 def enumerate_shape_vectors(m: int, d: int) -> np.ndarray:
@@ -351,28 +420,6 @@ def _step_cross_shapes(
     return shapes, bounds
 
 
-def _piece_axis(j: int, t: int, low: int, up: int) -> np.ndarray:
-    """Values coordinate j takes in a piece at dyadic level t, ascending."""
-    full = np.arange(-up, up + 1, dtype=np.int64)
-    if j == 0 or t == 0:
-        return full
-    return full[np.abs(full) > low]
-
-
-def _step_cross_count(
-    shapes: list[tuple[int, ...]], bounds: list[list[tuple[int, int]]]
-) -> int:
-    """Exact cardinality: the sum of the disjoint piece sizes."""
-    total = 0
-    for row in shapes:
-        size = 1
-        for j, tj in enumerate(row):
-            low, up = bounds[j][tj]
-            size *= 2 * up + 1 if j == 0 or tj == 0 else 2 * (up - low)
-        total += size
-    return total
-
-
 def enumerate_step_cross(
     alpha: float,
     gamma: Union[ProductWeights, Sequence[float]],
@@ -381,49 +428,16 @@ def enumerate_step_cross(
 ) -> np.ndarray:
     """Union of dyadic rectangles over all shapes ``||t||_1 = m``.
 
-    Each disjoint piece of the dyadic decomposition is a product of
-    per-coordinate value ranges; the pieces are built as index grids,
-    concatenated and sorted into lexicographic row order.  The cap check
-    uses the exact cardinality, summed from the piece sizes before any
-    row is built.
+    A frequency belongs when the smallest dyadic levels holding its
+    coordinates sum to at most m.  The run-table walk emits the rows in
+    lexicographic order directly; the cap check uses the exact
+    cardinality, counted by the same walk before any row is built.
 
     Examples:
         >>> enumerate_step_cross(1.0, (1.0,), 2).ravel().tolist()
         [-2, -1, 0, 1, 2]
     """
-    alpha = _validate_geometry(alpha)
-    gamma = _as_gamma(gamma)
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"step-cross order must be nonnegative, got {m}")
-    two_alpha = 2.0 * alpha
-    gam = tuple(gamma)
-    shapes, bounds = _step_cross_shapes(two_alpha, gam, m)
-    total = _step_cross_count(shapes, bounds)
-    if total > cap:
-        raise CapExceeded(total, cap)
-    axes = [
-        [_piece_axis(j, t, *bounds[j][t]) for t in range(m + 1)]
-        for j in range(gamma.d)
-    ]
-    pieces = []
-    for row in shapes:
-        grids = np.meshgrid(
-            *[axes[j][tj] for j, tj in enumerate(row)], indexing="ij"
-        )
-        pieces.append(np.stack([g.ravel() for g in grids], axis=1))
-    rows = np.concatenate(pieces)
-    return rows[np.lexsort(rows.T[::-1])]
-
-
-def _min_dyadic_level(factor: float) -> int:
-    """Smallest t >= 0 with the coordinate profile within 2^t."""
-    if _within(factor, 1.0):
-        return 0
-    s = max(0, int(math.ceil(math.log2(factor))) - 1)
-    while not _within(factor, 2.0 ** s):
-        s += 1
-    return s
+    return _enumerate("step-cross", alpha, gamma, m, cap)
 
 
 def cross_cardinality_constant(
@@ -592,42 +606,21 @@ class IndexSet:
         """This set with frequencies enumerated (no-op when present)."""
         if self.frequencies is not None:
             return self
-        if self.family == "cross":
-            freq = enumerate_cross(self.alpha, self.gamma, self.param, cap)
-        elif self.family == "rectangle":
-            freq = enumerate_rectangle(
-                self.alpha, self.gamma, self.param, cap
-            )
-        else:
-            freq = enumerate_step_cross(
-                self.alpha, self.gamma, int(self.param), cap
-            )
+        count = self.cardinality()
+        freq = _capped_rows(self._runs, count, cap)
         return IndexSet(
-            self.family, self.alpha, self.gamma, self.param, freq, self.count
+            self.family, self.alpha, self.gamma, self.param, freq, count
         )
 
-    def cardinality(self, cap: int = DEFAULT_CAP) -> int:
-        """Exact cardinality, computed without materialising if needed."""
-        if self.count is not None:
-            return self.count
-        two_alpha = 2.0 * self.alpha
-        gam = tuple(self.gamma)
-        if self.family == "cross":
-            n = _cross_recurse(
-                two_alpha, gam, float(self.param), 0, 1.0, [], None
-            )
-        elif self.family == "rectangle":
-            n = 1
-            for w in rectangle_halfwidths(self.alpha, gam, self.param):
-                n *= 2 * int(w) + 1
-        elif self.family == "step-cross":
-            n = _step_cross_count(
-                *_step_cross_shapes(two_alpha, gam, int(self.param))
-            )
-        else:
-            n = len(self.frequencies)
-        self.count = n
-        return n
+    def cardinality(self) -> int:
+        """Exact cardinality, counted without materialising if needed."""
+        if self.count is None:
+            self.count = _walk(self._runs, rows=False)
+        return self.count
+
+    @cached_property
+    def _runs(self) -> _Runs:
+        return _family_runs(self.family, self.alpha, self.gamma, self.param)
 
     @cached_property
     def _row_set(self) -> frozenset:
@@ -636,7 +629,7 @@ class IndexSet:
         return frozenset(map(tuple, self.frequencies.tolist()))
 
     def contains(self, k: Sequence[int]) -> bool:
-        """O(d) membership test from the family metadata alone.
+        """Membership test from the family's run tables, O(d log runs).
 
         Custom sets fall back to a hashed lookup of the stored rows.
         """
@@ -646,25 +639,13 @@ class IndexSet:
             )
         if self.family == "custom":
             return tuple(int(v) for v in k) in self._row_set
-        two_alpha = 2.0 * self.alpha
-        if self.family == "cross":
-            partial = 1.0
-            for gj, kj in zip(self.gamma, k):
-                partial = partial * _coord_factor(two_alpha, gj, kj)
-                if not _within(partial, self.param):
-                    return False
-            return True
-        if self.family == "rectangle":
-            return all(
-                _within(_coord_factor(two_alpha, gj, kj), self.param)
-                for gj, kj in zip(self.gamma, k)
-            )
-        total = 0
-        m = int(self.param)
-        for gj, kj in zip(self.gamma, k):
-            total += _min_dyadic_level(_coord_factor(two_alpha, gj, kj))
-            if total > m:
+        runs = self._runs
+        acc = float(runs.combine.identity)
+        for ups, costs, kj in zip(runs.ups, runs.costs, k):
+            run = int(np.searchsorted(ups, abs(int(kj))))
+            if run == len(ups) or not _admits(runs, acc, costs[run]):
                 return False
+            acc = runs.combine(acc, costs[run])
         return True
 
     def require_space(

@@ -182,41 +182,12 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-# Ascending coefficient lists (constant term first) for the even-degree
-# Bernoulli polynomials used most often by the periodic kernel.
-_HARDCODED_POLY: dict[int, tuple[Fraction, ...]] = {
-    2: (Fraction(1, 6), Fraction(-1), Fraction(1)),
-    4: (Fraction(-1, 30), Fraction(0), Fraction(1), Fraction(-2), Fraction(1)),
-    6: (
-        Fraction(1, 42),
-        Fraction(0),
-        Fraction(-1, 2),
-        Fraction(0),
-        Fraction(5, 2),
-        Fraction(-3),
-        Fraction(1),
-    ),
-    8: (
-        Fraction(-1, 30),
-        Fraction(0),
-        Fraction(2, 3),
-        Fraction(0),
-        Fraction(-7, 3),
-        Fraction(0),
-        Fraction(14, 3),
-        Fraction(-4),
-        Fraction(1),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def bernoulli_poly_coefficients(n: int) -> tuple[Fraction, ...]:
     """Exact ascending coefficients of the Bernoulli polynomial ``B_n(x)``.
 
-    Degrees 2, 4, 6 and 8 are stored literally; other degrees fall back to
-    the binomial expansion ``B_n(x) = sum_k C(n, k) B_{n-k} x^k`` built on
-    :func:`bernoulli_number`.
+    Built from the binomial expansion ``B_n(x) = sum_k C(n, k) B_{n-k} x^k``
+    on :func:`bernoulli_number`.
 
     Returns
     -------
@@ -226,8 +197,6 @@ def bernoulli_poly_coefficients(n: int) -> tuple[Fraction, ...]:
     n = int(n)
     if n < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    if n in _HARDCODED_POLY:
-        return _HARDCODED_POLY[n]
     return tuple(
         math.comb(n, k) * bernoulli_number(n - k) for k in range(n + 1)
     )

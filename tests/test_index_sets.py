@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcompress import index_sets
 from latcompress.index_sets import (
     CapExceeded,
     IndexSet,
+    _coord_factor,
     _dyadic_bounds,
     _halfwidth,
+    _step_cross_shapes,
+    _within,
     cardinality_bound_cross,
     cross_cardinality_constant,
     enumerate_cross,
@@ -59,6 +63,51 @@ def _step_cross_disjoint(alpha, gamma, m) -> np.ndarray:
         rows.extend(_cartesian(axes))
     assert len(rows) == len(set(rows)), "disjoint pieces overlap"
     return np.asarray(sorted(rows), dtype=np.int64).reshape(-1, len(gam))
+
+
+def _step_cross_count(alpha, gamma, m) -> int:
+    """Oracle: the exact count as the sum of the disjoint piece sizes."""
+    gam = tuple(ProductWeights(tuple(gamma)))
+    shapes, bounds = _step_cross_shapes(2.0 * alpha, gam, m)
+    total = 0
+    for row in shapes:
+        size = 1
+        for j, tj in enumerate(row):
+            low, up = bounds[j][tj]
+            size *= 2 * up + 1 if j == 0 or tj == 0 else 2 * (up - low)
+        total += size
+    return total
+
+
+def _cross_recursion(alpha, gamma, nu) -> np.ndarray:
+    """Oracle: the cross by depth-first recursion, one row at a time.
+
+    The boundary is settled by the same left-to-right product of scalar
+    profile factors a membership query accumulates.
+    """
+    two_alpha = 2.0 * alpha
+    gam = tuple(ProductWeights(tuple(gamma)))
+    rows: list[tuple[int, ...]] = []
+
+    def reach(gj: float, partial: float) -> int:
+        if not _within(partial, nu):
+            return -1
+        q = 0
+        while _within(partial * _coord_factor(two_alpha, gj, q + 1), nu):
+            q += 1
+        return q
+
+    def recurse(j: int, partial: float, prefix: tuple[int, ...]) -> None:
+        q = reach(gam[j], partial)
+        for kj in range(-q, q + 1):
+            if j == len(gam) - 1:
+                rows.append(prefix + (kj,))
+            else:
+                factor = _coord_factor(two_alpha, gam[j], kj)
+                recurse(j + 1, partial * factor, prefix + (kj,))
+
+    recurse(0, 1.0, ())
+    return np.asarray(rows, dtype=np.int64).reshape(-1, len(gam))
 
 
 def _brute_box(widths) -> np.ndarray:
@@ -116,6 +165,14 @@ class TestRectangle:
             rectangle_halfwidths(1.0, (1.0,), 0.5)
 
 
+CROSS_CONFIGS = [
+    (1.0, (1.0, 1.0), 10.3),
+    (0.5, (1.0, 0.5), 17.7),
+    (2.0, (1.0, 0.25), 300.0),
+    (1.0, (1.0, 0.5, 0.25), 40.0),
+]
+
+
 class TestCross:
     def test_unit_level(self) -> None:
         for d in (1, 2, 3):
@@ -123,14 +180,18 @@ class TestCross:
             assert _rows(freq) == _rows(_brute_box([1] * d))
 
     @pytest.mark.parametrize(
-        "alpha, gamma, nu",
-        [
-            (1.0, (1.0, 1.0), 10.3),
-            (0.5, (1.0, 0.5), 17.7),
-            (2.0, (1.0, 0.25), 300.0),
-            (1.0, (1.0, 0.5, 0.25), 40.0),
-        ],
+        "alpha, gamma, nu", CROSS_CONFIGS + [(1.0, (1.0,) * 8, 30.0)]
     )
+    def test_recursion_oracle(self, alpha, gamma, nu) -> None:
+        # The run-table walk and the row-at-a-time recursion must give the
+        # same rows in the same order, and the lazy count must match.
+        rows = enumerate_cross(alpha, gamma, nu)
+        expected = _cross_recursion(alpha, gamma, nu)
+        assert np.array_equal(rows, expected)
+        lazy = IndexSet.cross(alpha, gamma, nu, materialize=False)
+        assert lazy.cardinality() == len(expected)
+
+    @pytest.mark.parametrize("alpha, gamma, nu", CROSS_CONFIGS)
     def test_brute_filter_oracle(self, alpha, gamma, nu) -> None:
         freq = enumerate_cross(alpha, gamma, nu)
         widths = rectangle_halfwidths(alpha, gamma, nu) + 2
@@ -207,14 +268,16 @@ class TestStepCross:
 
     @pytest.mark.parametrize("alpha, gamma, m", STEP_CONFIGS)
     def test_dual_route(self, alpha, gamma, m) -> None:
-        # The vectorised enumerator, the union of cumulative boxes and the
+        # The run-table walk, the union of cumulative boxes and the
         # disjoint-difference pieces must give the same rows in the same
-        # order, and the count must match without enumerating.
+        # order, and the count must match the piece sizes without
+        # enumerating.
         rows = enumerate_step_cross(alpha, gamma, m)
         for oracle in (_step_cross_union, _step_cross_disjoint):
             np.testing.assert_array_equal(rows, oracle(alpha, gamma, m))
         lazy = IndexSet.step_cross(alpha, gamma, m, materialize=False)
         assert lazy.cardinality() == len(rows)
+        assert _step_cross_count(alpha, gamma, m) == len(rows)
 
     def test_sandwich(self) -> None:
         for d in (1, 2, 3):
@@ -253,6 +316,58 @@ class TestStepCross:
             enumerate_step_cross(1.0, (1.0, 1.0), 5, cap=size - 1)
         assert exc.value.predicted == size
         assert len(enumerate_step_cross(1.0, (1.0, 1.0), 5, cap=size)) == size
+
+
+class TestExactCounts:
+    def test_rectangle_beyond_int64(self) -> None:
+        alpha, gamma, nu = 0.5, (1.0, 1.0, 1.0), 1e7
+        expected = math.prod(
+            2 * int(w) + 1 for w in rectangle_halfwidths(alpha, gamma, nu)
+        )
+        assert expected > 2**63
+        lazy = IndexSet.rectangle(alpha, gamma, nu, materialize=False)
+        assert lazy.cardinality() == expected
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_rectangle(alpha, gamma, nu)
+        assert exc.value.predicted == expected
+
+    def test_step_cross_beyond_float_mantissa(self) -> None:
+        alpha, gamma, m = 0.5, (1.0, 1.0, 1.0), 50
+        expected = _step_cross_count(alpha, gamma, m)
+        assert expected > 2**53
+        lazy = IndexSet.step_cross(alpha, gamma, m, materialize=False)
+        assert lazy.cardinality() == expected
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_step_cross(alpha, gamma, m)
+        assert exc.value.predicted == expected
+
+    @pytest.mark.parametrize(
+        "family, enumerate, param",
+        [
+            ("cross", enumerate_cross, 40.0),
+            ("rectangle", enumerate_rectangle, 40.0),
+            ("step-cross", enumerate_step_cross, 5),
+        ],
+    )
+    def test_cap_checked_before_rows(
+        self, family, enumerate, param, monkeypatch
+    ) -> None:
+        gamma = (1.0, 0.5)
+        count = len(enumerate(1.0, gamma, param))
+        walk = index_sets._walk
+
+        def count_only(runs, rows):
+            assert not rows, "rows built before the cap check"
+            return walk(runs, rows)
+
+        monkeypatch.setattr(index_sets, "_walk", count_only)
+        with pytest.raises(CapExceeded) as exc:
+            enumerate(1.0, gamma, param, cap=count - 1)
+        assert (exc.value.predicted, exc.value.cap) == (count, count - 1)
+        lazy = IndexSet(family, 1.0, ProductWeights(gamma), param)
+        with pytest.raises(CapExceeded) as exc:
+            lazy.materialized(count - 1)
+        assert exc.value.predicted == count
 
 
 class TestIndexSet:

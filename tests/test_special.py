@@ -138,16 +138,28 @@ def test_bernoulli_poly_constant_term() -> None:
         assert coeffs[0] == bernoulli_number(n)
 
 
+# Ascending coefficients (constant term first) of the even-degree
+# Bernoulli polynomials the periodic kernel uses most, as tabulated.
+_KNOWN_POLY = {
+    2: (Fraction(1, 6), Fraction(-1), Fraction(1)),
+    4: (Fraction(-1, 30), Fraction(0), Fraction(1), Fraction(-2), Fraction(1)),
+    6: (
+        Fraction(1, 42), Fraction(0), Fraction(-1, 2), Fraction(0),
+        Fraction(5, 2), Fraction(-3), Fraction(1),
+    ),
+    8: (
+        Fraction(-1, 30), Fraction(0), Fraction(2, 3), Fraction(0),
+        Fraction(-7, 3), Fraction(0), Fraction(14, 3), Fraction(-4),
+        Fraction(1),
+    ),
+}
+
+
 def test_bernoulli_poly_hardcoded_matches_recurrence() -> None:
-    # Degrees 2..8 ship as literals; rebuild them from the generic
-    # binomial expansion and require exact rational agreement.
-    for n in (2, 4, 6, 8):
-        coeffs = bernoulli_poly_coefficients(n)
-        rebuilt = [
-            Fraction(math.comb(n, k)) * bernoulli_number(n - k)
-            for k in range(n + 1)
-        ]
-        assert list(coeffs) == rebuilt
+    # The binomial expansion must reproduce the tabulated coefficients
+    # exactly, so the float kernels built on them cannot move.
+    for n, expected in _KNOWN_POLY.items():
+        assert bernoulli_poly_coefficients(n) == expected
 
 
 def test_bernoulli_poly_values() -> None:
