@@ -17,9 +17,10 @@ routes sit in one table, ``_ROUTES``, with one calling convention:
 ``(data, rule, index_set, cvecs, threads, cap)`` in, one weight vector
 per coefficient vector out.  ``naive`` sums directly and is the
 reference; ``general-fft`` serves any set; ``rectangle`` and
-``step-cross`` run a Dirichlet-kernel sweep plan and never enumerate the
+``step-cross`` run one Dirichlet-kernel DP over the set's run tables,
+grouping prefix products by accumulated cost, and never enumerate the
 set.  ``compress`` takes the route :func:`choose_route` predicts to be
-cheapest, pricing a sweep from the plan it runs.  The ``weights_*``
+cheapest, pricing the DP from the plan it runs.  The ``weights_*``
 functions are one-vector entries into the table;
 :func:`weights_lattice_data` specialises to data on a rank-1 lattice.
 """
@@ -42,8 +43,7 @@ from .index_sets import (
     DEFAULT_CAP,
     CapExceeded,
     IndexSet,
-    _step_cross_shapes,
-    rectangle_halfwidths,
+    _last_run,
 )
 from .lattice import LatticeRule, generate_points
 
@@ -342,65 +342,100 @@ def _general_fft_route(
 
 
 class _SweepPlan(NamedTuple):
-    """The Dirichlet-kernel sweep of a rectangle or a step cross: a sum
-    over shapes of products of one factor per coordinate.
+    """The Dirichlet-kernel sum of a rectangle or a step cross: a DP over
+    the accumulated cost of the set's run tables.
 
-    ``kernels`` lists the distinct ``(coordinate, order)`` kernels;
-    ``factors`` maps ``(coordinate, level)`` to ``(up, low)``, the kernel
-    of order ``up`` less that of order ``low`` unless it is None;
-    ``steps`` gives per shape, in order, the length of the prefix product
-    kept from the shape before, and the shape.  ``passes`` counts the
-    full-size array passes of a two-vector run, ``held`` the full-size
-    arrays a block holds at once (its memory is ``8 rows L held``).
+    ``coords`` holds per coordinate, in order, ``(orders, factors,
+    sums)``: the kernel orders it builds; its factors ``(up, low)``, the
+    kernel of order ``up`` less that of order ``low`` unless it is None;
+    and for each cost group of the prefixes through it, the ``(group,
+    factor)`` products summed into that group, where ``group`` indexes
+    the groups of the coordinate before (coordinate 0 has one, the empty
+    prefix).  The last coordinate sums into a single group.  ``kernels``
+    lists the ``(coordinate, order)`` kernels, ``passes`` counts the
+    full-size array passes of a two-vector run and ``held`` bounds the
+    full-size arrays a block holds at once (its memory is ``8 rows L
+    held`` bytes).
     """
 
+    coords: tuple
     kernels: tuple
-    factors: dict
-    steps: list
     passes: int
     held: int
 
 
 def _sweep_plan(index_set: IndexSet) -> _SweepPlan:
-    """The sweep of a rectangle (one shape) or a step cross."""
-    d = index_set.d
-    if index_set.family == "rectangle":
-        widths = rectangle_halfwidths(
-            index_set.alpha, index_set.gamma, index_set.param
+    """The DP of a rectangle (one run of cost 0, budget 0) or a step cross.
+
+    A run ``r`` of coordinate j sums ``exp(2 pi i k_j x)`` over its
+    annulus ``ups[r - 1] < |k_j| <= ups[r]``: the kernel of order
+    ``ups[r]`` less that of ``ups[r - 1]`` (run 0: the full kernel).  An
+    empty run contributes exactly zero and is skipped.  Each prefix group
+    takes the runs its accumulated cost admits; on the last coordinate
+    those form a prefix of the table, whose annuli add up to the full
+    kernel of the last one.
+    """
+    runs = index_set._runs
+    d = len(runs.ups)
+    acc = np.full(1, float(runs.combine.identity))
+    coords, kernels = [], []
+    passes, held, groups = d + 2, 0, 0
+    for j, (ups, costs) in enumerate(zip(runs.ups, runs.costs)):
+        ups = ups.tolist()
+        terms = []
+        for g, (a, last) in enumerate(zip(acc, _last_run(runs, acc, costs))):
+            if j == d - 1:
+                terms.append((g, (ups[last], None), 0.0))
+                continue
+            for r in range(last + 1):
+                if r == 0 or ups[r] > ups[r - 1]:
+                    low = ups[r - 1] if r else None
+                    terms.append((g, (ups[r], low), runs.combine(a, costs[r])))
+        acc = np.array(sorted({c for *_, c in terms}))
+        sums = tuple(
+            tuple((g, f) for g, f, c in terms if c == cost) for cost in acc
         )
-        shapes, bounds = [(0,) * d], [[(-1, int(w))] for w in widths]
-    else:
-        shapes, bounds = _step_cross_shapes(
-            2.0 * index_set.alpha, tuple(index_set.gamma),
-            int(index_set.param),
+        factors = tuple(dict.fromkeys(f for _, f, _ in terms))
+        orders = tuple(
+            dict.fromkeys(n for f in factors for n in f if n is not None)
         )
-    factors: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
-    steps = []
-    prev: Optional[tuple[int, ...]] = None
-    for row in shapes:
-        keep = 0
-        if prev is not None:
-            while row[keep] == prev[keep]:
-                keep += 1
-        steps.append((keep, row))
-        for j, t in enumerate(row):
-            low, up = bounds[j][t]
-            factors[(j, t)] = (up, None if j == 0 or t == 0 else low)
-        prev = row
-    kernels = dict.fromkeys(
-        (j, n) for (j, _), pair in factors.items() for n in pair
-        if n is not None
-    )
-    diffs = sum(low is not None for _, low in factors.values())
-    products = sum(d - max(keep, 1) for keep, _ in steps)
-    # passes: the coordinate differences, the kernel differences, the
-    # prefix products, one sum per shape, the zeroed total, two dot
-    # products; held: differences, kernels, factors, prefixes and total
-    return _SweepPlan(
-        tuple(kernels), factors, steps,
-        d + diffs + products + len(steps) + 3,
-        2 * d + len(kernels) + diffs + 1,
-    )
+        annuli = sum(low is not None for _, low in factors)
+        coords.append((orders, factors, sums))
+        kernels.extend((j, n) for n in orders)
+        # passes: besides the coordinate differences and the two dot
+        # products, the annulus differences, the products (the empty
+        # prefix needs none) and the additions into each group; held: the
+        # groups in and out, the kernels, the annuli, the coordinate
+        # difference and three temporaries of a kernel or a product
+        passes += annuli + (len(terms) if j else 0) + len(terms) - len(sums)
+        held = max(held, groups + len(sums) + len(orders) + annuli + 4)
+        groups = len(sums)
+    return _SweepPlan(tuple(coords), tuple(kernels), passes, held)
+
+
+def _sweep_step(acc: list, diff: np.ndarray, orders, factors, sums) -> list:
+    """One coordinate of the DP: its kernels of ``diff``, its factors, and
+    the products of ``acc``'s prefix groups with them, summed per group.
+    A group that is None is the empty prefix, whose product is 1."""
+    kernels = {n: dirichlet_kernel(n, diff) for n in orders}
+    fac = {
+        (up, low): kernels[up] if low is None else kernels[up] - kernels[low]
+        for up, low in factors
+    }
+    del kernels
+    out = []
+    for terms in sums:
+        tot = None
+        for g, f in terms:
+            # Only the empty prefix's terms alias a factor, and each factor
+            # appears once among them, so adding in place is safe.
+            term = fac[f] if acc[g] is None else acc[g] * fac[f]
+            if tot is None:
+                tot = term
+            else:
+                tot += term
+        out.append(tot)
+    return out
 
 
 def _sweep_route(
@@ -411,39 +446,23 @@ def _sweep_route(
     threads: int,
     cap: int,
 ) -> list[np.ndarray]:
-    """Kernel route of a rectangle or a step cross, run from its sweep
-    plan; the set is never enumerated, so ``cap`` does not apply.
+    """Kernel route of a rectangle or a step cross, run from its DP plan;
+    the set is never enumerated, so ``cap`` does not apply.
 
-    Per block of samples: the kernels of each coordinate's differences
-    to the nodes, their differences, then the shapes in order, each
-    reusing the prefix product it shares with the shape before.
+    Per block of samples, one coordinate at a time: the kernels of that
+    coordinate's differences to the nodes, its factors, then the prefix
+    products grouped by accumulated cost.
     """
     plan = _sweep_plan(index_set)
-    d, L = data.d, rule.L
     nodes = generate_points(rule)
-    block = max(1, (1 << 28) // (8 * L * plan.held))
+    block = max(1, (1 << 28) // (8 * rule.L * plan.held))
 
     def one(s: int, e: int) -> list[np.ndarray]:
-        diffs = [
-            data.X[s:e, j][:, None] - nodes[None, :, j] for j in range(d)
-        ]
-        kernels = {
-            (j, n): dirichlet_kernel(n, diffs[j]) for j, n in plan.kernels
-        }
-        factors = {
-            (j, t): kernels[j, up] if low is None
-            else kernels[j, up] - kernels[j, low]
-            for (j, t), (up, low) in plan.factors.items()
-        }
-        total = np.zeros((e - s, L), dtype=np.float64)
-        stack: list[np.ndarray] = []
-        for keep, row in plan.steps:
-            del stack[keep:]
-            for j in range(keep, d):
-                f = factors[j, row[j]]
-                stack.append(f if j == 0 else stack[-1] * f)
-            total += stack[-1]
-        return [cv[s:e] @ total for cv in cvecs]
+        acc = [None]
+        for j, coord in enumerate(plan.coords):
+            diff = data.X[s:e, j][:, None] - nodes[None, :, j]
+            acc = _sweep_step(acc, diff, *coord)
+        return [cv[s:e] @ acc[0] for cv in cvecs]
 
     return [o / data.N for o in _sum_blocks(data.N, block, one, threads)]
 
@@ -526,7 +545,8 @@ def weights_rectangle(
     """Weights for a rectangle set via products of Dirichlet kernels.
 
     The frequency sum factorises per coordinate, so the set is never
-    enumerated.  Cost O(L N d), independent of the cardinality.
+    enumerated: d kernels and d - 1 products per sample and node.  Cost
+    O(L N d), independent of the cardinality.
     """
     return _run("rectangle", data, [c], rule, index_set, threads)[0]
 
@@ -540,10 +560,12 @@ def weights_step_cross(
 ) -> np.ndarray:
     """Weights for a step cross without enumerating it.
 
-    The disjoint dyadic decomposition turns the frequency sum into a sum
-    over shape vectors of per-coordinate Dirichlet kernel differences;
-    within the lexicographic sweep over shapes, partial products are
-    reused across shared prefixes.  Cost O(|shapes| L N d) at worst.
+    Each coordinate's frequencies split into dyadic runs, whose sums are
+    Dirichlet-kernel annuli.  A DP over the coordinates multiplies the
+    prefix sums, grouped by their accumulated level, with the annuli the
+    remaining budget admits; the last coordinate takes one full kernel
+    per group.  Cost O(L N d (m + 1)^2) at most for order m, with at most
+    d (m + 1) kernels.
     """
     return _run("step-cross", data, [c], rule, index_set, threads)[0]
 
@@ -565,17 +587,20 @@ def weights_step_cross_pair(
 #   general-FFT, per sample and frequency: cross-4d took 1.93 s (median
 #   of seeds 1-3) for N |K| = 3,000 x 18,425 with per-coordinate phases,
 #   i.e. 35 ns;
-#   kernel routes, per sample and node (medians of seeds 1-3): paper-2d
-#   took 5.28 s through compress(algorithm="step-cross") for
-#   N L = 20,000 x 509 with 25 array passes and 12 Dirichlet kernels,
-#   stepcross-6d 2.96 s for 10,000 x 127 with 286 passes and 29 kernels;
-#   solved, 4.8 ns per pass and 33 ns per kernel;
+#   kernel routes, per sample and node, where a pass is one DP product or
+#   sum over a block: stepcross-6d took 1.66 s (traced, median of seeds
+#   1-3) for N L = 10,000 x 127 with 113 array passes and 29 Dirichlet
+#   kernels; compress(algorithm="step-cross") on paper-2d's data 5.48 s
+#   (median of seeds 1-6) for 20,000 x 509 with 23 passes and 12 kernels;
+#   a d=8, m=6 step cross 1.19 s (median of 3) for 5,000 x 127 with 161
+#   passes and 39 kernels; least squares in relative error gives 0.9 ns
+#   per pass and 43 ns per kernel, every case within 3 %;
 #   enumeration of a lazy set, per row and coordinate: index_sets.
 #   enumerate_s on stepcross-6d, 0.012 s for 49,761 rows of 6 (median of
 #   seeds 1-3; cross-4d gave 0.0032 s for 18,425 rows of 4).
 _FFT_S = 3.5e-8
-_PASS_S = 4.8e-9
-_DIRICHLET_S = 3.3e-8
+_PASS_S = 9.0e-10
+_DIRICHLET_S = 4.3e-8
 _ENUM_S = 4.0e-8
 
 
@@ -590,8 +615,8 @@ def choose_route(
     ``general-fft`` serves any set at about ``N |K|`` complex phases, plus
     the enumeration of a lazy set; a lazy set above ``cap`` rows is no
     candidate.  The kernel route of a rectangle or a step cross costs
-    about ``N L`` times the full-size array passes and Dirichlet kernels
-    of the sweep plan it runs.  Both costs are linear in N, so a
+    about ``N L`` times the full-size array passes (DP products and sums)
+    and Dirichlet kernels of the plan it runs.  Both costs are linear in N, so a
     subsample takes the route the full data would.  The set is sized by
     :meth:`IndexSet.cardinality`, which caches the count on it, and is
     never enumerated.

@@ -201,7 +201,8 @@ def _family_runs(
     """Run tables of a cross, rectangle or step cross.
 
     * cross: one run per ``|k_j| = q`` up to the half-width at nu, costing
-      the scalar profile factor; costs multiply, the budget is nu.
+      the profile factor (bitwise the scalar ``_coord_factor``); costs
+      multiply, the budget is nu.
     * rectangle: one run up to the half-width at nu, costing 0.
     * step cross: run t reaches the half-width at ``2^t`` and costs t,
       for t = 0..m; costs add, the budget is m.
@@ -227,7 +228,7 @@ def _family_runs(
         raise ValueError(f"cross level must be at least 1, got {nu!r}")
     ups = [np.arange(_halfwidth(two_alpha, gj, nu) + 1) for gj in gamma]
     costs = [
-        np.array([_coord_factor(two_alpha, gj, q) for q in range(len(up))])
+        np.maximum(_coord_power(up, two_alpha) / gj, 1.0)
         for gj, up in zip(gamma, ups)
     ]
     return _Runs(tuple(ups), tuple(costs), np.multiply, nu)
@@ -377,49 +378,6 @@ def enumerate_shape_vectors(m: int, d: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _dyadic_bounds(
-    two_alpha: float, gamma_j: float, t: int
-) -> tuple[int, int]:
-    """(lower, upper) half-widths of the dyadic annulus at level t.
-
-    Upper bound: largest q with the coordinate profile within 2^t.  Lower
-    bound: same at 2^(t-1); at t = 0 the subtracted set is empty, so the
-    lower half-width is -1 and the piece is the whole interval.
-    """
-    up = _halfwidth(two_alpha, gamma_j, 2.0 ** t)
-    if t == 0:
-        return -1, up
-    low = _halfwidth(two_alpha, gamma_j, 2.0 ** (t - 1))
-    return low, up
-
-
-def _step_cross_shapes(
-    two_alpha: float, gamma: tuple[float, ...], m: int
-) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
-    """Shapes of the nonempty disjoint pieces, and their bounds table.
-
-    The step cross of order m is the disjoint union, over the shape
-    vectors t with ``||t||_1 = m``, of the pieces whose coordinate j
-    ranges over ``|k_j| <= up`` when ``j = 0`` or ``t_j = 0``, and over
-    the annulus ``low < |k_j| <= up`` otherwise, with ``(low, up) =
-    bounds[j][t_j]``.  Shapes come out in lexicographic order; those with
-    an empty annulus are dropped.
-    """
-    bounds = [
-        [_dyadic_bounds(two_alpha, gj, t) for t in range(m + 1)]
-        for gj in gamma
-    ]
-    shapes = []
-    for t in enumerate_shape_vectors(m, len(gamma)):
-        row = tuple(int(v) for v in t)
-        if all(
-            tj == 0 or bounds[j][tj][1] > bounds[j][tj][0]
-            for j, tj in enumerate(row) if j > 0
-        ):
-            shapes.append(row)
-    return shapes, bounds
-
-
 def enumerate_step_cross(
     alpha: float,
     gamma: Union[ProductWeights, Sequence[float]],
@@ -475,6 +433,14 @@ def cardinality_bound_cross(
     return nu ** expo * cross_cardinality_constant(alpha, gamma, eps)
 
 
+def _strictly_increasing(freq: np.ndarray) -> bool:
+    """Whether the rows are in strict lexicographic order: each row's first
+    nonzero difference from the row before is positive."""
+    step = freq[1:] - freq[:-1]
+    first = np.argmax(step != 0, axis=1)[:, None]
+    return bool(np.all(np.take_along_axis(step, first, axis=1) > 0))
+
+
 @dataclass(eq=False)
 class IndexSet:
     """A finite frequency set with its generating metadata.
@@ -512,22 +478,20 @@ class IndexSet:
         elif self.param is None:
             raise ValueError(f"family {self.family!r} needs a parameter")
         if self.frequencies is not None:
-            freq = np.asarray(self.frequencies, dtype=np.int64)
+            freq = np.array(self.frequencies, dtype=np.int64)
             if freq.ndim != 2 or freq.shape[1] != self.gamma.d:
                 raise ValueError(
                     f"frequencies must be (M, {self.gamma.d}), "
                     f"got shape {freq.shape}"
                 )
-            order = np.lexsort(freq.T[::-1])
-            freq = freq[order]
-            if len(freq) > 1 and np.any(
-                np.all(freq[1:] == freq[:-1], axis=1)
-            ):
-                if self.family != "custom":
-                    raise ValueError("duplicate frequency rows")
+            if not _strictly_increasing(freq):
+                freq = freq[np.lexsort(freq.T[::-1])]
                 keep = np.ones(len(freq), dtype=bool)
                 keep[1:] = np.any(freq[1:] != freq[:-1], axis=1)
-                freq = freq[keep]
+                if not keep.all():
+                    if self.family != "custom":
+                        raise ValueError("duplicate frequency rows")
+                    freq = freq[keep]
             freq.flags.writeable = False
             self.frequencies = freq
             if self.count is not None and self.count != len(freq):

@@ -22,6 +22,7 @@ from latcompress.compression import (
 )
 from latcompress.index_sets import CapExceeded, IndexSet
 from latcompress.lattice import LatticeRule, ProductWeights, generate_points
+from test_index_sets import _step_cross_shapes
 
 
 def _dataset(seed: int, n: int, d: int) -> Dataset:
@@ -172,8 +173,10 @@ class TestFastAgainstNaive:
                 np.testing.assert_array_equal(w, v)
 
     def test_sweep_builds_the_planned_kernels(self, monkeypatch) -> None:
-        # The cost model counts the plan's kernels; the sweep must build
-        # each of them once per block, and no others.
+        # The cost model counts the plan's kernels; the route must build
+        # each of them once per block, coordinate by coordinate, and no
+        # others.  The last coordinate builds only the full kernels its
+        # cost groups reach: one at d = 1.
         calls = []
 
         def counted(n, x):
@@ -181,13 +184,57 @@ class TestFastAgainstNaive:
             return dirichlet_kernel(n, x)
 
         monkeypatch.setattr(compression, "dirichlet_kernel", counted)
-        data = _dataset(7, 35, 3)
-        rule = LatticeRule(17, (1, 4, 10))
-        spec = IndexSet.step_cross(0.5, (1.0, 0.5, 0.25), 5)
-        plan = compression._sweep_plan(spec)
-        weights_step_cross_pair(data, rule, spec)
-        assert len(calls) == len(plan.kernels) > 2 * spec.d
-        assert sorted(calls) == sorted(n for _, n in plan.kernels)
+        for spec, n_kernels in (
+            (IndexSet.step_cross(0.5, (1.0, 0.5, 0.25), 5), 17),
+            (IndexSet.step_cross(1.0, (1.0,), 6), 1),
+            (IndexSet.rectangle(1.0, (1.0, 0.5, 0.25), 40.0), 3),
+        ):
+            del calls[:]
+            data = _dataset(7, 35, spec.d)
+            rule = LatticeRule(17, (1, 4, 10)[: spec.d])
+            plan = compression._sweep_plan(spec)
+            compress(data, rule, spec, spec.family)
+            assert calls == [n for _, n in plan.kernels]
+            assert len(plan.kernels) == n_kernels
+            *_, last = plan.coords
+            assert len(last[2]) == 1  # the last coordinate sums to one group
+
+    @pytest.mark.parametrize(
+        "d, m, alpha, L, g",
+        [
+            (5, 5, 0.5, 13, (1, 5, 3, 7, 11)),
+            (8, 6, 1.0, 11, (1, 2, 3, 4, 5, 6, 7, 9)),
+        ],
+    )
+    def test_dp_matches_shape_sum(self, d, m, alpha, L, g) -> None:
+        # The DP against the disjoint decomposition summed shape by shape,
+        # each a plain product of one factor per coordinate with no prefix
+        # reuse.
+        gamma = (1.0,) * d
+        data = _dataset(31 + d, 20, d)
+        rule = LatticeRule(L, g)
+        spec = IndexSet.step_cross(alpha, gamma, m, materialize=False)
+        shapes, bounds = _step_cross_shapes(2.0 * alpha, gamma, m)
+        assert spec.cardinality() > 10_000 and len(shapes) > 100
+        diffs = data.X[:, None, :] - generate_points(rule)[None, :, :]
+        factor = {}
+        for j in range(d):
+            for t, (low, up) in enumerate(bounds[j]):
+                factor[j, t] = dirichlet_kernel(up, diffs[:, :, j])
+                if j and t:
+                    factor[j, t] -= dirichlet_kernel(low, diffs[:, :, j])
+        total = np.zeros((data.N, L))
+        for row in shapes:
+            prod = np.ones((data.N, L))
+            for j, t in enumerate(row):
+                prod = prod * factor[j, t]
+            total += prod
+        w1, w2 = weights_step_cross_pair(data, rule, spec)
+        for w, c in ((w1, np.ones(data.N)), (w2, data.Y)):
+            ref = c @ total / data.N
+            assert float(np.max(np.abs(w - ref))) < 1e-12 * float(
+                np.max(np.abs(ref))
+            )
 
     def test_family_guards(self) -> None:
         data = _dataset(8, 10, 2)
@@ -325,15 +372,26 @@ class TestThreads:
             )
             np.testing.assert_array_equal(a, b)
 
-    def test_compress_bitwise(self) -> None:
-        # At L = 509 the step-cross sweep splits the samples into blocks.
+    def test_compress_bitwise(self, monkeypatch) -> None:
+        # Both routes must split the samples into blocks, so that the
+        # fixed order of the block sums is what keeps the bits.
         data = _dataset(18, 3000, 2)
         spec = IndexSet.step_cross(0.5, (1.0, 0.5), 9)
+        blocks = []
+        sum_blocks = compression._sum_blocks
+
+        def recorded(n_rows, block, fn, threads):
+            blocks.append(-(-n_rows // block))
+            return sum_blocks(n_rows, block, fn, threads)
+
+        monkeypatch.setattr(compression, "_sum_blocks", recorded)
         for algorithm, rule in (
             ("general-fft", LatticeRule(61, (1, 25))),
             ("step-cross", LatticeRule(509, (1, 208))),
         ):
+            del blocks[:]
             a = compress(data, rule, spec, algorithm, threads=1)
+            assert blocks[0] >= 2, (algorithm, blocks)
             for threads in (2, 4):
                 b = compress(data, rule, spec, algorithm, threads=threads)
                 np.testing.assert_array_equal(a.w_xz, b.w_xz)

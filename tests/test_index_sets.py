@@ -12,9 +12,7 @@ from latcompress.index_sets import (
     CapExceeded,
     IndexSet,
     _coord_factor,
-    _dyadic_bounds,
     _halfwidth,
-    _step_cross_shapes,
     _within,
     cardinality_bound_cross,
     cross_cardinality_constant,
@@ -48,6 +46,49 @@ def _step_cross_union(alpha, gamma, m) -> np.ndarray:
                   for gj, tj in zip(gam, t)]
         seen.update(_cartesian(range(-w, w + 1) for w in widths))
     return np.asarray(sorted(seen), dtype=np.int64).reshape(-1, len(gam))
+
+
+def _dyadic_bounds(
+    two_alpha: float, gamma_j: float, t: int
+) -> tuple[int, int]:
+    """(lower, upper) half-widths of the dyadic annulus at level t.
+
+    Upper bound: largest q with the coordinate profile within 2^t.  Lower
+    bound: same at 2^(t-1); at t = 0 the subtracted set is empty, so the
+    lower half-width is -1 and the piece is the whole interval.
+    """
+    up = _halfwidth(two_alpha, gamma_j, 2.0 ** t)
+    if t == 0:
+        return -1, up
+    low = _halfwidth(two_alpha, gamma_j, 2.0 ** (t - 1))
+    return low, up
+
+
+def _step_cross_shapes(
+    two_alpha: float, gamma: tuple[float, ...], m: int
+) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+    """Oracle: shapes of the nonempty disjoint pieces, and their bounds.
+
+    The step cross of order m is the disjoint union, over the shape
+    vectors t with ``||t||_1 = m``, of the pieces whose coordinate j
+    ranges over ``|k_j| <= up`` when ``j = 0`` or ``t_j = 0``, and over
+    the annulus ``low < |k_j| <= up`` otherwise, with ``(low, up) =
+    bounds[j][t_j]``.  Shapes come out in lexicographic order; those with
+    an empty annulus are dropped.
+    """
+    bounds = [
+        [_dyadic_bounds(two_alpha, gj, t) for t in range(m + 1)]
+        for gj in gamma
+    ]
+    shapes = []
+    for t in enumerate_shape_vectors(m, len(gamma)):
+        row = tuple(int(v) for v in t)
+        if all(
+            tj == 0 or bounds[j][tj][1] > bounds[j][tj][0]
+            for j, tj in enumerate(row) if j > 0
+        ):
+            shapes.append(row)
+    return shapes, bounds
 
 
 def _step_cross_disjoint(alpha, gamma, m) -> np.ndarray:
@@ -225,6 +266,26 @@ class TestCross:
                     size = len(enumerate_cross(alpha, gamma, nu))
                     bound = cardinality_bound_cross(alpha, gamma, nu, eps)
                     assert size <= bound
+
+    def test_costs_in_one_array_call(self, monkeypatch) -> None:
+        # Sizing a cross calls the scalar factor only in the half-width
+        # searches; the run costs come from one array expression, bitwise
+        # equal to the scalar factors.
+        calls = []
+
+        def counted(two_alpha, gamma_j, kj):
+            calls.append(kj)
+            return _coord_factor(two_alpha, gamma_j, kj)
+
+        monkeypatch.setattr(index_sets, "_coord_factor", counted)
+        alpha, gamma, nu = 0.5, (1.0, 0.3), 2e4
+        lazy = IndexSet.cross(alpha, gamma, nu, materialize=False)
+        assert lazy.cardinality() > 20_000
+        assert len(calls) <= 4 * len(gamma)
+        for gj, up, costs in zip(gamma, lazy._runs.ups, lazy._runs.costs):
+            scalar = [_coord_factor(2.0 * alpha, gj, q) for q in up.tolist()]
+            assert len(up) > 5_000
+            assert costs.tolist() == scalar
 
     def test_cardinality_constant_validation(self) -> None:
         with pytest.raises(ValueError):
@@ -438,6 +499,25 @@ class TestIndexSet:
     def test_custom_deduplicates(self) -> None:
         spec = IndexSet.custom([(1, 1), (1, 1), (0, 0)], 1.0, (1.0, 1.0))
         assert spec.count == 2
+
+    def test_named_rows_skip_the_sort(self, monkeypatch) -> None:
+        # The walk emits rows sorted and distinct, so building a named set
+        # checks the order in one pass and never sorts.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted rows were sorted again")
+
+        expected = [
+            enumerate_cross(1.0, (1.0, 0.5), 40.0),
+            enumerate_rectangle(1.0, (1.0, 0.5), 40.0),
+            enumerate_step_cross(1.0, (1.0, 0.5, 0.25), 5),
+        ]
+        monkeypatch.setattr(np, "lexsort", refuse)
+        for rows, lazy in zip(expected, (
+            IndexSet.cross(1.0, (1.0, 0.5), 40.0, materialize=False),
+            IndexSet.rectangle(1.0, (1.0, 0.5), 40.0, materialize=False),
+            IndexSet.step_cross(1.0, (1.0, 0.5, 0.25), 5, materialize=False),
+        )):
+            np.testing.assert_array_equal(lazy.materialized().frequencies, rows)
 
     def test_named_rejects_duplicates(self) -> None:
         with pytest.raises(ValueError):
