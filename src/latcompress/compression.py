@@ -16,13 +16,16 @@ residues of ``k . g`` modulo L and finishes with one length-L FFT.  The
 routes sit in one table, ``_ROUTES``, with one calling convention:
 ``(data, rule, index_set, cvecs, threads, cap)`` in, one weight vector
 per coefficient vector out.  ``naive`` sums directly and is the
-reference; ``general-fft`` serves any set; ``rectangle`` and
-``step-cross`` run one Dirichlet-kernel DP over the set's run tables,
-grouping prefix products by accumulated cost, and never enumerate the
-set.  ``compress`` takes the route :func:`choose_route` predicts to be
-cheapest, pricing the DP from the plan it runs.  The ``weights_*``
-functions are one-vector entries into the table;
-:func:`weights_lattice_data` specialises to data on a rank-1 lattice.
+reference; ``general-fft`` serves any set by sum factorisation over a
+head/tail split of the coordinates, one matrix product per bucket of
+heads (:func:`_split_plan`), the plan ``eval_model`` runs the other way
+round; ``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP over
+the set's run tables, grouping prefix products by accumulated cost, and
+never enumerate the set.  ``compress`` takes the route
+:func:`choose_route` predicts to be cheapest, pricing each route from
+the plan it runs.  The ``weights_*`` functions are one-vector entries
+into the table; :func:`weights_lattice_data` specialises to data on a
+rank-1 lattice.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+import numpy.fft  # loaded here, not on the first call of a hot path
 
 from .index_sets import (
     DEFAULT_CAP,
     CapExceeded,
     IndexSet,
+    _cost_groups,
     _last_run,
 )
 from .lattice import LatticeRule, generate_points
@@ -190,9 +195,10 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
         )
 
 
-# Elements of the (rows x |K|) phase block general-FFT builds at once,
-# and of each phase block of the naive route.
-_FFT_BLOCK = 1 << 22
+# Head and tail phases general-FFT and eval_model build per block of
+# samples (4 MiB, which keeps a block in a core's cache), and the
+# elements of each phase block of the naive route.
+_FFT_BLOCK = 1 << 18
 _NAIVE_BLOCK = 1 << 20
 
 
@@ -244,17 +250,243 @@ def _phase_axes(freq: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _phase_matrix(X: np.ndarray, axes) -> np.ndarray:
     """Phases ``exp(2 pi i k . x)``, one row per point of X and one
-    column per frequency row described by :func:`_phase_axes`.
+    column per frequency row described by :func:`_phase_axes`; rows of
+    width 0 (no axes) are the single frequency whose phase is 1.
 
     Built per coordinate from the distinct frequency values, so the
     exponential count is ``rows * sum_j |unique(k_j)|`` rather than
     ``rows * |K| * d``; the rest is gathers and elementwise products.
     """
+    if not axes:
+        return np.ones((X.shape[0], 1), dtype=np.complex128)
     (u, inv), *rest = axes
-    ph = np.exp(2j * np.pi * np.outer(X[:, 0], u))[:, inv]
+    ph = _unit_phases(X[:, 0], u)[:, inv]
     for j, (u, inv) in enumerate(rest, 1):
-        ph *= np.exp(2j * np.pi * np.outer(X[:, j], u))[:, inv]
+        ph *= _unit_phases(X[:, j], u)[:, inv]
     return ph
+
+
+def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i x u)`` for every pair of x and u: the angle in turns
+    is reduced by whole turns, then its cosine and sine are written into
+    one complex array, which is cheaper than a complex ``exp``."""
+    t = np.outer(x, u)
+    t -= np.round(t)
+    t *= _TWO_PI
+    out = np.empty(t.shape, dtype=np.complex128)
+    np.cos(t, out=out.real)
+    np.sin(t, out=out.imag)
+    return out
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``a`` in lexicographic order, and the index
+    of each row of ``a`` among them; one lexsort, where
+    ``np.unique(axis=0)`` would import ``numpy.ma`` on its first call.
+    Rows of width 0 are all one row."""
+    if a.shape[1] == 0:
+        return a[:1], np.zeros(len(a), dtype=np.intp)
+    order = np.lexsort(a.T[::-1])
+    srt = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    inv = np.empty(len(a), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return srt[new], inv
+
+
+def _buckets(tails_per_head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The heads in bucket order and where each bucket starts in it.
+
+    A head with t tails goes to bucket b, the least b with ``t <= 2^b``.
+    (A plain ``np.unique`` would import ``numpy.ma`` on its first call.)
+    """
+    b = np.frexp(np.asarray(tails_per_head, dtype=np.float64) - 1.0)[1]
+    order = np.argsort(b, kind="stable")
+    return order, np.flatnonzero(np.diff(b[order], prepend=-1))
+
+
+class _SplitPlan(NamedTuple):
+    """Sum factorisation of a frequency set over a head/tail split.
+
+    Each row is ``k = (a, b)``: its first h coordinates (the head) and
+    the rest (the tail).  ``heads`` holds the distinct heads, ordered by
+    bucket, and ``tails`` the distinct tails.  Heads are bucketed by the
+    number of tails they pair with, in powers of two; ``buckets`` holds
+    per bucket ``(a0, a1, tb, ii, jj, rows)``: its heads are ``heads[a0:
+    a1]``, ``tb`` indexes the union of their tails (a full slice when
+    that is every tail), and row ``rows[r]`` of K is cell ``(ii[r],
+    jj[r])`` of the bucket's ``(a1 - a0) x |tb|`` block.  ``work`` is the
+    cells of all blocks, the multiply-adds per sample and vector.
+    """
+
+    heads: np.ndarray
+    tails: np.ndarray
+    buckets: tuple
+    work: int
+
+
+def _split_plan(freq: np.ndarray, h: int) -> _SplitPlan:
+    """The split of the rows of ``freq`` after coordinate ``h``."""
+    heads, head_of = _distinct_rows(freq[:, :h])
+    tails, tail_of = _distinct_rows(freq[:, h:])
+    # Heads in bucket order, so a bucket is a slice of them.
+    order, starts = _buckets(np.bincount(head_of, minlength=len(heads)))
+    col = np.empty(len(heads), dtype=np.intp)
+    col[order] = np.arange(len(heads))
+    buckets, work, a0 = [], 0, 0
+    row_col = col[head_of]
+    for a1 in starts[1:].tolist() + [len(heads)]:
+        rows = np.flatnonzero((row_col >= a0) & (row_col < a1))
+        tb, jj = np.unique(tail_of[rows], return_inverse=True)
+        work += (a1 - a0) * len(tb)
+        if len(tb) == len(tails):
+            tb = slice(None)
+        buckets.append((a0, a1, tb, row_col[rows] - a0, jj, rows))
+        a0 = a1
+    return _SplitPlan(heads[order], tails, tuple(buckets), work)
+
+
+def _split_price(phases: float, work: float) -> float:
+    """Predicted seconds per sample of a split with ``work`` cells and
+    head and tail phases of ``phases`` coordinates in all: each
+    coordinate of a phase is a gather and a product."""
+    return work * _GEMM_S + phases * _PHASE_S
+
+
+def _plan_price(p: _SplitPlan) -> float:
+    return _split_price(p.heads.size + p.tails.size, p.work)
+
+
+def _family_sizes(runs, h: int) -> tuple[float, float]:
+    """The phase coordinates and the cells of a named family's split after
+    coordinate h, from its run tables without enumerating the set.
+
+    The heads are the prefixes over the first h tables, grouped by
+    accumulated cost; the tails are the walk over the other tables from
+    the identity, i.e. at the full budget.  A head of cost ``a`` pairs
+    with the tails whose cost its remaining budget admits, a prefix of
+    their sorted costs, so its tail sets nest as ``a`` grows and a
+    bucket's union is the tail set of its head with the most tails: the
+    sizes are those :func:`_split_plan` finds on the materialised rows.
+    """
+    d = len(runs.ups)
+    acc, heads = _cost_groups(runs, range(h))
+    cost, tails = _cost_groups(runs, range(h, d))
+    # an empty run leaves cost groups of no prefix; they bucket nothing
+    acc, heads = acc[heads > 0], heads[heads > 0].astype(np.float64)
+    per_head = np.cumsum(tails.astype(np.float64))[_last_run(runs, acc, cost)]
+    order, starts = _buckets(per_head)
+    work = np.add.reduceat(heads[order], starts) @ np.maximum.reduceat(
+        per_head[order], starts
+    )
+    return float(heads.sum() * h + tails.sum() * (d - h)), float(work)
+
+
+def _family_split(runs) -> tuple[int, float]:
+    """The cheapest split point of a named family and its price per
+    sample."""
+    prices = [
+        _split_price(*_family_sizes(runs, h))
+        for h in range(1, len(runs.ups) + 1)
+    ]
+    h = int(np.argmin(prices))
+    return h + 1, prices[h]
+
+
+def _split_rows(freq: np.ndarray, runs=None) -> _SplitPlan:
+    """The cheapest split plan of the rows of ``freq``: priced from the
+    run tables of their named family when given, else from each
+    candidate plan."""
+    if runs is not None:
+        return _split_plan(freq, _family_split(runs)[0])
+    plans = (_split_plan(freq, h) for h in range(1, freq.shape[1] + 1))
+    return min(plans, key=_plan_price)
+
+
+def _split_phases(plan: _SplitPlan):
+    """How a plan's phases are made per block: the rows of a block, about
+    ``_FFT_BLOCK`` head and tail phases, and a function from points to
+    their head and tail phases."""
+    h = plan.heads.shape[1]
+    axes = _phase_axes(plan.heads), _phase_axes(plan.tails)
+    block = max(1, _FFT_BLOCK // max(len(plan.heads) + len(plan.tails), 1))
+
+    def phases(Xb: np.ndarray):
+        return _phase_matrix(Xb[:, :h], axes[0]), _phase_matrix(
+            Xb[:, h:], axes[1]
+        )
+
+    return block, phases
+
+
+def _split_adjoint(
+    X: np.ndarray, plan: _SplitPlan, cvecs: list, threads: int
+) -> list[np.ndarray]:
+    """``sum_n c_n exp(2 pi i k . x_n)`` for every row k of the plan's
+    set, one vector per coefficient vector c.
+
+    Per block of samples and per bucket, one matrix product: the heads'
+    phases scaled by c, transposed, times the tails' phases give every
+    (head, tail) cell.  The cells are summed over the blocks, and each
+    bucket's rows are gathered from them once at the end.
+    """
+    block, phases = _split_phases(plan)
+
+    def one(s: int, e: int) -> list[np.ndarray]:
+        A, B = phases(X[s:e])
+        cells = []
+        for cv in cvecs:
+            c = cv[s:e, None]
+            for a0, a1, tb, *_ in plan.buckets:
+                Ab, Bb = A[:, a0:a1], B[:, tb]
+                # c scales the narrower side
+                if a1 - a0 <= Bb.shape[1]:
+                    cells.append((Ab * c).T @ Bb)
+                else:
+                    cells.append(Ab.T @ (Bb * c))
+        return cells
+
+    cells = _sum_blocks(len(X), block, one, threads)
+    n_rows = sum(len(b[5]) for b in plan.buckets)
+    sums = []
+    for v in range(len(cvecs)):
+        out = np.empty(n_rows, dtype=np.complex128)
+        for (*_, ii, jj, rows), g in zip(
+            plan.buckets, cells[v * len(plan.buckets):]
+        ):
+            out[rows] = g[ii, jj]
+        sums.append(out)
+    return sums
+
+
+def _split_forward(
+    X: np.ndarray, plan: _SplitPlan, theta: np.ndarray
+) -> np.ndarray:
+    """``sum_k theta_k exp(2 pi i k . x)`` at every point x of X.
+
+    Per block and bucket, the tails' phases times the bucket's
+    coefficient block give one column per head, and each point sums
+    them against its head phases.
+    """
+    coefs = []
+    for a0, a1, tb, ii, jj, rows in plan.buckets:
+        c = np.zeros((int(jj.max()) + 1, a1 - a0), dtype=np.complex128)
+        c[jj, ii] = theta[rows]
+        coefs.append(c)
+    out = np.empty(len(X), dtype=np.complex128)
+    block, phases = _split_phases(plan)
+    for s in range(0, len(X), block):
+        A, B = phases(X[s:s + block])
+        f = np.zeros(len(A), dtype=np.complex128)
+        for (a0, a1, tb, *_), c in zip(plan.buckets, coefs):
+            # the product keeps the narrower side's columns
+            if c.shape[0] < c.shape[1]:
+                f += np.einsum("ij,ij->i", A[:, a0:a1] @ c.T, B[:, tb])
+            else:
+                f += np.einsum("ij,ij->i", B[:, tb] @ c, A[:, a0:a1])
+        out[s:s + block] = f
+    return out
 
 
 def _lattice_fft(
@@ -325,19 +557,14 @@ def _general_fft_route(
 ) -> list[np.ndarray]:
     """One adjoint transform pass shared by every coefficient vector.
 
-    phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n), blocked over n, then
-    folded onto the nodes: the lattice FFT of the frequencies -k.  A
-    block holds about ``_FFT_BLOCK`` phases.
+    phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n) by the cheapest
+    head/tail split of the set (:func:`_split_adjoint`), blocked over n,
+    then folded onto the nodes: the lattice FFT of the frequencies -k.
     """
     freq = index_set.materialized(cap).frequencies
-    axes = _phase_axes(freq)
-    block = max(1, _FFT_BLOCK // max(freq.shape[0], 1))
-
-    def one(s: int, e: int) -> list[np.ndarray]:
-        ph = _phase_matrix(data.X[s:e], axes)
-        return [cv[s:e] @ ph for cv in cvecs]
-
-    sums = _sum_blocks(data.N, block, one, threads)
+    runs = None if index_set.family == "custom" else index_set._runs
+    plan = _split_rows(freq, runs)
+    sums = _split_adjoint(data.X, plan, cvecs, threads)
     return [_lattice_fft(-freq, acc / data.N, rule) for acc in sums]
 
 
@@ -530,7 +757,11 @@ def weights_general_fft(
 
     One adjoint nonequispaced transform gives the set's Fourier data;
     folding it onto the residues of ``k . g`` modulo L and a single
-    length-L inverse FFT finish the job.  Cost O(d |K| N + L log L).
+    length-L inverse FFT finish the job.  The transform splits each
+    frequency into a head and a tail and runs as matrix products, so the
+    cost is O(N (cells + h |heads| + (d - h) |tails|) + d |K| + L log L)
+    at the cheapest split point h, with about |K| cells on crosses and
+    step crosses.
     """
     return _run("general-fft", data, [c], rule, index_set, threads, cap)[0]
 
@@ -582,11 +813,13 @@ def weights_step_cross_pair(
 
 
 # Predicted single-thread seconds per element of each route's work,
-# calibrated on a 2-vCPU x86-64 virtual machine from the benchmark's
-# per-layer compression.weights_s (perfbench/run.py --trace 1):
-#   general-FFT, per sample and frequency: cross-4d took 1.93 s (median
-#   of seeds 1-3) for N |K| = 3,000 x 18,425 with per-coordinate phases,
-#   i.e. 35 ns;
+# calibrated on a 2-vCPU x86-64 virtual machine:
+#   general-FFT, per sample: _GEMM_S per bucket cell (both coefficient
+#   vectors) and _PHASE_S per coordinate of each head and tail phase,
+#   fitted by least squares in relative error to the split pass of
+#   cross-4d, stepcross-6d and a d=8, m=6 step cross at every split
+#   point (9 cases, predictions 0.76-1.33 times the measured seconds;
+#   BENCH_split_gemm.json);
 #   kernel routes, per sample and node, where a pass is one DP product or
 #   sum over a block: stepcross-6d took 1.66 s (traced, median of seeds
 #   1-3) for N L = 10,000 x 127 with 113 array passes and 29 Dirichlet
@@ -594,14 +827,13 @@ def weights_step_cross_pair(
 #   (median of seeds 1-6) for 20,000 x 509 with 23 passes and 12 kernels;
 #   a d=8, m=6 step cross 1.19 s (median of 3) for 5,000 x 127 with 161
 #   passes and 39 kernels; least squares in relative error gives 0.9 ns
-#   per pass and 43 ns per kernel, every case within 3 %;
-#   enumeration of a lazy set, per row and coordinate: index_sets.
-#   enumerate_s on stepcross-6d, 0.012 s for 49,761 rows of 6 (median of
-#   seeds 1-3; cross-4d gave 0.0032 s for 18,425 rows of 4).
-_FFT_S = 3.5e-8
+#   per pass and 43 ns per kernel, every case within 3 %.
+# Every price is a per-sample cost times N, so a subsample takes the
+# route of the full data.
+_GEMM_S = 5.2e-10
+_PHASE_S = 5.0e-9
 _PASS_S = 9.0e-10
 _DIRICHLET_S = 4.3e-8
-_ENUM_S = 4.0e-8
 
 
 def choose_route(
@@ -612,14 +844,18 @@ def choose_route(
 ) -> dict:
     """Predict the cost of every route that can serve a set; pick the least.
 
-    ``general-fft`` serves any set at about ``N |K|`` complex phases, plus
-    the enumeration of a lazy set; a lazy set above ``cap`` rows is no
-    candidate.  The kernel route of a rectangle or a step cross costs
-    about ``N L`` times the full-size array passes (DP products and sums)
-    and Dirichlet kernels of the plan it runs.  Both costs are linear in N, so a
-    subsample takes the route the full data would.  The set is sized by
-    :meth:`IndexSet.cardinality`, which caches the count on it, and is
-    never enumerated.
+    ``general-fft`` serves any set at its cheapest head/tail split: per
+    sample, the bucket cells of the split's matrix products and the
+    coordinates of its head and tail phases; a lazy set above ``cap``
+    rows is no candidate.  A named family is sized from its run tables
+    and a custom set from its rows, so a lazy set and its materialised
+    copy get the same price.  The kernel route of a rectangle or a step
+    cross costs about ``N L`` times the full-size array passes (DP
+    products and sums) and Dirichlet kernels of the plan it runs.  Every
+    cost is exactly proportional to N, so a subsample takes the route
+    the full data would.  The set is sized by
+    :meth:`IndexSet.cardinality`, which caches the count on it, and a
+    named family is never enumerated.
 
     Returns:
         ``{"route": name, "costs": {route: predicted seconds}}`` over the
@@ -630,11 +866,13 @@ def choose_route(
             general-FFT can serve holds more than ``cap`` rows.
     """
     count = index_set.cardinality()
-    lazy = index_set.frequencies is None
     costs = {}
-    if not (lazy and count > cap):
-        enum = count * index_set.d * _ENUM_S if lazy else 0.0
-        costs["general-fft"] = n_samples * count * _FFT_S + enum
+    if index_set.family == "custom":
+        costs["general-fft"] = n_samples * _plan_price(
+            _split_rows(index_set.frequencies)
+        )
+    elif not (index_set.frequencies is None and count > cap):
+        costs["general-fft"] = n_samples * _family_split(index_set._runs)[1]
     if index_set.family in _ROUTES:
         plan = _sweep_plan(index_set)
         costs[index_set.family] = n_samples * rule.L * (

@@ -258,38 +258,48 @@ def _last_run(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return last
 
 
+def _cost_groups(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes over the coordinates ``coords``, accumulated from the
+    identity and grouped by cost: the sorted costs and the exact
+    Python-int number of prefixes at each.  No row is ever held."""
+    acc = np.full(1, float(runs.combine.identity))
+    out = np.ones(1, dtype=object)
+    for j in coords:
+        ups, costs = runs.ups[j], runs.costs[j]
+        n = _last_run(runs, acc, costs) + 1
+        run = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        acc, group = np.unique(
+            runs.combine(np.repeat(acc, n), costs[run]), return_inverse=True
+        )
+        sizes = np.diff(2 * ups + 1, prepend=0).astype(object)
+        grouped = np.zeros(len(acc), dtype=object)
+        np.add.at(grouped, group, np.repeat(out, n) * sizes[run])
+        out = grouped
+    return acc, out
+
+
 def _walk(runs: _Runs, rows: bool):
     """Expand prefixes one coordinate at a time, in lexicographic order.
 
     Each prefix admits ``|k_j| <= h``, with h the reach of its last
     admitted run.  With ``rows`` the prefixes are repeated and extended by
     ``-h..h``, which keeps lexicographic row order; the (M, d) rows are
-    returned.  Otherwise prefixes are grouped by accumulated cost and
-    carry exact Python-int multiplicities, so no row is ever held; the
-    cardinality is returned.
+    returned.  Otherwise the cardinality is returned, counted over the
+    prefixes grouped by accumulated cost (:func:`_cost_groups`).
     """
+    if not rows:
+        return int(_cost_groups(runs, range(len(runs.ups)))[1].sum())
     acc = np.full(1, float(runs.combine.identity))
-    out = np.zeros((1, 0), dtype=np.int64) if rows else np.ones(1, dtype=object)
+    out = np.zeros((1, 0), dtype=np.int64)
     for ups, costs in zip(runs.ups, runs.costs):
         last = _last_run(runs, acc, costs)
-        if rows:
-            h = np.where(last >= 0, ups[last], -1)
-            n = 2 * h + 1
-            kj = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n + h, n)
-            out = np.column_stack((np.repeat(out, n, axis=0), kj))
-            run = np.searchsorted(ups, np.abs(kj))
-            acc = runs.combine(np.repeat(acc, n), costs[run])
-        else:
-            n = last + 1
-            run = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-            acc, group = np.unique(
-                runs.combine(np.repeat(acc, n), costs[run]), return_inverse=True
-            )
-            sizes = np.diff(2 * ups + 1, prepend=0).astype(object)
-            grouped = np.zeros(len(acc), dtype=object)
-            np.add.at(grouped, group, np.repeat(out, n) * sizes[run])
-            out = grouped
-    return out if rows else int(out.sum())
+        h = np.where(last >= 0, ups[last], -1)
+        n = 2 * h + 1
+        kj = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n + h, n)
+        out = np.column_stack((np.repeat(out, n, axis=0), kj))
+        run = np.searchsorted(ups, np.abs(kj))
+        acc = runs.combine(np.repeat(acc, n), costs[run])
+    return out
 
 
 def _capped_rows(runs: _Runs, count: int, cap: int) -> np.ndarray:

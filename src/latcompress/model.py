@@ -27,8 +27,8 @@ from .compression import (
     Dataset,
     WeightSet,
     _lattice_fft,
-    _phase_axes,
-    _phase_matrix,
+    _split_forward,
+    _split_rows,
 )
 from .index_sets import CapExceeded
 from .lattice import LatticeRule, ProductWeights
@@ -161,10 +161,15 @@ class TrigModel:
 def eval_model(model: TrigModel, x) -> np.ndarray:
     """Evaluate the model at one point or a batch of points.
 
-    Phases are built per coordinate from the distinct frequency values,
-    so the exponential count is ``rows * sum_j |unique(k_j)|`` rather
-    than ``rows * M * d``; the remaining work is elementwise products
-    and one matrix-vector product per block.
+    Each frequency splits as ``k = (a, b)`` into a head (its first h
+    coordinates) and a tail, with h the cheapest split of the support
+    (the general-FFT plan of :mod:`latcompress.compression`).  Per block
+    of points, the tails' phases times the coefficients, as a matrix of
+    tails by heads, give one column per head, and each point sums those
+    against its head phases.  So ``rows * (|heads| + |tails|)`` phases
+    are built, per coordinate from its distinct frequency values, and the
+    ``rows * M`` multiply-adds run as matrix products.  Rows need not be
+    sorted.
 
     Args:
         model: model to evaluate.
@@ -180,12 +185,7 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
         raise ValueError(
             f"points have {pts.shape[1]} coordinates, model has {model.d}"
         )
-    axes = _phase_axes(model.frequencies)
-    out = np.empty(pts.shape[0], dtype=np.complex128)
-    block = max(1, (1 << 22) // max(model.size, 1))
-    for s in range(0, pts.shape[0], block):
-        e = min(s + block, pts.shape[0])
-        out[s:e] = _phase_matrix(pts[s:e], axes) @ model.theta
+    out = _split_forward(pts, _split_rows(model.frequencies), model.theta)
     if scalar:
         return complex(out[0])
     return out

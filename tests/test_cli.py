@@ -235,9 +235,9 @@ class TestCompressCommand:
         monkeypatch.setattr(compression, "choose_route", counted)
         cases = [
             # 21 frequencies against 31 nodes times the sweep's passes:
-            # the phases are cheaper.  28,673 frequencies: the sweep is.
+            # the split is cheaper.  278,529 frequencies: the sweep is.
             ("1.0", "3", "general-fft"),
-            ("0.5", "10", "step-cross"),
+            ("0.5", "13", "step-cross"),
         ]
         for alpha, order, route in cases:
             out = str(tmp_path / f"w{order}.json")

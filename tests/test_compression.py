@@ -1,11 +1,16 @@
 """Weight computation: reference route, fast routes, serialisation."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import latcompress
 from latcompress import compression, index_sets
 from latcompress.compression import (
     Dataset,
@@ -22,6 +27,7 @@ from latcompress.compression import (
 )
 from latcompress.index_sets import CapExceeded, IndexSet
 from latcompress.lattice import LatticeRule, ProductWeights, generate_points
+from latcompress.model import TrigModel, eval_model
 from test_index_sets import _step_cross_shapes
 
 
@@ -324,16 +330,157 @@ class TestFastAgainstNaive:
             )
 
 
+def _sparse_support(seed: int, d: int, m: int) -> np.ndarray:
+    """Distinct random rows in a box, in random order: a support that is
+    neither downward closed nor sorted."""
+    rng = np.random.default_rng(seed)
+    rows = np.unique(rng.integers(-4, 5, size=(m, d)), axis=0)
+    return rows[rng.permutation(len(rows))]
+
+
+SPLIT_CASES = [
+    (1, _sparse_support(40, 1, 6)),
+    (2, _sparse_support(41, 2, 30)),
+    (3, _sparse_support(42, 3, 40)),
+    (4, _sparse_support(43, 4, 40)),
+    (5, _sparse_support(44, 5, 40)),
+    (3, IndexSet.step_cross(1.0, (1.0, 0.5, 0.25), 4).frequencies),
+    (4, IndexSet.cross(1.0, (1.0, 0.5, 0.5, 0.25), 8.0).frequencies),
+]
+
+
+class TestSplit:
+    """The head/tail split against sums that share none of its code."""
+
+    @pytest.mark.parametrize("d, freq", SPLIT_CASES)
+    def test_every_split_matches_direct_sums(self, d, freq) -> None:
+        data = _dataset(45 + d, 37, d)
+        rng = np.random.default_rng(46 + d)
+        theta = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
+            len(freq)
+        )
+        ph = np.exp(2j * np.pi * (data.X @ freq.T))
+        cvecs = [np.ones(data.N), data.Y]
+        for h in range(1, d + 1):
+            plan = compression._split_plan(freq, h)
+            assert plan.heads.shape[1] == h
+            assert sum(len(b[5]) for b in plan.buckets) == len(freq)
+            for got, c in zip(
+                compression._split_adjoint(data.X, plan, cvecs, 1), cvecs
+            ):
+                assert _gap(got, c @ ph) < 1e-12
+            got = compression._split_forward(data.X, plan, theta)
+            assert _gap(got, ph @ theta) < 1e-12
+
+    @pytest.mark.parametrize("d, freq", SPLIT_CASES[:5])
+    def test_public_entries_match_triple_loop(self, d, freq) -> None:
+        # eval_model and weights_general_fft on unsorted, sparse rows
+        # against their definitions summed term by term.
+        data = _dataset(47 + d, 5, d)
+        rule = LatticeRule(7, (1, 3, 2, 5, 4)[:d])
+        nodes = generate_points(rule)
+        rng = np.random.default_rng(48 + d)
+        theta = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
+            len(freq)
+        )
+        model = TrigModel(freq, theta)
+        ref = np.zeros(data.N, dtype=np.complex128)
+        for n, x in enumerate(data.X):
+            for k, t in zip(freq, theta):
+                ref[n] += t * np.exp(2j * np.pi * sum(
+                    kj * xj for kj, xj in zip(k, x)))
+        assert _gap(eval_model(model, data.X), ref) < 1e-12
+        spec = IndexSet.custom(freq, 1.0, (1.0,) * d)
+        ref = np.zeros(rule.L, dtype=np.complex128)
+        for ell, z in enumerate(nodes):
+            for x, y in zip(data.X, data.Y):
+                for k in freq:
+                    ref[ell] += y * np.exp(2j * np.pi * sum(
+                        kj * (xj - zj) for kj, xj, zj in zip(k, x, z)))
+        got = weights_general_fft(data, "responses", rule, spec)
+        assert _gap(got, ref / data.N) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            IndexSet.cross(1.0, (1.0, 0.5, 0.3), 40.0),
+            IndexSet.cross(2.0, (1.0,) * 4, 2000.0),
+            IndexSet.rectangle(1.0, (1.0, 0.5, 0.2), 30.0),
+            IndexSet.step_cross(0.7, (1.0, 0.5, 0.25), 5),
+            IndexSet.step_cross(1.0, (1.0,) * 5, 4),
+        ],
+    )
+    def test_run_table_sizes_match_rows(self, spec) -> None:
+        # A named family is priced from its run tables; at every split
+        # point the sizes equal those of the plan of its rows.
+        for h in range(1, spec.d + 1):
+            plan = compression._split_plan(spec.frequencies, h)
+            assert compression._family_sizes(spec._runs, h) == (
+                plan.heads.size + plan.tails.size, plan.work
+            )
+
+    def test_empty_custom_set(self) -> None:
+        data = _dataset(49, 10, 2)
+        spec = IndexSet.custom(np.zeros((0, 2), dtype=np.int64), 1.0,
+                               (1.0, 1.0))
+        ws = compress(data, LatticeRule(7, (1, 3)), spec)
+        assert ws.algorithm == "general-fft"
+        np.testing.assert_array_equal(ws.w_xz, np.zeros(7))
+
+    def test_hot_paths_import_no_module(self) -> None:
+        # numpy imports some of its modules on first use (numpy.ma from a
+        # plain np.unique, numpy.fft); none may load on a hot path.
+        src = os.path.dirname(os.path.dirname(latcompress.__file__))
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            rng = np.random.default_rng(0)
+            X, Y = rng.random((300, 3)), rng.standard_normal(300)
+            import latcompress as lc
+            before = set(sys.modules)
+            data = lc.Dataset(X, Y)
+            rule = lc.LatticeRule(31, (1, 12, 7))
+            g = lc.ProductWeights.ones(3)
+            freq = np.array([[0, 0, 0], [1, -2, 0], [-1, 2, 0], [3, 0, 1]])
+            for spec in (
+                lc.IndexSet.step_cross(1.0, g, 4, materialize=False),
+                lc.IndexSet.step_cross(0.5, g, 12, materialize=False),
+                lc.IndexSet.cross(1.0, g, 30.0, materialize=False),
+                lc.IndexSet.custom(freq, 1.0, g),
+            ):
+                lc.compress(data, rule, spec, algorithm="auto")
+            model = lc.TrigModel(freq, [1.0, 0.5, 0.5, 0.25])
+            lc.eval_model(model, X)
+            lc.exact_loss(model, data)
+            print(sorted(set(sys.modules) - before))
+        """)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]", out.stdout
+
+
 class TestThreads:
-    def test_general_fft_bitwise(self) -> None:
-        # Many frequencies force a small block size, so several blocks
-        # really run; the combine order must not depend on the pool.
+    def test_general_fft_bitwise(self, monkeypatch) -> None:
+        # Several blocks really run, each with its own matrix products;
+        # neither the combine order nor BLAS may depend on the pool.
         rng = np.random.default_rng(15)
         freq = np.unique(rng.integers(-40, 41, size=(6000, 2)), axis=0)
         spec = IndexSet.custom(freq, 1.0, (1.0, 1.0))
         data = _dataset(16, 2500, 2)
         rule = LatticeRule(31, (1, 12))
+        blocks = []
+        sum_blocks = compression._sum_blocks
+
+        def recorded(n_rows, block, fn, threads):
+            blocks.append(-(-n_rows // block))
+            return sum_blocks(n_rows, block, fn, threads)
+
+        monkeypatch.setattr(compression, "_sum_blocks", recorded)
         a = weights_general_fft(data, "responses", rule, spec, threads=1)
+        assert blocks == [2]
         for threads in (2, 4):
             b = weights_general_fft(
                 data, "responses", rule, spec, threads=threads
@@ -346,7 +493,7 @@ class TestThreads:
         # the end would grow the peak by about 2 |K| 16 bytes per block.
         monkeypatch.setattr(compression, "_FFT_BLOCK", 1 << 14)
         spec = IndexSet.cross(1.0, (1.0, 1.0), 3000.0)
-        assert spec.count == 1125  # 14 rows a block
+        assert spec.count == 1125  # 109 heads and tails: 75 rows a block
         rule = LatticeRule(61, (1, 25))
         for threads in (1, 2):
             peaks = []
@@ -358,7 +505,8 @@ class TestThreads:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            # 200 more blocks would add about 7 MB of partials.
+            # 37 more blocks would add about 1.5 MB of partials (1,277
+            # cells of the split per vector).
             assert peaks[1] - peaks[0] < 1 << 20, peaks
 
     def test_rectangle_bitwise(self) -> None:
@@ -458,17 +606,18 @@ class TestLatticeData:
 class TestCompress:
     def test_auto_routes(self) -> None:
         # One case on each side of the cost model for each kernel family:
-        # general-FFT costs about |K| per sample, a kernel route about L
-        # times its array passes, so at L = 13 a handful of frequencies
-        # favours general-FFT and thousands favour the kernel route.
+        # general-FFT costs about |K| multiply-adds and the coordinates of
+        # its split's phases per sample, a kernel route about L times its
+        # array passes and kernels, so at L = 13 a handful of frequencies
+        # favours general-FFT and tens of thousands the kernel route.
         data = _dataset(21, 30, 2)
         rule = LatticeRule(13, (1, 5))
         cases = [
             (IndexSet.cross(1.0, (1.0, 1.0), 10.0), "general-fft"),
             (IndexSet.rectangle(1.0, (1.0, 1.0), 3.0), "general-fft"),
-            (IndexSet.rectangle(1.0, (1.0, 1.0), 400.0), "rectangle"),
+            (IndexSet.rectangle(1.0, (1.0, 1.0), 10000.0), "rectangle"),
             (IndexSet.step_cross(2.0, (1.0, 1.0), 3), "general-fft"),
-            (IndexSet.step_cross(0.5, (1.0, 1.0), 8), "step-cross"),
+            (IndexSet.step_cross(0.5, (1.0, 1.0), 12), "step-cross"),
         ]
         for spec, expected in cases:
             costs = choose_route(data.N, rule, spec)["costs"]
@@ -549,23 +698,43 @@ class TestChooseRoute:
         assert all(c > 0.0 for c in plan["costs"].values())
 
     def test_linear_in_samples(self) -> None:
-        # A subsample takes the route the full data takes.
+        # A subsample takes the route the full data takes: every price is
+        # a per-sample cost times N, lazy sets included.
         rule = LatticeRule(127, (1, 35, 57))
-        spec = IndexSet.step_cross(1.0, (1.0, 1.0, 1.0), 6)
-        small = choose_route(200, rule, spec)
-        large = choose_route(20000, rule, spec)
-        assert small["route"] == large["route"]
-        for route, cost in small["costs"].items():
-            assert large["costs"][route] == pytest.approx(100.0 * cost)
+        gamma = (1.0, 1.0, 1.0)
+        for spec in (
+            IndexSet.step_cross(1.0, gamma, 6),
+            IndexSet.step_cross(1.0, gamma, 6, materialize=False),
+            IndexSet.cross(1.0, gamma, 40.0, materialize=False),
+            IndexSet.rectangle(1.0, gamma, 30.0, materialize=False),
+        ):
+            small = choose_route(200, rule, spec)
+            large = choose_route(20000, rule, spec)
+            assert small["route"] == large["route"]
+            for route, cost in small["costs"].items():
+                assert large["costs"][route] == pytest.approx(100.0 * cost)
 
-    def test_lazy_set_pays_enumeration(self) -> None:
-        rule = LatticeRule(31, (1, 12))
-        lazy = IndexSet.step_cross(1.0, (1.0, 1.0), 5, materialize=False)
-        full = lazy.materialized()
-        lazy_cost = choose_route(50, rule, lazy)["costs"]
-        full_cost = choose_route(50, rule, full)["costs"]
-        assert lazy_cost["general-fft"] > full_cost["general-fft"]
-        assert lazy_cost["step-cross"] == full_cost["step-cross"]
+    def test_lazy_and_materialised_price_alike(self) -> None:
+        # Both are sized from the family's run tables, never from rows.
+        rule = LatticeRule(31, (1, 12, 7))
+        gamma = (1.0, 0.5, 0.25)
+        for lazy in (
+            IndexSet.step_cross(1.0, gamma, 5, materialize=False),
+            IndexSet.cross(1.0, gamma, 30.0, materialize=False),
+            IndexSet.rectangle(1.0, gamma, 20.0, materialize=False),
+        ):
+            full = lazy.materialized()
+            assert choose_route(50, rule, lazy) == choose_route(50, rule, full)
+
+    def test_large_step_cross_keeps_the_kernel_route(self) -> None:
+        # d = 8, m = 6: |K| far above L, where the kernel sweep beats the
+        # split's |K| multiply-adds per sample.
+        rule = LatticeRule(127, (1, 35, 57, 19, 44, 101, 7, 88))
+        spec = IndexSet.step_cross(1.0, ProductWeights.ones(8), 6,
+                                   materialize=False)
+        plan = choose_route(5000, rule, spec)
+        assert spec.cardinality() == 768_609
+        assert plan["route"] == "step-cross"
 
     def test_cap_removes_general_fft(self) -> None:
         rule = LatticeRule(31, (1, 12))
