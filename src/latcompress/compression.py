@@ -37,7 +37,7 @@ import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -196,10 +196,16 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
 
 
 # Head and tail phases general-FFT and eval_model build per block of
-# samples (4 MiB, which keeps a block in a core's cache), and the
-# elements of each phase block of the naive route.
+# samples (4 MiB, which keeps a block in a core's cache), the elements
+# of each phase block of the naive route, and the most samples in a
+# block of the kernel route.  The last is fixed, never derived from the
+# thread count, so the blocks and hence the bits of the output are the
+# same for any thread count; at 2,048 rows a 10,000-sample run has five
+# blocks for a pool to share, and one thread runs as fast as with one
+# block (1.9 s either way for a d = 6 step cross at L = 127).
 _FFT_BLOCK = 1 << 18
 _NAIVE_BLOCK = 1 << 20
+_SWEEP_ROWS = 2048
 
 
 def _sum_blocks(n_rows: int, block: int, fn, threads: int) -> list:
@@ -489,6 +495,19 @@ def _split_forward(
     return out
 
 
+def _residues(freq: np.ndarray, rule: LatticeRule) -> np.ndarray:
+    """``k . g mod L`` for every row k of ``freq``."""
+    return (freq @ np.asarray(rule.g, dtype=np.int64)) % rule.L
+
+
+def _residue_fft(residues: np.ndarray, coef: np.ndarray, L: int) -> np.ndarray:
+    """``sum_k coef_k exp(2 pi i r_k l / L)`` for l = 0, ..., L - 1: the
+    coefficients bucketed by residue, then one length-L inverse FFT."""
+    b_re = np.bincount(residues, weights=coef.real, minlength=L)
+    b_im = np.bincount(residues, weights=coef.imag, minlength=L)
+    return L * np.fft.ifft(b_re + 1j * b_im)
+
+
 def _lattice_fft(
     freq: np.ndarray, coef: np.ndarray, rule: LatticeRule
 ) -> np.ndarray:
@@ -498,10 +517,7 @@ def _lattice_fft(
     one-dimensional frequency along the lattice, so they are bucketed
     first and one length-L inverse FFT finishes; cost O(d |K| + L log L).
     """
-    residues = (freq @ np.asarray(rule.g, dtype=np.int64)) % rule.L
-    b_re = np.bincount(residues, weights=coef.real, minlength=rule.L)
-    b_im = np.bincount(residues, weights=coef.imag, minlength=rule.L)
-    return rule.L * np.fft.ifft(b_re + 1j * b_im)
+    return _residue_fft(_residues(freq, rule), coef, rule.L)
 
 
 # The weight routes: (data, rule, index_set, cvecs, threads, cap) in, one
@@ -682,7 +698,7 @@ def _sweep_route(
     """
     plan = _sweep_plan(index_set)
     nodes = generate_points(rule)
-    block = max(1, (1 << 28) // (8 * rule.L * plan.held))
+    block = max(1, min(_SWEEP_ROWS, (1 << 28) // (8 * rule.L * plan.held)))
 
     def one(s: int, e: int) -> list[np.ndarray]:
         acc = [None]
@@ -929,7 +945,7 @@ def weights_lattice_data(
             raise ValueError(
                 "dataset points are not the nodes of the stated data rule"
             )
-    kh = (freq @ np.asarray(data_rule.g, dtype=np.int64)) % N
+    kh = _residues(freq, data_rule)
     if responses is None:
         phihat = (kh == 0).astype(np.complex128)
     else:
@@ -961,10 +977,12 @@ class WeightSet:
     rule: LatticeRule
     index_set: IndexSet
     algorithm: str
+    _spectra: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.w_xz = np.asarray(self.w_xz)
-        self.w_xyz = np.asarray(self.w_xyz)
+        # Own copies, so that no caller's array is frozen by _node_spectra.
+        self.w_xz = np.array(self.w_xz)
+        self.w_xyz = np.array(self.w_xyz)
         for name, arr in (("w_xz", self.w_xz), ("w_xyz", self.w_xyz)):
             if arr.shape != (self.rule.L,):
                 raise ValueError(
@@ -985,6 +1003,29 @@ class WeightSet:
         return (
             self.w_xz.dtype == np.float64 and self.w_xyz.dtype == np.float64
         )
+
+    def _node_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """``S[m] = sum_l w_l exp(2 pi i m l / L)``, m = 0, ..., L - 1, of
+        the real vectors ``w_xz`` and ``w_xyz``: one rfft each on the
+        first call, cached after.
+
+        The vectors are made read-only then, so a cached spectrum cannot
+        go stale; a vector later assigned to the attribute is told apart
+        by its identity.
+        """
+        c = self._spectra
+        if c is None or c[0] is not self.w_xz or c[1] is not self.w_xyz:
+            spectra = []
+            for w in (self.w_xz, self.w_xyz):
+                w.flags.writeable = False
+                R = np.fft.rfft(w)
+                S = np.empty(len(w), dtype=np.complex128)
+                # S[m] = conj(R[m]), and S[L - m] = R[m] for a real w
+                S[: len(R)] = R.conj()
+                S[len(R):] = R[len(w) - len(R):0:-1]
+                spectra.append(S)
+            c = self._spectra = (self.w_xz, self.w_xyz, *spectra)
+        return c[2], c[3]
 
     def to_json(self) -> dict:
         if not self.is_real:
@@ -1069,7 +1110,7 @@ class WeightSet:
                 if len(body) != 2 * 8 * L:
                     raise ValueError(f"{data_path}: truncated payload")
             both = np.frombuffer(body, dtype="<f8").astype(np.float64)
-            w1, w2 = both[:L].copy(), both[L:].copy()
+            w1, w2 = both[:L], both[L:]
         else:
             raise ValueError(f"unknown weight encoding {enc!r}")
         return cls(

@@ -9,24 +9,35 @@ dataset splits into a quadratic term, a cross term and a constant,
           + \frac{1}{N}\sum_n y_n^2,
 
 and the compressed counterpart replaces the first two sums by weighted
-sums of ``f^2`` and ``f`` over the lattice nodes.  Evaluating the model
-on all nodes costs one FFT after bucketing coefficients by the residue
-of ``k . g`` modulo ``L``.
+sums of ``f^2`` and ``f`` over the lattice nodes.  A model's values on
+the nodes depend on its coefficients only through their sums ``b_r``
+over each residue ``r = k . g`` modulo ``L``.  By the circular
+convolution theorem the two weighted sums are then
+``sum_{r,s} b_r b_s S_xz[r + s]`` and ``sum_r b_r S_xyz[r]`` (indices
+modulo L), where ``S[m] = sum_l w_l exp(2 pi i m l / L)`` is taken once
+per :class:`WeightSet` by one real FFT of each weight vector.  So a loss
+needs no pass over the nodes when the residues are few: its cost is
+O(M) to bucket M coefficients plus the smaller of a quadratic form over
+the occupied residues and the node values from one length-L inverse
+FFT.  A model caches what
+depends on its support alone (the residues, the split plan of
+:func:`eval_model`) and the quadratic form of the last weights it met.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .compression import (
     Dataset,
     WeightSet,
-    _lattice_fft,
+    _residue_fft,
+    _residues,
     _split_forward,
     _split_rows,
 )
@@ -64,10 +75,15 @@ class TrigModel:
 
     frequencies: np.ndarray
     theta: np.ndarray
+    _cache: Optional["_SupportCache"] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        freq = np.asarray(self.frequencies, dtype=np.int64)
-        theta = np.asarray(self.theta, dtype=np.complex128)
+        # Own read-only copies: the support cache is checked by the
+        # identity of this array, and a caller's array stays writable.
+        freq = np.array(self.frequencies, dtype=np.int64)
+        theta = np.array(self.theta, dtype=np.complex128)
         if freq.ndim != 2:
             raise ValueError(f"frequencies must be 2-d, got {freq.shape}")
         if theta.shape != (freq.shape[0],):
@@ -158,6 +174,66 @@ class TrigModel:
             return cls.from_json(json.load(fh))
 
 
+class _Classes(NamedTuple):
+    """A support's residues on one rule, grouped into classes.
+
+    ``residues`` holds ``k . g mod L`` per row, and ``classes`` the sorted
+    residues occupied together with their negations modulo L, so the
+    classes are closed under negation.  ``row`` is the position of each
+    row's residue among the classes and ``neg`` that of each class's
+    negation.
+    """
+
+    rule: LatticeRule
+    residues: np.ndarray
+    classes: np.ndarray
+    row: np.ndarray
+    neg: np.ndarray
+
+
+class _SupportCache:
+    """What the evaluations of one model reuse, all derived from its
+    frequency array ``freq``: the split plan of :func:`eval_model`, the
+    residue classes on the last rule, and the quadratic form over those
+    classes of the last weights (``(S_xz, classes, H, S_xyz[classes])``,
+    keyed by the identity of the first two, which it keeps alive)."""
+
+    __slots__ = ("freq", "plan", "classes", "form")
+
+    def __init__(self, freq: np.ndarray) -> None:
+        self.freq = freq
+        self.plan = self.classes = self.form = None
+
+
+def _support(model: TrigModel) -> _SupportCache:
+    """The model's cache, rebuilt when its frequency array is not the one
+    the cache was built from (the model's own read-only copy, so an
+    identity check suffices)."""
+    c = model._cache
+    if c is None or c.freq is not model.frequencies:
+        c = model._cache = _SupportCache(model.frequencies)
+    return c
+
+
+def _classes(model: TrigModel, rule: LatticeRule) -> _Classes:
+    """The residue classes of the model's support on ``rule``, cached for
+    the last rule; O(M d + L) to build, without a sort."""
+    c = _support(model)
+    k = c.classes
+    if k is None or k.rule != rule:
+        L = rule.L
+        residues = _residues(c.freq, rule)
+        occupied = np.zeros(L, dtype=bool)
+        occupied[residues] = True
+        occupied[-residues % L] = True
+        classes = np.flatnonzero(occupied)
+        slot = np.cumsum(occupied) - 1
+        k = c.classes = _Classes(
+            rule, residues, classes, slot[residues], slot[-classes % L]
+        )
+    return k
+
+
 def eval_model(model: TrigModel, x) -> np.ndarray:
     """Evaluate the model at one point or a batch of points.
 
@@ -169,7 +245,7 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
     against its head phases.  So ``rows * (|heads| + |tails|)`` phases
     are built, per coordinate from its distinct frequency values, and the
     ``rows * M`` multiply-adds run as matrix products.  Rows need not be
-    sorted.
+    sorted.  The plan is made on the first call and kept on the model.
 
     Args:
         model: model to evaluate.
@@ -185,7 +261,10 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
         raise ValueError(
             f"points have {pts.shape[1]} coordinates, model has {model.d}"
         )
-    out = _split_forward(pts, _split_rows(model.frequencies), model.theta)
+    c = _support(model)
+    if c.plan is None:
+        c.plan = _split_rows(c.freq)
+    out = _split_forward(pts, c.plan, model.theta)
     if scalar:
         return complex(out[0])
     return out
@@ -196,11 +275,12 @@ def eval_model_on_lattice(model: TrigModel, rule: LatticeRule) -> np.ndarray:
 
     Coefficients sharing a residue ``k . g mod L`` alias to the same
     one-dimensional frequency along the lattice, so they are bucketed
-    first; cost O(d M + L log L) against O(L M d) for direct evaluation.
+    first; cost O(M + L log L) against O(L M d) for direct evaluation,
+    with the residues (O(d M)) cached on the model for the last rule.
     """
     if rule.d != model.d:
         raise ValueError(f"rule has d={rule.d}, model has d={model.d}")
-    return _lattice_fft(model.frequencies, model.theta, rule)
+    return _residue_fft(_classes(model, rule).residues, model.theta, rule.L)
 
 
 def regularizer(
@@ -347,8 +427,10 @@ def compressed_loss(
 ) -> LossReport:
     """Loss approximation from the compressed weights alone.
 
-    Cost O(L) beyond the node evaluation of the model; never touches
-    the original samples.
+    Cost O(M + min(|U|^2, L log L)) per call for a model of M
+    coefficients whose residues occupy the classes U, after one
+    O(L log L) spectrum per :class:`WeightSet` and O(d M + L) per model
+    and rule, both cached; it never touches the original samples.
 
     Args:
         model: model under evaluation; must be real on the nodes.
@@ -365,18 +447,80 @@ def compressed_loss(
             "compressed loss needs real weight vectors; rebuild with a "
             "symmetric index set"
         )
-    f = eval_model_on_lattice(model, weights.rule)
-    if float(np.max(np.abs(f.imag))) > _IMAG_TOL:
-        raise ValueError(
-            "model is not real-valued on the lattice nodes; the "
-            "compressed quadratic term is only defined for real models"
-        )
-    fr = f.real
-    L = weights.rule.L
+    quad, crs = _data_terms(model, weights)
     pen = regularizer(reg, model.theta, tikhonov=tikhonov, mix=mix)
+    return LossReport.assemble(quad, crs, weights.mean_y2, pen, float(lam))
+
+
+# Cells |U|^2 up to which the compressed loss sums the quadratic form
+# over the classes U rather than the node values of a length-L FFT.  A
+# call on the form costs about 20 us plus 0.9 ns a cell, one on the
+# nodes 40-80 us at L <= 1024 and 0.55-1.2 ms at L = 4099, 8191 and
+# 16384 (one thread); at 2^16 cells (|U| = 256) the form took 52-61 us
+# against 55-81 us at L = 509 and 1024.  H then holds at most 1 MiB.
+_FORM_CELLS = 1 << 16
+
+
+def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
+    """The quadratic and cross terms of the compressed loss.
+
+    Let ``b`` be the coefficients summed per residue class and ``h_r =
+    (b_r - conj b_{-r}) / 2``.  At node l the model's imaginary part is
+    ``-i sum_r h_r exp(2 pi i r l / L)``, so its largest modulus over the
+    nodes lies between ``sqrt(sum |h|^2)`` (Parseval) and ``sum |h|``.  When the second is at
+    most the realness tolerance, the real part of the model has the
+    coefficients ``b - h`` and both terms are sums over the classes; when
+    the first exceeds it the model is not real.  Otherwise, and when the
+    classes are too many for the quadratic form, the model is evaluated
+    on the nodes.
+    """
+    L = weights.rule.L
+    k = _classes(model, weights.rule)
+    theta = model.theta
+    n = len(k.classes)
+    if n * n <= _FORM_CELLS:
+        b = np.bincount(k.row, weights=theta.real, minlength=n) + 1j * (
+            np.bincount(k.row, weights=theta.imag, minlength=n)
+        )
+        h = 0.5 * (b - b[k.neg].conj())
+        size = np.abs(h)
+        if float(size.sum()) <= _IMAG_TOL:
+            H, s_xyz = _form(model, k, weights)
+            b -= h
+            quad = float((b @ (H @ b)).real / L)
+            crs = float((b @ s_xyz).real / L)
+            return quad, crs
+        if math.sqrt(float(size @ size)) > _IMAG_TOL:
+            raise _not_real()
+    f = _residue_fft(k.residues, theta, L)
+    if float(np.max(np.abs(f.imag))) > _IMAG_TOL:
+        raise _not_real()
+    fr = f.real
     quad = float((fr * fr) @ weights.w_xz / L)
     crs = float(fr @ weights.w_xyz / L)
-    return LossReport.assemble(quad, crs, weights.mean_y2, pen, float(lam))
+    return quad, crs
+
+
+def _form(
+    model: TrigModel, k: _Classes, weights: WeightSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """``H[i, j] = S_xz[u_i + u_j]`` and ``S_xyz[u_i]`` over the classes u,
+    kept on the model for the last weights."""
+    s_xz, s_xyz = weights._node_spectra()
+    c = _support(model)
+    form = c.form
+    if form is None or form[0] is not s_xz or form[1] is not k:
+        u = k.classes
+        H = s_xz[np.add.outer(u, u) % weights.rule.L]
+        form = c.form = (s_xz, k, H, s_xyz[u])
+    return form[2], form[3]
+
+
+def _not_real() -> ValueError:
+    return ValueError(
+        "model is not real-valued on the lattice nodes; the "
+        "compressed quadratic term is only defined for real models"
+    )
 
 
 def _dense_square(
@@ -486,6 +630,6 @@ def lattice_alias_offenders(
     their support and squared support occupy.
     """
     freq = np.asarray(frequencies, dtype=np.int64)
-    residues = (freq @ np.asarray(rule.g, dtype=np.int64)) % rule.L
+    residues = _residues(freq, rule)
     nonzero = np.any(freq != 0, axis=1)
     return freq[(residues == 0) & nonzero]

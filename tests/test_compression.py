@@ -445,13 +445,16 @@ class TestSplit:
             for spec in (
                 lc.IndexSet.step_cross(1.0, g, 4, materialize=False),
                 lc.IndexSet.step_cross(0.5, g, 12, materialize=False),
-                lc.IndexSet.cross(1.0, g, 30.0, materialize=False),
                 lc.IndexSet.custom(freq, 1.0, g),
+                lc.IndexSet.cross(1.0, g, 30.0, materialize=False),
             ):
-                lc.compress(data, rule, spec, algorithm="auto")
+                ws = lc.compress(data, rule, spec, algorithm="auto")
             model = lc.TrigModel(freq, [1.0, 0.5, 0.5, 0.25])
             lc.eval_model(model, X)
             lc.exact_loss(model, data)
+            real = lc.TrigModel(freq[:3], [1.0, 0.5, 0.5])
+            lc.compressed_loss(real, ws, lam=0.1, reg="elastic", mix=0.5)
+            lc.eval_model_on_lattice(real, rule)
             print(sorted(set(sys.modules) - before))
         """)
         env = dict(os.environ, PYTHONPATH=src)
@@ -522,7 +525,10 @@ class TestThreads:
 
     def test_compress_bitwise(self, monkeypatch) -> None:
         # Both routes must split the samples into blocks, so that the
-        # fixed order of the block sums is what keeps the bits.
+        # fixed order of the block sums is what keeps the bits.  The last
+        # case has stepcross-6d's size (N = 10,000, d = 6, L = 127) at
+        # order 1: its memory budget alone would allow 37,744 rows a
+        # block, so only the fixed row cap splits it.
         data = _dataset(18, 3000, 2)
         spec = IndexSet.step_cross(0.5, (1.0, 0.5), 9)
         blocks = []
@@ -533,9 +539,15 @@ class TestThreads:
             return sum_blocks(n_rows, block, fn, threads)
 
         monkeypatch.setattr(compression, "_sum_blocks", recorded)
-        for algorithm, rule in (
-            ("general-fft", LatticeRule(61, (1, 25))),
-            ("step-cross", LatticeRule(509, (1, 208))),
+        for algorithm, rule, data, spec in (
+            ("general-fft", LatticeRule(61, (1, 25)), data, spec),
+            ("step-cross", LatticeRule(509, (1, 208)), data, spec),
+            (
+                "step-cross",
+                LatticeRule(127, (1, 19, 27, 40, 50, 61)),
+                _dataset(20, 10_000, 6),
+                IndexSet.step_cross(1.0, (1.0,) * 6, 1),
+            ),
         ):
             del blocks[:]
             a = compress(data, rule, spec, algorithm, threads=1)

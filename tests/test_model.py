@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latcompress.compression import Dataset, compress
+from latcompress.compression import Dataset, WeightSet, compress
 from latcompress.index_sets import CapExceeded, IndexSet
 from latcompress.lattice import LatticeRule, ProductWeights, generate_points
 from latcompress.model import (
@@ -131,6 +131,23 @@ class TestEvalModel:
             fast = eval_model_on_lattice(m, rule)
             scale = 1.0 + float(np.max(np.abs(direct)))
             assert float(np.max(np.abs(direct - fast))) / scale < 1e-12
+
+    def test_plan_made_once(self, monkeypatch) -> None:
+        from latcompress import model as model_mod
+
+        calls = []
+        split_rows = model_mod._split_rows
+
+        def counted(freq, runs=None):
+            calls.append(len(freq))
+            return split_rows(freq, runs)
+
+        monkeypatch.setattr(model_mod, "_split_rows", counted)
+        m = _random_model(9, 3, 4, 50)
+        pts = np.random.default_rng(10).random((30, 3))
+        first = eval_model(m, pts)
+        np.testing.assert_array_equal(eval_model(m, pts[:7]), first[:7])
+        assert calls == [m.size]
 
     def test_lattice_eval_dimension_check(self) -> None:
         m = _random_model(8, 2, 3, 10)
@@ -282,6 +299,210 @@ class TestCompressedLoss:
         m = TrigModel(np.array([[1, 0]]), np.array([1.0 + 0j]))
         with pytest.raises(ValueError, match="real-valued"):
             compressed_loss(m, ws)
+
+
+def _node_terms(model: TrigModel, ws) -> tuple[float, float]:
+    """The compressed loss's data terms by the node path: coefficients
+    bucketed by residue, one inverse FFT to the node values, then the
+    two weighted dot products; raises on a model not real on the nodes."""
+    L = ws.rule.L
+    r = (model.frequencies @ np.asarray(ws.rule.g)) % L
+    b = np.bincount(r, model.theta.real, L) + 1j * np.bincount(
+        r, model.theta.imag, L
+    )
+    f = L * np.fft.ifft(b)
+    if float(np.max(np.abs(f.imag))) > 1e-9:
+        raise ValueError("not real-valued")
+    fr = f.real
+    return float((fr * fr) @ ws.w_xz / L), float(fr @ ws.w_xyz / L)
+
+
+def _real_model(seed: int, d: int, reach: int, m: int) -> TrigModel:
+    """A random support closed under negation, theta_{-k} = conj theta_k."""
+    rng = np.random.default_rng(seed)
+    half = rng.integers(-reach, reach + 1, size=(m, d))
+    rows = sorted({tuple(r) for r in half} | {tuple(-r) for r in half})
+    index = {row: i for i, row in enumerate(rows)}
+    neg = [index[tuple(-v for v in row)] for row in rows]
+    z = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    return TrigModel(np.array(rows), 0.5 * (z + z[neg].conj()))
+
+
+def _weights(seed: int, rule: LatticeRule):
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.random((200, rule.d)), rng.standard_normal(200))
+    spec = IndexSet.cross(1.0, (1.0,) * rule.d, 40.0)
+    return compress(data, rule, spec)
+
+
+def _assert_node_terms(report: LossReport, model: TrigModel, ws) -> None:
+    quad, crs = _node_terms(model, ws)
+    scale = abs(quad) + abs(crs)
+    assert abs(report.quadratic - quad) <= 1e-12 * scale
+    assert abs(report.cross - crs) <= 1e-12 * scale
+
+
+class TestFrequencyDomainLoss:
+    @pytest.mark.parametrize(
+        "L, g, reach, m, form",
+        [
+            (61, (1, 25), 9, 80, True),  # prime L, 161 rows on 61 residues
+            (64, (1, 27), 9, 80, True),  # composite L
+            (1021, (1, 408), 40, 400, False),  # |U| > 256: node path
+            (1024, (1, 411), 40, 400, False),
+        ],
+    )
+    def test_matches_node_oracle(self, L, g, reach, m, form) -> None:
+        rule = LatticeRule(L, g)
+        ws = _weights(L, rule)
+        model = _real_model(L + 1, 2, reach, m)
+        r = (model.frequencies @ np.asarray(g)) % L
+        assert len(set(r.tolist())) < model.size  # residues collide
+        report = compressed_loss(model, ws, lam=0.1, reg="ridge")
+        _assert_node_terms(report, model, ws)
+        assert (model._cache.form is not None) == form
+
+    def test_support_not_closed_under_negation(self) -> None:
+        # (1, 0) and (-26, 1) are not each other's negation, but their
+        # residues 1 and 60 are, modulo 61: real on the nodes.
+        rule = LatticeRule(61, (1, 25))
+        freq = np.array([[0, 0], [1, 0], [-26, 1]])
+        with pytest.raises(ValueError, match="negation"):
+            TrigModel.real_symmetric(freq, [0.5, 0.3 + 0.2j, 0.3 - 0.2j])
+        model = TrigModel(freq, [0.5, 0.3 + 0.2j, 0.3 - 0.2j])
+        ws = _weights(5, rule)
+        _assert_node_terms(compressed_loss(model, ws), model, ws)
+        assert model._cache.form is not None
+        # a lone residue whose negation no row occupies is not real
+        lone = TrigModel(freq[:2], [0.5, 0.3 + 0.2j])
+        with pytest.raises(ValueError, match="real-valued"):
+            compressed_loss(lone, ws)
+
+    @pytest.mark.parametrize("spread, raises", [(True, False), (False, True)])
+    def test_inconclusive_bound_takes_the_node_path(
+        self, spread, raises
+    ) -> None:
+        # 100 pairs, each off by 1.2e-11 from conjugate symmetry: sum |h|
+        # is 2.4e-9 and sqrt(sum |h|^2) 1.7e-10, so the nodes decide.
+        # Spread signs keep Im f below 1e-9; equal signs add up to 2.4e-9
+        # at the first node.
+        rule = LatticeRule(509, (1,))
+        ws = _weights(6, rule)
+        k = np.arange(1, 101)
+        freq = np.concatenate([[0], k, -k])[:, None]
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(100) * 0.01
+        eps = 1.2e-11 * (rng.choice([-1.0, 1.0], 100) if spread else 1.0)
+        theta = np.concatenate([[0.2], a + 1j * eps, a + 1j * eps])
+        model = TrigModel(freq, theta)
+        # h on the classes k and -k alike
+        h = np.abs(0.5 * (theta[1:101] - theta[101:].conj()))
+        h_l1, h_l2 = 2 * h.sum(), np.sqrt(2 * (h * h).sum())
+        assert h_l2 <= 1e-9 < h_l1
+        if raises:
+            with pytest.raises(ValueError, match="real-valued"):
+                _node_terms(model, ws)
+            with pytest.raises(ValueError, match="real-valued"):
+                compressed_loss(model, ws)
+        else:
+            report = compressed_loss(model, ws)
+            quad, crs = _node_terms(model, ws)
+            assert (report.quadratic, report.cross) == (quad, crs)
+        assert model._cache.form is None
+
+    @pytest.mark.parametrize(
+        "L, g, reach, m", [(61, (1, 25), 9, 80), (1021, (1, 408), 40, 400)]
+    )
+    def test_non_real_model_raises(self, L, g, reach, m, monkeypatch) -> None:
+        # by the 2-norm bound on 61 nodes, by the nodes on 1021
+        from latcompress import model as model_mod
+
+        ws = _weights(8, LatticeRule(L, g))
+        real = _real_model(9, 2, reach, m)
+        if L == 61:
+            def no_nodes(*args):
+                raise AssertionError("the bound should have decided")
+
+            monkeypatch.setattr(model_mod, "_residue_fft", no_nodes)
+        for model in (
+            TrigModel(real.frequencies, real.theta + 1e-6j),
+            TrigModel(np.array([[1, 0]]), np.array([1.0 + 0j])),
+        ):
+            with pytest.raises(ValueError, match="real-valued"):
+                _node_terms(model, ws)
+            with pytest.raises(ValueError, match="real-valued"):
+                compressed_loss(model, ws)
+
+    def test_tiny_model_uses_its_real_part(self) -> None:
+        # sum |h| = 4e-10 passes the bound, and the loss is that of the
+        # real part 4e-10 cos(2 pi k . x), as on the nodes
+        ws = _weights(24, LatticeRule(61, (1, 25)))
+        model = TrigModel(np.array([[1, 0]]), np.array([4e-10 + 0j]))
+        _assert_node_terms(compressed_loss(model, ws), model, ws)
+        assert model._cache.form is not None
+
+    def test_repeated_calls_bitwise(self) -> None:
+        rule = LatticeRule(61, (1, 25))
+        ws = _weights(10, rule)
+        model = _real_model(11, 2, 6, 30)
+        first = compressed_loss(model, ws, lam=0.1, reg="lasso")
+        again = compressed_loss(model, ws, lam=0.1, reg="lasso")
+        fresh = compressed_loss(
+            TrigModel(model.frequencies, model.theta), ws, lam=0.1,
+            reg="lasso",
+        )
+        assert first == again == fresh
+
+    def test_one_model_two_weight_sets(self) -> None:
+        rule = LatticeRule(61, (1, 25))
+        ws1, ws2 = _weights(12, rule), _weights(13, rule)
+        model = _real_model(14, 2, 6, 30)
+        a1 = compressed_loss(model, ws1)
+        a2 = compressed_loss(model, ws2)
+        assert a1.quadratic != a2.quadratic
+        _assert_node_terms(a1, model, ws1)
+        _assert_node_terms(a2, model, ws2)
+        assert compressed_loss(model, ws1) == a1
+
+    def test_equal_shapes_never_share_a_cache(self) -> None:
+        rule = LatticeRule(61, (1, 25))
+        ws = _weights(15, rule)
+        ks = np.array([(a, b) for a in range(1, 6) for b in range(-5, 6)])
+        lin = np.linspace(0.3, 0.01, 12)
+        theta = np.concatenate([[0.4], lin, lin])
+        models = []
+        for seed in (17, 18, 19):
+            half = np.random.default_rng(seed).permutation(ks)[:12]
+            freq = np.concatenate([[[0, 0]], half, -half])
+            models.append(TrigModel(freq, theta))
+        for m in models + models[::-1]:
+            _assert_node_terms(compressed_loss(m, ws), m, ws)
+        # a support of the same shape assigned over the model's own is
+        # told apart too
+        a, b = models[0], models[1]
+        ref = eval_model_on_lattice(b, rule)
+        a.frequencies = b.frequencies
+        _assert_node_terms(compressed_loss(a, ws), b, ws)
+        np.testing.assert_array_equal(eval_model_on_lattice(a, rule), ref)
+
+    def test_caller_arrays_stay_the_callers(self) -> None:
+        rule = LatticeRule(61, (1, 25))
+        ws = _weights(22, rule)
+        model = _real_model(23, 2, 6, 30)
+        freq, theta = model.frequencies.copy(), model.theta.copy()
+        mine = TrigModel(freq, theta)
+        before = compressed_loss(mine, ws)
+        freq[:] = freq[::-1] + 1
+        theta[:] = 7.0
+        assert compressed_loss(mine, ws) == before
+        w_xz = ws.w_xz.copy()
+        copy = WeightSet(
+            w_xz, ws.w_xyz, ws.mean_y2, ws.rule, ws.index_set, ws.algorithm
+        )
+        assert compressed_loss(mine, copy) == before
+        w_xz[:] = 0.0
+        assert compressed_loss(mine, copy) == before
+        assert not copy.w_xz.flags.writeable
 
 
 class TestModelSquared:
