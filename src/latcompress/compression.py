@@ -19,9 +19,11 @@ per coefficient vector out.  ``naive`` sums directly and is the
 reference; ``general-fft`` serves any set by sum factorisation over a
 head/tail split of the coordinates, one matrix product per bucket of
 heads (:func:`_split_plan`), the plan ``eval_model`` runs the other way
-round; ``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP over
-the set's run tables, grouping prefix products by accumulated cost, and
-never enumerate the set.  ``compress`` takes the route
+round.  Both sum only over the representatives ``r >=_lex 0`` of the
+rows (``r = k`` or ``-k``, :func:`_fold`), since the phases of r and -r
+are conjugates.  ``rectangle`` and ``step-cross`` run one
+Dirichlet-kernel DP over the set's run tables, grouping prefix products
+by accumulated cost, and never enumerate the set.  ``compress`` takes the route
 :func:`choose_route` predicts to be cheapest, pricing each route from
 the plan it runs.  The ``weights_*`` functions are one-vector entries
 into the table; :func:`weights_lattice_data` specialises to data on a
@@ -197,13 +199,15 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
 
 # Head and tail phases general-FFT and eval_model build per block of
 # samples (4 MiB, which keeps a block in a core's cache), the elements
-# of each phase block of the naive route, and the most samples in a
-# block of the kernel route.  The last is fixed, never derived from the
-# thread count, so the blocks and hence the bits of the output are the
-# same for any thread count; at 2,048 rows a 10,000-sample run has five
-# blocks for a pool to share, and one thread runs as fast as with one
-# block (1.9 s either way for a d = 6 step cross at L = 127).
+# of the temporaries that multiply gathered phase columns in (256 KiB),
+# the elements of each phase block of the naive route, and the most
+# samples in a block of the kernel route.  The last is fixed, never
+# derived from the thread count, so the blocks and hence the bits of the
+# output are the same for any thread count; at 2,048 rows a 10,000-sample
+# run has five blocks for a pool to share, and one thread runs as fast
+# as with one block (1.9 s either way for a d = 6 step cross at L = 127).
 _FFT_BLOCK = 1 << 18
+_GATHER = 1 << 14
 _NAIVE_BLOCK = 1 << 20
 _SWEEP_ROWS = 2048
 
@@ -247,11 +251,10 @@ def _sum_blocks(n_rows: int, block: int, fn, threads: int) -> list:
 def _phase_axes(freq: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per coordinate, the distinct values of the frequency column and
     the gather that maps them back onto the rows."""
-    axes = []
-    for j in range(freq.shape[1]):
-        u, inv = np.unique(freq[:, j], return_inverse=True)
-        axes.append((u.astype(np.float64), inv))
-    return axes
+    return [
+        np.unique(freq[:, j], return_inverse=True)
+        for j in range(freq.shape[1])
+    ]
 
 
 def _phase_matrix(X: np.ndarray, axes) -> np.ndarray:
@@ -259,25 +262,70 @@ def _phase_matrix(X: np.ndarray, axes) -> np.ndarray:
     column per frequency row described by :func:`_phase_axes`; rows of
     width 0 (no axes) are the single frequency whose phase is 1.
 
-    Built per coordinate from the distinct frequency values, so the
-    exponential count is ``rows * sum_j |unique(k_j)|`` rather than
-    ``rows * |K| * d``; the rest is gathers and elementwise products.
+    Built per coordinate from the distinct frequency values
+    (:func:`_unit_phases`), so the cosines and sines are at most ``rows *
+    sum_j |unique(k_j)|`` rather than ``rows * |K| * d``, and about
+    ``rows * sum_j 2 sqrt(span_j)`` on wide ranges; the rest is gathers
+    and elementwise products.
     """
     if not axes:
         return np.ones((X.shape[0], 1), dtype=np.complex128)
     (u, inv), *rest = axes
-    ph = _unit_phases(X[:, 0], u)[:, inv]
+    # a column of distinct values (a side of one coordinate) needs no
+    # gather: its phases are made in row order
+    if len(u) == len(inv):
+        ph = _unit_phases(X[:, 0], u[inv])
+    else:
+        ph = _unit_phases(X[:, 0], u)[:, inv]
     for j, (u, inv) in enumerate(rest, 1):
-        ph *= _unit_phases(X[:, j], u)[:, inv]
+        _times_columns(ph, _unit_phases(X[:, j], u), inv)
     return ph
 
 
+def _times_columns(out: np.ndarray, a: np.ndarray, cols: np.ndarray) -> None:
+    """``out *= a[:, cols]``, gathered a few columns at a time: no
+    temporary exceeds ``_GATHER`` elements."""
+    step = max(1, _GATHER // max(len(out), 1))
+    for s in range(0, len(cols), step):
+        out[:, s:s + step] *= a[:, cols[s:s + step]]
+
+
 def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``exp(2 pi i x u)`` for every pair of x and u: the angle in turns
-    is reduced by whole turns, then its cosine and sine are written into
-    one complex array, which is cheaper than a complex ``exp``."""
-    t = np.outer(x, u)
+    """``exp(2 pi i x u)`` for every x and every value of the distinct
+    integers u.
+
+    With ``B = ceil(sqrt(span))`` over the span of u, each value is
+    ``min(u) + B q + r`` with ``0 <= r < B``, and its phase is the giant
+    step's phase times the baby step's: one complex product per pair
+    from ``B + Q`` directly computed columns instead of ``|u|``, each
+    factor within an ulp or two, so the product is within a few ulp at
+    any |u|.  Taken only when it needs fewer columns than u has values.
+    """
+    # two factors take at least two columns, so up to two values (or
+    # none, for an empty set) are computed directly
+    low = int(u.min()) if len(u) > 2 else 0
+    span = int(u.max()) - low + 1 if len(u) > 2 else 1
+    step = math.isqrt(span - 1) + 1
+    giants = -(-span // step)
+    if step + giants >= len(u):
+        return _turn_phases(x, u)
+    q, r = np.divmod(u - low, step)
+    out = _turn_phases(x, low + step * np.arange(giants))[:, q]
+    _times_columns(out, _turn_phases(x, np.arange(step)), r)
+    return out
+
+
+def _turn_phases(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i x v)`` for every x and integer v, by a cosine and a
+    sine (cheaper than a complex ``exp``) of the angle reduced by whole
+    turns.  The reduction is exact: x splits as ``xh + xl`` with xh on a
+    grid of 2^-32, so ``xh v`` is exact for |v| < 2^21 and loses its
+    whole turns without rounding, and the small ``xl v`` is added
+    after."""
+    xh = np.round(x * 2.0**32) * 2.0**-32
+    t = np.outer(xh, v)
     t -= np.round(t)
+    t += np.outer(x - xh, v)
     t *= _TWO_PI
     out = np.empty(t.shape, dtype=np.complex128)
     np.cos(t, out=out.real)
@@ -287,17 +335,22 @@ def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``a`` in lexicographic order, and the index
-    of each row of ``a`` among them; one lexsort, where
-    ``np.unique(axis=0)`` would import ``numpy.ma`` on its first call.
-    Rows of width 0 are all one row."""
+    of each row of ``a`` among them; one lexsort, skipped when the rows
+    are in order already, where ``np.unique(axis=0)`` would import
+    ``numpy.ma`` on its first call.  Rows of width 0 are all one row."""
     if a.shape[1] == 0:
         return a[:1], np.zeros(len(a), dtype=np.intp)
-    order = np.lexsort(a.T[::-1])
-    srt = a[order]
+    order, srt = None, a
+    step = np.diff(a, axis=0)
+    if _below_zero(step).any():
+        order = np.lexsort(a.T[::-1])
+        srt = a[order]
+        step = np.diff(srt, axis=0)
     new = np.ones(len(a), dtype=bool)
-    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    inv = np.empty(len(a), dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
+    new[1:] = step.any(axis=1)
+    inv = np.cumsum(new) - 1
+    if order is not None:
+        inv[order] = inv.copy()
     return srt[new], inv
 
 
@@ -312,45 +365,113 @@ def _buckets(tails_per_head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.diff(b[order], prepend=-1))
 
 
-class _SplitPlan(NamedTuple):
-    """Sum factorisation of a frequency set over a head/tail split.
+class _Fold(NamedTuple):
+    """The rows of a frequency set K folded onto their representatives
+    ``r >=_lex 0``: each row k is r = k or r = -k, whichever has a
+    positive first nonzero coordinate (the zero row is its own).
+    ``reps`` holds the distinct representatives, the zero row first when
+    present (in lexicographic order when the rows were); ``rep[i]`` is the
+    representative of row i and ``flip[i]`` tells whether row i is
+    ``-reps[rep[i]]``.
+    """
 
-    Each row is ``k = (a, b)``: its first h coordinates (the head) and
-    the rest (the tail).  ``heads`` holds the distinct heads, ordered by
-    bucket, and ``tails`` the distinct tails.  Heads are bucketed by the
-    number of tails they pair with, in powers of two; ``buckets`` holds
-    per bucket ``(a0, a1, tb, ii, jj, rows)``: its heads are ``heads[a0:
-    a1]``, ``tb`` indexes the union of their tails (a full slice when
-    that is every tail), and row ``rows[r]`` of K is cell ``(ii[r],
-    jj[r])`` of the bucket's ``(a1 - a0) x |tb|`` block.  ``work`` is the
-    cells of all blocks, the multiply-adds per sample and vector.
+    reps: np.ndarray
+    rep: np.ndarray
+    flip: np.ndarray
+
+
+def _below_zero(rows: np.ndarray) -> np.ndarray:
+    """Whether each row is ``<_lex 0``: its first nonzero coordinate is
+    negative."""
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype=bool)
+    lead = (rows != 0).argmax(axis=1)
+    return rows[np.arange(len(rows)), lead] < 0
+
+
+def _fold(freq: np.ndarray) -> _Fold:
+    """Fold the rows of ``freq``, in any order and not necessarily closed
+    under negation, onto their representatives."""
+    flip = _below_zero(freq)
+    n, half = len(freq), len(freq) // 2
+    i = np.arange(n)
+    if np.array_equal(flip, i < half) and np.array_equal(freq, -freq[::-1]):
+        # row i is the negation of row n - 1 - i, the rows <_lex 0 first
+        # (so sorted rows closed under negation): the second half are the
+        # representatives, and no sort is needed
+        return _Fold(freq[half:], np.where(flip, n - 1 - i, i) - half, flip)
+    key = freq.copy()
+    np.negative(key, out=key, where=flip[:, None])
+    reps, rep = _distinct_rows(key)
+    return _Fold(reps, rep, flip)
+
+
+class _SplitPlan(NamedTuple):
+    """Sum factorisation of a folded frequency set over a head/tail split.
+
+    Each representative is ``r = (a, b)``: its first h coordinates (the
+    head) and the rest (the tail).  ``heads`` holds the distinct heads,
+    ordered by bucket, and ``tails`` the distinct tails.  Heads are
+    bucketed by the number of tails they pair with, in powers of two;
+    ``buckets`` holds per bucket ``(a0, a1, tb, ii, jj, rows)``: its
+    heads are ``heads[a0:a1]``, ``tb`` indexes the union of their tails
+    (a slice when they form a range), and representative
+    ``rows[r]`` is cell ``(ii[r], jj[r])`` of the bucket's ``(a1 - a0) x
+    |tb|`` block.  ``work`` is the cells of all blocks, the multiply-adds
+    per sample and vector, and ``fold`` maps the set's rows onto the
+    representatives.
     """
 
     heads: np.ndarray
     tails: np.ndarray
     buckets: tuple
     work: int
+    fold: _Fold
 
 
-def _split_plan(freq: np.ndarray, h: int) -> _SplitPlan:
-    """The split of the rows of ``freq`` after coordinate ``h``."""
+def _split_plan(fold: _Fold, h: int) -> _SplitPlan:
+    """The split of the representatives of ``fold`` after coordinate
+    ``h``."""
+    freq = fold.reps
     heads, head_of = _distinct_rows(freq[:, :h])
     tails, tail_of = _distinct_rows(freq[:, h:])
+    # Tails by sign, then by how many heads they pair with: the negative
+    # ones rising, the others falling.  In a set closed under negation,
+    # where a head takes the tails up to some cost and the zero head the
+    # nonnegative ones among them, each bucket's tails then form a range,
+    # and its phases a view rather than a copy.
+    uses = np.bincount(tail_of, minlength=len(tails))
+    below = _below_zero(tails)
+    seq = np.lexsort((np.where(below, uses, -uses), ~below))
+    rank = np.empty(len(tails), dtype=np.intp)
+    rank[seq] = np.arange(len(tails))
+    tails, tail_of = tails[seq], rank[tail_of]
     # Heads in bucket order, so a bucket is a slice of them.
     order, starts = _buckets(np.bincount(head_of, minlength=len(heads)))
     col = np.empty(len(heads), dtype=np.intp)
     col[order] = np.arange(len(heads))
-    buckets, work, a0 = [], 0, 0
     row_col = col[head_of]
-    for a1 in starts[1:].tolist() + [len(heads)]:
-        rows = np.flatnonzero((row_col >= a0) & (row_col < a1))
-        tb, jj = np.unique(tail_of[rows], return_inverse=True)
+    # One sort of the rows by bucket, then tail: each bucket is a slice,
+    # and its distinct tails are where the tail changes within it.
+    bucket = np.searchsorted(starts, row_col, side="right") - 1
+    by = np.argsort(bucket * len(tails) + tail_of, kind="stable")
+    t, b = tail_of[by], bucket[by]
+    new = np.ones(len(by), dtype=bool)
+    new[1:] = (t[1:] != t[:-1]) | (b[1:] != b[:-1])
+    slot = np.cumsum(new) - 1
+    ends = np.searchsorted(b, np.arange(1, len(starts) + 1)).tolist()
+    bounds = starts.tolist() + [len(heads)]
+    buckets, work, s = [], 0, 0
+    for a0, a1, e in zip(bounds, bounds[1:], ends):
+        rows = by[s:e]
+        tb = t[s:e][new[s:e]]
         work += (a1 - a0) * len(tb)
-        if len(tb) == len(tails):
-            tb = slice(None)
-        buckets.append((a0, a1, tb, row_col[rows] - a0, jj, rows))
-        a0 = a1
-    return _SplitPlan(heads[order], tails, tuple(buckets), work)
+        if len(tb) and tb[-1] - tb[0] == len(tb) - 1:
+            tb = slice(int(tb[0]), int(tb[-1]) + 1)
+        buckets.append((a0, a1, tb, row_col[rows] - a0, slot[s:e] - slot[s],
+                        rows))
+        s = e
+    return _SplitPlan(heads[order], tails, tuple(buckets), work, fold)
 
 
 def _split_price(phases: float, work: float) -> float:
@@ -365,28 +486,53 @@ def _plan_price(p: _SplitPlan) -> float:
 
 
 def _family_sizes(runs, h: int) -> tuple[float, float]:
-    """The phase coordinates and the cells of a named family's split after
-    coordinate h, from its run tables without enumerating the set.
+    """The phase coordinates and the cells of a named family's folded
+    split after coordinate h, from its run tables without enumerating
+    the set.
 
     The heads are the prefixes over the first h tables, grouped by
     accumulated cost; the tails are the walk over the other tables from
-    the identity, i.e. at the full budget.  A head of cost ``a`` pairs
-    with the tails whose cost its remaining budget admits, a prefix of
-    their sorted costs, so its tail sets nest as ``a`` grows and a
-    bucket's union is the tail set of its head with the most tails: the
+    the identity, i.e. at the full budget.  Membership depends on |k_j|
+    only, so the set is closed under negation and folds onto its rows
+    ``>=_lex 0``: the heads ``>_lex 0`` with every tail, and the zero
+    head with the tails ``>=_lex 0``.  A head of cost ``a`` pairs with
+    the tails whose cost its remaining budget admits, a prefix of their
+    sorted costs, so tail sets nest as ``a`` grows.  A cost group of n
+    heads holds ``(n - [0 in group]) / 2`` positive heads.  The zero head
+    has the least cost and ``(t + 1) / 2`` of the t tails it admits (the
+    zero tail is its own negation); in a bucket whose positive heads
+    reach t' tails, it adds half of the ``t - t'`` beyond them.  So the
     sizes are those :func:`_split_plan` finds on the materialised rows.
     """
     d = len(runs.ups)
     acc, heads = _cost_groups(runs, range(h))
     cost, tails = _cost_groups(runs, range(h, d))
     # an empty run leaves cost groups of no prefix; they bucket nothing
-    acc, heads = acc[heads > 0], heads[heads > 0].astype(np.float64)
-    per_head = np.cumsum(tails.astype(np.float64))[_last_run(runs, acc, cost)]
+    acc, heads = acc[heads > 0], heads[heads > 0]
+    if not len(acc):
+        return 0.0, 0.0
+    origin = float(runs.combine.identity)
+    for j in range(h):
+        origin = runs.combine(origin, runs.costs[j][0])
+    zero = acc == origin
+    reach = np.cumsum(tails.astype(np.float64))[_last_run(runs, acc, cost)]
+    pos = (heads.astype(np.float64) - zero) / 2.0
+    full = float(reach[zero][0])
+    # per head: its tails, the zero head last with (t + 1) / 2 of its t
+    per_head = np.append(reach[pos > 0], (full + 1.0) / 2.0)
+    count = np.append(pos[pos > 0], 1.0)
     order, starts = _buckets(per_head)
-    work = np.add.reduceat(heads[order], starts) @ np.maximum.reduceat(
-        per_head[order], starts
-    )
-    return float(heads.sum() * h + tails.sum() * (d - h)), float(work)
+    # a bucket's union: the most tails of its positive heads (1, the zero
+    # tail, for none), and in the zero head's bucket half of the zero
+    # head's other tails besides
+    most = np.append(reach[pos > 0], 1.0)
+    union = np.maximum.reduceat(most[order], starts)
+    b = np.searchsorted(starts, np.argmax(order == len(order) - 1),
+                        side="right") - 1
+    union[b] = (union[b] + full) / 2.0
+    work = np.add.reduceat(count[order], starts) @ union
+    n_tails = (most.max() + full) / 2.0
+    return float(count.sum() * h + n_tails * (d - h)), float(work)
 
 
 def _family_split(runs) -> tuple[int, float]:
@@ -401,12 +547,13 @@ def _family_split(runs) -> tuple[int, float]:
 
 
 def _split_rows(freq: np.ndarray, runs=None) -> _SplitPlan:
-    """The cheapest split plan of the rows of ``freq``: priced from the
-    run tables of their named family when given, else from each
-    candidate plan."""
+    """The cheapest split plan of the rows of ``freq``, folded onto their
+    representatives: priced from the run tables of their named family
+    when given, else from each candidate plan."""
+    fold = _fold(freq)
     if runs is not None:
-        return _split_plan(freq, _family_split(runs)[0])
-    plans = (_split_plan(freq, h) for h in range(1, freq.shape[1] + 1))
+        return _split_plan(fold, _family_split(runs)[0])
+    plans = (_split_plan(fold, h) for h in range(1, freq.shape[1] + 1))
     return min(plans, key=_plan_price)
 
 
@@ -429,13 +576,15 @@ def _split_phases(plan: _SplitPlan):
 def _split_adjoint(
     X: np.ndarray, plan: _SplitPlan, cvecs: list, threads: int
 ) -> list[np.ndarray]:
-    """``sum_n c_n exp(2 pi i k . x_n)`` for every row k of the plan's
-    set, one vector per coefficient vector c.
+    """``S(r) = sum_n c_n exp(2 pi i r . x_n)`` for every representative
+    r of the plan's fold, one vector per real coefficient vector c; the
+    sums of the other rows are ``S(-r) = conj S(r)``
+    (:func:`_folded_fft`).
 
     Per block of samples and per bucket, one matrix product: the heads'
     phases scaled by c, transposed, times the tails' phases give every
     (head, tail) cell.  The cells are summed over the blocks, and each
-    bucket's rows are gathered from them once at the end.
+    bucket's representatives are gathered from them once at the end.
     """
     block, phases = _split_phases(plan)
 
@@ -454,10 +603,9 @@ def _split_adjoint(
         return cells
 
     cells = _sum_blocks(len(X), block, one, threads)
-    n_rows = sum(len(b[5]) for b in plan.buckets)
     sums = []
     for v in range(len(cvecs)):
-        out = np.empty(n_rows, dtype=np.complex128)
+        out = np.empty(len(plan.fold.reps), dtype=np.complex128)
         for (*_, ii, jj, rows), g in zip(
             plan.buckets, cells[v * len(plan.buckets):]
         ):
@@ -469,30 +617,61 @@ def _split_adjoint(
 def _split_forward(
     X: np.ndarray, plan: _SplitPlan, theta: np.ndarray
 ) -> np.ndarray:
-    """``sum_k theta_k exp(2 pi i k . x)`` at every point x of X.
+    """``f(x) = sum_k theta_k exp(2 pi i k . x)`` at every point x of X,
+    summed over the representatives r of the plan's fold.
 
-    Per block and bucket, the tails' phases times the bucket's
-    coefficient block give one column per head, and each point sums
-    them against its head phases.
+    With ``e_r = exp(2 pi i r . x)`` and ``e_{-r} = conj e_r``, the pair
+    r, -r gives ``Re(P_r e_r) + i Im(Q_r e_r)`` with ``P_r = theta_r +
+    conj theta_{-r}`` and ``Q_r = theta_r - conj theta_{-r}`` (a missing
+    row counts as 0); the zero row, its own negation, enters once, its
+    real part in P and its imaginary part in Q.  So ``f = Re sum P_r e_r
+    + i Im sum Q_r e_r``.  The coefficients form a matrix with p = 1
+    column (P) when Q is zero, i.e. the model is real, and else p = 2
+    (P and Q), run through the same products.  Per block and bucket, the
+    tails' phases times the bucket's coefficient block give p columns per
+    head, and each point sums them against its head phases, or the other
+    way round when the bucket has fewer tails than heads.
     """
-    coefs = []
+    coef = _folded_coefficients(plan.fold, theta)
+    p = coef.shape[1]
+    mats = []
     for a0, a1, tb, ii, jj, rows in plan.buckets:
-        c = np.zeros((int(jj.max()) + 1, a1 - a0), dtype=np.complex128)
-        c[jj, ii] = theta[rows]
-        coefs.append(c)
+        c = np.zeros((int(jj.max()) + 1, p, a1 - a0), dtype=np.complex128)
+        c[jj, :, ii] = coef[rows]
+        # the product keeps the narrower side's columns
+        by_heads = c.shape[0] < c.shape[2]
+        if by_heads:
+            c = c.transpose(2, 1, 0)
+        mats.append((by_heads, c.reshape(len(c), -1)))
     out = np.empty(len(X), dtype=np.complex128)
     block, phases = _split_phases(plan)
     for s in range(0, len(X), block):
         A, B = phases(X[s:s + block])
-        f = np.zeros(len(A), dtype=np.complex128)
-        for (a0, a1, tb, *_), c in zip(plan.buckets, coefs):
-            # the product keeps the narrower side's columns
-            if c.shape[0] < c.shape[1]:
-                f += np.einsum("ij,ij->i", A[:, a0:a1] @ c.T, B[:, tb])
-            else:
-                f += np.einsum("ij,ij->i", B[:, tb] @ c, A[:, a0:a1])
-        out[s:s + block] = f
+        f = np.zeros((len(A), p), dtype=np.complex128)
+        for (a0, a1, tb, *_), (by_heads, m) in zip(plan.buckets, mats):
+            Ab, Bb = A[:, a0:a1], B[:, tb]
+            left, right = (Ab, Bb) if by_heads else (Bb, Ab)
+            f += np.einsum(
+                "ipj,ij->ip", (left @ m).reshape(len(A), p, -1), right
+            )
+        out.real[s:s + block] = f[:, 0].real
+        out.imag[s:s + block] = f[:, 1].imag if p == 2 else 0.0
     return out
+
+
+def _folded_coefficients(fold: _Fold, theta: np.ndarray) -> np.ndarray:
+    """The coefficients of :func:`_split_forward` over the representatives:
+    the column P alone when Q is zero (a real model), else P and Q."""
+    P = np.zeros(len(fold.reps), dtype=np.complex128)
+    keep = ~fold.flip
+    P[fold.rep[keep]] = theta[keep]
+    Q = P.copy()
+    if len(fold.reps) and not fold.reps[0].any():
+        Q[0] = 1j * Q[0].imag
+    conj = theta[fold.flip].conj()
+    P[fold.rep[fold.flip]] += conj
+    Q[fold.rep[fold.flip]] -= conj
+    return np.column_stack((P, Q)) if Q.any() else P[:, None]
 
 
 def _residues(freq: np.ndarray, rule: LatticeRule) -> np.ndarray:
@@ -500,12 +679,17 @@ def _residues(freq: np.ndarray, rule: LatticeRule) -> np.ndarray:
     return (freq @ np.asarray(rule.g, dtype=np.int64)) % rule.L
 
 
+def _bucketed(residues: np.ndarray, coef: np.ndarray, L: int) -> np.ndarray:
+    """The sums of the coefficients at each residue 0, ..., L - 1."""
+    b_re = np.bincount(residues, weights=coef.real, minlength=L)
+    b_im = np.bincount(residues, weights=coef.imag, minlength=L)
+    return b_re + 1j * b_im
+
+
 def _residue_fft(residues: np.ndarray, coef: np.ndarray, L: int) -> np.ndarray:
     """``sum_k coef_k exp(2 pi i r_k l / L)`` for l = 0, ..., L - 1: the
     coefficients bucketed by residue, then one length-L inverse FFT."""
-    b_re = np.bincount(residues, weights=coef.real, minlength=L)
-    b_im = np.bincount(residues, weights=coef.imag, minlength=L)
-    return L * np.fft.ifft(b_re + 1j * b_im)
+    return L * np.fft.ifft(_bucketed(residues, coef, L))
 
 
 def _lattice_fft(
@@ -518,6 +702,23 @@ def _lattice_fft(
     first and one length-L inverse FFT finishes; cost O(d |K| + L log L).
     """
     return _residue_fft(_residues(freq, rule), coef, rule.L)
+
+
+def _folded_fft(fold: _Fold, sums: np.ndarray, rule: LatticeRule) -> np.ndarray:
+    """``sum_k S(k) exp(-2 pi i k . z_l)`` at every node, over the rows k
+    of a folded set, from the sums ``S(r)`` of its representatives with
+    ``S(-r) = conj S(r)``: S(r) goes to the residue of -r when r is a row,
+    and conj S(r) to the residue of r when -r is a row, then one length-L
+    inverse FFT.  Nothing of the set's length is built."""
+    L = rule.L
+    pos = np.zeros(len(fold.reps), dtype=bool)
+    neg = pos.copy()
+    pos[fold.rep[~fold.flip]] = True
+    neg[fold.rep[fold.flip]] = True
+    rho = _residues(fold.reps, rule)
+    b = _bucketed(-rho[pos] % L, sums[pos], L)
+    b += _bucketed(rho[neg], sums[neg].conj(), L)
+    return L * np.fft.ifft(b)
 
 
 # The weight routes: (data, rule, index_set, cvecs, threads, cap) in, one
@@ -574,14 +775,18 @@ def _general_fft_route(
     """One adjoint transform pass shared by every coefficient vector.
 
     phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n) by the cheapest
-    head/tail split of the set (:func:`_split_adjoint`), blocked over n,
-    then folded onto the nodes: the lattice FFT of the frequencies -k.
+    head/tail split of the set (:func:`_split_adjoint`), blocked over n.
+    The coefficients are real, so phi_hat_{-k} = conj phi_hat_k: the pass
+    sums only the representatives ``r >=_lex 0`` of the rows, about half
+    of them, and the lattice fold of the frequencies -k takes each
+    representative's sum for r and its conjugate for -r
+    (:func:`_folded_fft`).
     """
     freq = index_set.materialized(cap).frequencies
     runs = None if index_set.family == "custom" else index_set._runs
     plan = _split_rows(freq, runs)
     sums = _split_adjoint(data.X, plan, cvecs, threads)
-    return [_lattice_fft(-freq, acc / data.N, rule) for acc in sums]
+    return [_folded_fft(plan.fold, acc / data.N, rule) for acc in sums]
 
 
 class _SweepPlan(NamedTuple):
@@ -776,8 +981,9 @@ def weights_general_fft(
     length-L inverse FFT finish the job.  The transform splits each
     frequency into a head and a tail and runs as matrix products, so the
     cost is O(N (cells + h |heads| + (d - h) |tails|) + d |K| + L log L)
-    at the cheapest split point h, with about |K| cells on crosses and
-    step crosses.
+    at the cheapest split point h.  The coefficients are real, so only
+    the rows ``r >=_lex 0`` are summed and their negations take the
+    conjugates: about |K| / 2 cells on crosses and step crosses.
     """
     return _run("general-fft", data, [c], rule, index_set, threads, cap)[0]
 
@@ -860,10 +1066,10 @@ def choose_route(
 ) -> dict:
     """Predict the cost of every route that can serve a set; pick the least.
 
-    ``general-fft`` serves any set at its cheapest head/tail split: per
-    sample, the bucket cells of the split's matrix products and the
-    coordinates of its head and tail phases; a lazy set above ``cap``
-    rows is no candidate.  A named family is sized from its run tables
+    ``general-fft`` serves any set at its cheapest head/tail split of
+    the rows ``>=_lex 0``, about half the set: per sample, the bucket
+    cells of the split's matrix products and the coordinates of its head
+    and tail phases; a lazy set above ``cap`` rows is no candidate.  A named family is sized from its run tables
     and a custom set from its rows, so a lazy set and its materialised
     copy get the same price.  The kernel route of a rectangle or a step
     cross costs about ``N L`` times the full-size array passes (DP

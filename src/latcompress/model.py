@@ -237,15 +237,23 @@ def _classes(model: TrigModel, rule: LatticeRule) -> _Classes:
 def eval_model(model: TrigModel, x) -> np.ndarray:
     """Evaluate the model at one point or a batch of points.
 
-    Each frequency splits as ``k = (a, b)`` into a head (its first h
-    coordinates) and a tail, with h the cheapest split of the support
-    (the general-FFT plan of :mod:`latcompress.compression`).  Per block
-    of points, the tails' phases times the coefficients, as a matrix of
-    tails by heads, give one column per head, and each point sums those
-    against its head phases.  So ``rows * (|heads| + |tails|)`` phases
-    are built, per coordinate from its distinct frequency values, and the
-    ``rows * M`` multiply-adds run as matrix products.  Rows need not be
-    sorted.  The plan is made on the first call and kept on the model.
+    The support folds onto its representatives ``r >=_lex 0`` (r = k or
+    -k): as ``exp(2 pi i (-r) . x)`` is the conjugate of ``exp(2 pi i r
+    . x)``, ``f = Re sum_r P_r e_r + i Im sum_r Q_r e_r`` with ``P_r =
+    theta_r + conj theta_{-r}`` and ``Q_r = theta_r - conj theta_{-r}``.
+    A real model has Q = 0 and takes one coefficient column, any other
+    model two, in the same matrix products.  Each representative splits
+    as ``r = (a, b)`` into a head (its first h coordinates) and a tail,
+    with h the cheapest split (the general-FFT plan of
+    :mod:`latcompress.compression`).  Per block of points, the tails'
+    phases times the coefficients, as a matrix of tails by heads, give
+    one column per head and coefficient column, and each point sums
+    those against its head phases.  So ``rows * (|heads| + |tails|)``
+    phases are built, per coordinate from baby-step/giant-step factors of
+    its distinct frequency values, and about ``rows * M / 2``
+    multiply-adds per coefficient column run as matrix products.  Rows
+    need not be sorted, nor the support closed under negation.  The plan
+    is made on the first call and kept on the model.
 
     Args:
         model: model to evaluate.
@@ -304,6 +312,9 @@ def regularizer(
         >>> regularizer("lasso", [0.0, 3.0, -4.0])
         7.0
     """
+    # no copy of a complex128 array; array methods rather than the numpy
+    # wrappers (np.sum, np.real), which cost more than the arithmetic on
+    # a short vector
     th = np.asarray(theta, dtype=np.complex128)
     if th.ndim != 1:
         raise ValueError(f"theta must be a vector, got shape {th.shape}")
@@ -320,7 +331,7 @@ def regularizer(
     if kind == "best_subset":
         return float(np.count_nonzero(th))
     if kind == "lasso":
-        return float(np.sum(np.abs(th)))
+        return float(np.abs(th).sum())
     if kind == "ridge":
         if tikhonov is None:
             v = th
@@ -332,15 +343,20 @@ def regularizer(
                     f"length {th.shape[0]}"
                 )
             v = t @ th
-        return float(np.real(np.vdot(v, v)))
+        return float(_squared_norm(v))
     if mix is None:
         raise ValueError("elastic penalty needs a mixing parameter")
     mix = float(mix)
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mixing parameter {mix!r} outside [0, 1]")
-    return mix * float(np.sum(np.abs(th))) + (1.0 - mix) * float(
-        np.real(np.vdot(th, th))
+    return mix * float(np.abs(th).sum()) + (1.0 - mix) * float(
+        _squared_norm(th)
     )
+
+
+def _squared_norm(v: np.ndarray) -> float:
+    """``sum |v_i|^2`` of a complex vector."""
+    return np.vdot(v, v).real
 
 
 @dataclass(frozen=True)

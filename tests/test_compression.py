@@ -1,11 +1,13 @@
 """Weight computation: reference route, fast routes, serialisation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -349,6 +351,52 @@ SPLIT_CASES = [
 ]
 
 
+def _exact_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp(2 pi i x u) from the angle reduced in exact rational
+    arithmetic, then one cosine and one sine."""
+    out = np.empty((len(x), len(u)), dtype=np.complex128)
+    for i, xi in enumerate(x.tolist()):
+        fx = Fraction(xi)
+        for j, uj in enumerate(u.tolist()):
+            t = 2.0 * math.pi * float(fx * uj % 1)
+            out[i, j] = complex(math.cos(t), math.sin(t))
+    return out
+
+
+class TestPhases:
+    X = np.concatenate([
+        np.random.default_rng(52).random(12),
+        [0.0, 0.5, 1.0 - 2.0**-53, 1e-17, 0.123456789],
+    ])
+
+    @pytest.mark.parametrize("u, factored", [
+        (np.arange(-100_000, -99_850), True),
+        (np.arange(-64, 65), True),
+        (np.arange(99_000, 100_001, 3), True),
+        (np.sort(np.random.default_rng(53).choice(
+            np.arange(-100_000, 100_001), 1200, replace=False)), True),
+        (np.array([-100_000, -3, 0, 7, 99_999]), False),
+        (np.arange(-100_000, 100_001, 997), False),
+        (np.array([-5, 5]), False),
+        (np.array([100_000]), False),
+    ])
+    def test_against_exact_angles(self, u, factored, monkeypatch) -> None:
+        # Both forms, baby-step/giant-step factors and direct columns,
+        # stay within a few ulp at any |u|: the angles are reduced by
+        # whole turns without rounding.
+        columns = []
+        turn_phases = compression._turn_phases
+
+        def counted(x, v):
+            columns.append(len(v))
+            return turn_phases(x, v)
+
+        monkeypatch.setattr(compression, "_turn_phases", counted)
+        got = compression._unit_phases(self.X, u)
+        assert (sum(columns) < len(u)) == factored
+        assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
+
+
 class TestSplit:
     """The head/tail split against sums that share none of its code."""
 
@@ -359,18 +407,61 @@ class TestSplit:
         theta = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
             len(freq)
         )
+        fold = compression._fold(freq)
+        # every row is its representative r >=_lex 0 or the negation
+        reps = fold.reps[fold.rep]
+        np.testing.assert_array_equal(
+            np.where(fold.flip[:, None], -reps, reps), freq
+        )
+        lead = fold.reps[np.arange(len(fold.reps)),
+                         np.argmax(fold.reps != 0, axis=1)]
+        assert np.all(lead >= 0)
+        assert len(np.unique(fold.reps, axis=0)) == len(fold.reps)
+        zero = np.flatnonzero(~fold.reps.any(axis=1))
+        assert zero.tolist() == ([0] if np.any(~freq.any(axis=1)) else [])
         ph = np.exp(2j * np.pi * (data.X @ freq.T))
+        ph_reps = np.exp(2j * np.pi * (data.X @ fold.reps.T))
         cvecs = [np.ones(data.N), data.Y]
         for h in range(1, d + 1):
-            plan = compression._split_plan(freq, h)
+            plan = compression._split_plan(fold, h)
             assert plan.heads.shape[1] == h
-            assert sum(len(b[5]) for b in plan.buckets) == len(freq)
+            assert sum(len(b[5]) for b in plan.buckets) == len(fold.reps)
             for got, c in zip(
                 compression._split_adjoint(data.X, plan, cvecs, 1), cvecs
             ):
-                assert _gap(got, c @ ph) < 1e-12
+                assert _gap(got, c @ ph_reps) < 1e-12
             got = compression._split_forward(data.X, plan, theta)
             assert _gap(got, ph @ theta) < 1e-12
+
+    @pytest.mark.parametrize("zero", [True, False])
+    def test_fold_on_an_asymmetric_set(self, zero) -> None:
+        # A cross with the negations of some rows missing: the fold sends
+        # S(r) to the residue of -r only when r is a row, and conj S(r) to
+        # that of r only when -r is one.
+        d = 3
+        full = IndexSet.cross(1.0, (1.0, 0.5, 0.5), 12.0).frequencies
+        rng = np.random.default_rng(50)
+        freq = full[rng.random(len(full)) < 0.6]
+        if zero != bool(np.any(np.all(freq == 0, axis=1))):
+            freq = (np.vstack([freq, np.zeros((1, d), dtype=np.int64)])
+                    if zero else freq[np.any(freq != 0, axis=1)])
+        freq = freq[rng.permutation(len(freq))]
+        rows = {tuple(k) for k in freq.tolist()}
+        lone = sum(tuple(-v for v in k) not in rows for k in rows)
+        assert 0 < lone < len(rows)
+        data = _dataset(51, 40, d)
+        rule = LatticeRule(13, (1, 5, 3))
+        node_ph = np.exp(-2j * np.pi * (generate_points(rule) @ freq.T))
+        fold = compression._fold(freq)
+        assert len(fold.reps) == len(freq) - (len(rows) - lone) // 2
+        cvecs = [np.ones(data.N), data.Y]
+        for h in range(1, d + 1):
+            plan = compression._split_plan(fold, h)
+            sums = compression._split_adjoint(data.X, plan, cvecs, 1)
+            for c, s in zip(cvecs, sums):
+                direct = c @ np.exp(2j * np.pi * (data.X @ freq.T))
+                got = compression._folded_fft(fold, s, rule)
+                assert _gap(got, node_ph @ direct) < 1e-12
 
     @pytest.mark.parametrize("d, freq", SPLIT_CASES[:5])
     def test_public_entries_match_triple_loop(self, d, freq) -> None:
@@ -412,9 +503,12 @@ class TestSplit:
     )
     def test_run_table_sizes_match_rows(self, spec) -> None:
         # A named family is priced from its run tables; at every split
-        # point the sizes equal those of the plan of its rows.
+        # point the sizes equal those of the folded plan of its rows, and
+        # every bucket's tails are a range of the tail phases (a view).
+        fold = compression._fold(spec.frequencies)
         for h in range(1, spec.d + 1):
-            plan = compression._split_plan(spec.frequencies, h)
+            plan = compression._split_plan(fold, h)
+            assert all(isinstance(b[2], slice) for b in plan.buckets)
             assert compression._family_sizes(spec._runs, h) == (
                 plan.heads.size + plan.tails.size, plan.work
             )

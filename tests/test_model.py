@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from latcompress import compression
 from latcompress.compression import Dataset, WeightSet, compress
 from latcompress.index_sets import CapExceeded, IndexSet
 from latcompress.lattice import LatticeRule, ProductWeights, generate_points
@@ -116,6 +117,38 @@ class TestEvalModel:
         )
         got = eval_model(m, pts)
         np.testing.assert_allclose(got, direct, atol=1e-11)
+
+    @pytest.mark.parametrize("zero", [True, False])
+    def test_real_and_complex_models(self, zero) -> None:
+        # The sum runs over the rows r >=_lex 0 with P = theta_r + conj
+        # theta_{-r} and Q = theta_r - conj theta_{-r}: a real model takes
+        # P alone; an imaginary theta_0 or an asymmetric theta takes Q too.
+        rng = np.random.default_rng(11)
+        freq = IndexSet.cross(1.0, (1.0, 0.5, 0.5), 10.0).frequencies
+        if not zero:
+            freq = freq[np.any(freq != 0, axis=1)]
+        freq = freq[rng.permutation(len(freq))]
+        index = {tuple(k): i for i, k in enumerate(freq.tolist())}
+        partner = np.array([index[tuple(-v for v in k)]
+                            for k in freq.tolist()])
+        a = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
+            len(freq)
+        )
+        pts = rng.random((40, 3))
+        ph = np.exp(2j * np.pi * (pts @ freq.T))
+        real = 0.5 * (a + a[partner].conj())
+        origin = np.flatnonzero(np.all(freq == 0, axis=1))
+        shifted = real.copy()
+        shifted[origin] += 0.75j
+        fold = compression._fold(freq)
+        for theta, columns in ((real, 1), (a, 2), (shifted, 1 + zero)):
+            got = eval_model(TrigModel(freq, theta), pts)
+            ref = ph @ theta
+            scale = 1.0 + float(np.max(np.abs(ref)))
+            assert float(np.max(np.abs(got - ref))) / scale < 1e-12
+            coef = compression._folded_coefficients(fold, theta)
+            assert coef.shape == (len(fold.reps), columns)
+        assert not np.any(eval_model(TrigModel(freq, real), pts).imag)
 
     def test_dimension_check(self) -> None:
         m = _random_model(6, 2, 3, 10)
