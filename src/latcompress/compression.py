@@ -290,6 +290,12 @@ def _times_columns(out: np.ndarray, a: np.ndarray, cols: np.ndarray) -> None:
         out[:, s:s + step] *= a[:, cols[s:s + step]]
 
 
+# |v| below which _turn_phases reduces the angles x v exactly, and the
+# bound on |u| up to which _unit_phases does so by splitting u once.
+_EXACT_TURNS = 1 << 21
+_PHASE_BOUND = 1 << 42
+
+
 def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``exp(2 pi i x u)`` for every x and every value of the distinct
     integers u.
@@ -300,11 +306,33 @@ def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     from ``B + Q`` directly computed columns instead of ``|u|``, each
     factor within an ulp or two, so the product is within a few ulp at
     any |u|.  Taken only when it needs fewer columns than u has values.
+
+    :func:`_turn_phases` reduces angles exactly for |u| < 2^21.  Beyond
+    that, u splits as ``uh 2^21 + ul`` with ``0 <= ul < 2^21``, and the
+    phase is that of ``ul`` at x times that of ``uh`` at ``y = frac(x
+    2^21)`` (exact: x 2^21 is a power-of-two scaling and loses only whole
+    turns), again within a few ulp.  Up to ``_PHASE_BOUND`` one split
+    suffices; larger values raise ``ValueError``.
     """
-    # two factors take at least two columns, so up to two values (or
-    # none, for an empty set) are computed directly
-    low = int(u.min()) if len(u) > 2 else 0
-    span = int(u.max()) - low + 1 if len(u) > 2 else 1
+    if not len(u):
+        return _turn_phases(x, u)
+    lo, hi = int(u.min()), int(u.max())
+    if max(-lo, hi) >= _EXACT_TURNS:
+        if max(-lo, hi) >= _PHASE_BOUND:
+            raise ValueError(
+                f"frequency {hi if hi >= -lo else lo} beyond the phase "
+                f"bound 2^42: its phases would lose precision"
+            )
+        uh, ul = np.divmod(u, _EXACT_TURNS)
+        y = x * float(_EXACT_TURNS)
+        y -= np.floor(y)
+        out = _unit_phases(y, uh)
+        out *= _unit_phases(x, ul)
+        return out
+    # two factors take at least two columns, so up to two values are
+    # computed directly
+    low = lo if len(u) > 2 else 0
+    span = hi - low + 1 if len(u) > 2 else 1
     step = math.isqrt(span - 1) + 1
     giants = -(-span // step)
     if step + giants >= len(u):
@@ -321,7 +349,7 @@ def _turn_phases(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     turns.  The reduction is exact: x splits as ``xh + xl`` with xh on a
     grid of 2^-32, so ``xh v`` is exact for |v| < 2^21 and loses its
     whole turns without rounding, and the small ``xl v`` is added
-    after."""
+    after.  Larger values go through :func:`_unit_phases`."""
     xh = np.round(x * 2.0**32) * 2.0**-32
     t = np.outer(xh, v)
     t -= np.round(t)

@@ -15,13 +15,18 @@ over each residue ``r = k . g`` modulo ``L``.  By the circular
 convolution theorem the two weighted sums are then
 ``sum_{r,s} b_r b_s S_xz[r + s]`` and ``sum_r b_r S_xyz[r]`` (indices
 modulo L), where ``S[m] = sum_l w_l exp(2 pi i m l / L)`` is taken once
-per :class:`WeightSet` by one real FFT of each weight vector.  So a loss
-needs no pass over the nodes when the residues are few: its cost is
-O(M) to bucket M coefficients plus the smaller of a quadratic form over
-the occupied residues and the node values from one length-L inverse
-FFT.  A model caches what
-depends on its support alone (the residues, the split plan of
-:func:`eval_model`) and the quadratic form of the last weights it met.
+per :class:`WeightSet` by one real FFT of each weight vector.  Both are
+real-linear and real-quadratic in the real and imaginary parts of the
+coefficients, so for a support and a weight set one real matrix ``W``
+(:func:`_loss_matrix`) turns those 2M numbers into the two terms and the
+model's departure from realness: a loss costs one product with ``W``,
+O(M (M + |U|)) for the residue classes U the support occupies, with
+``W`` capped at 2^17 entries.  Supports too large for ``W`` take the
+node values instead: the coefficients summed
+per residue along a cached sort, then one length-L inverse FFT, O(M + L
+log L).  A model caches what depends on its support alone (the split
+plan of :func:`eval_model`, the residue sort) and ``W`` of the last
+weights it met; :meth:`TrigModel.with_theta` hands that cache on.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import numpy as np
 from .compression import (
     Dataset,
     WeightSet,
-    _residue_fft,
     _residues,
     _split_forward,
     _split_rows,
@@ -83,27 +87,34 @@ class TrigModel:
         # Own read-only copies: the support cache is checked by the
         # identity of this array, and a caller's array stays writable.
         freq = np.array(self.frequencies, dtype=np.int64)
-        theta = np.array(self.theta, dtype=np.complex128)
         if freq.ndim != 2:
             raise ValueError(f"frequencies must be 2-d, got {freq.shape}")
-        if theta.shape != (freq.shape[0],):
-            raise ValueError(
-                f"{freq.shape[0]} frequencies but theta has shape "
-                f"{theta.shape}"
-            )
+        theta = _own_theta(self.theta, freq.shape[0])
         if freq.shape[0] == 0:
             raise ValueError("model needs at least one frequency")
-        if not np.all(np.isfinite(theta.view(np.float64))):
-            raise ValueError("coefficients must be finite")
         if freq.shape[0] > 1:
             order = np.lexsort(freq.T[::-1])
             srt = freq[order]
             if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
                 raise ValueError("duplicate frequency rows in model")
         freq.flags.writeable = False
-        theta.flags.writeable = False
         self.frequencies = freq
         self.theta = theta
+
+    def with_theta(self, theta: Sequence[complex]) -> "TrigModel":
+        """The model with coefficients ``theta`` on this model's support.
+
+        The new model shares the frequency array and everything cached
+        on it (the split plan, the residue sort and the loss matrix of
+        the last weights), so a sequence of coefficient vectors on one
+        support, as an optimiser makes, builds those once.  ``theta`` is
+        validated and copied as by the constructor.
+        """
+        model = object.__new__(type(self))
+        model.frequencies = self.frequencies
+        model.theta = _own_theta(theta, self.size)
+        model._cache = _support(self)
+        return model
 
     @property
     def d(self) -> int:
@@ -174,35 +185,46 @@ class TrigModel:
             return cls.from_json(json.load(fh))
 
 
-class _Classes(NamedTuple):
-    """A support's residues on one rule, grouped into classes.
+def _own_theta(theta, size: int) -> np.ndarray:
+    """A read-only complex copy of ``theta``, checked to hold ``size``
+    finite coefficients."""
+    theta = np.array(theta, dtype=np.complex128)
+    if theta.shape != (size,):
+        raise ValueError(
+            f"{size} frequencies but theta has shape {theta.shape}"
+        )
+    if not np.all(np.isfinite(theta.view(np.float64))):
+        raise ValueError("coefficients must be finite")
+    theta.flags.writeable = False
+    return theta
 
-    ``residues`` holds ``k . g mod L`` per row, and ``classes`` the sorted
-    residues occupied together with their negations modulo L, so the
-    classes are closed under negation.  ``row`` is the position of each
-    row's residue among the classes and ``neg`` that of each class's
-    negation.
-    """
 
+class _LossMatrix(NamedTuple):
+    """The loss of a support against one weight set as one real matrix
+    (:func:`_loss_matrix`), keyed by the identity of the spectrum and
+    the rule it was built from.  ``W`` is None for a support too large
+    for it.  ``h_weights`` turns the squares of the realness part into
+    ``sum |h|^2``: 1/2 on the rows of a pair of classes r and -r, which
+    hold 2 Re h_r and 2 Im h_r and stand for both classes, 1 on a class
+    r = -r."""
+
+    spectrum: np.ndarray
     rule: LatticeRule
-    residues: np.ndarray
-    classes: np.ndarray
-    row: np.ndarray
-    neg: np.ndarray
+    W: Optional[np.ndarray]
+    h_weights: Optional[np.ndarray]
 
 
 class _SupportCache:
     """What the evaluations of one model reuse, all derived from its
     frequency array ``freq``: the split plan of :func:`eval_model`, the
-    residue classes on the last rule, and the quadratic form over those
-    classes of the last weights (``(S_xz, classes, H, S_xyz[classes])``,
-    keyed by the identity of the first two, which it keeps alive)."""
+    residue sort on the last rule (``(rule, order, starts, occupied)``,
+    :func:`_node_values`) and the loss matrix of the last weights."""
 
-    __slots__ = ("freq", "plan", "classes", "form")
+    __slots__ = ("freq", "plan", "nodes", "loss")
 
     def __init__(self, freq: np.ndarray) -> None:
         self.freq = freq
-        self.plan = self.classes = self.form = None
+        self.plan = self.nodes = self.loss = None
 
 
 def _support(model: TrigModel) -> _SupportCache:
@@ -215,23 +237,31 @@ def _support(model: TrigModel) -> _SupportCache:
     return c
 
 
-def _classes(model: TrigModel, rule: LatticeRule) -> _Classes:
-    """The residue classes of the model's support on ``rule``, cached for
-    the last rule; O(M d + L) to build, without a sort."""
+def _node_values(model: TrigModel, rule: LatticeRule) -> np.ndarray:
+    """``sum_k theta_k exp(2 pi i k . z_l)`` at every node ``z_l``: the
+    coefficients summed per residue ``k . g mod L``, then one length-L
+    inverse FFT.
+
+    The rows' stable sort by residue is kept on the model for the last
+    rule, so a call gathers the coefficients in that order and sums each
+    residue's run with one ``np.add.reduceat``; O(M + L log L).
+    """
     c = _support(model)
-    k = c.classes
-    if k is None or k.rule != rule:
-        L = rule.L
+    nodes = c.nodes
+    if nodes is None or nodes[0] != rule:
         residues = _residues(c.freq, rule)
-        occupied = np.zeros(L, dtype=bool)
-        occupied[residues] = True
-        occupied[-residues % L] = True
-        classes = np.flatnonzero(occupied)
-        slot = np.cumsum(occupied) - 1
-        k = c.classes = _Classes(
-            rule, residues, classes, slot[residues], slot[-classes % L]
-        )
-    return k
+        # numpy sorts keys of 16 bits by radix: 0.1 ms against 1.2 ms as
+        # int64 for paper-2d's 16,641 rows
+        key = residues.astype(np.uint16) if rule.L <= 1 << 16 else residues
+        order = np.argsort(key, kind="stable")
+        counts = np.bincount(residues, minlength=rule.L)
+        occupied = np.flatnonzero(counts)
+        ends = np.cumsum(counts[occupied])
+        nodes = c.nodes = (rule, order, ends - counts[occupied], occupied)
+    _, order, starts, occupied = nodes
+    b = np.zeros(rule.L, dtype=np.complex128)
+    b[occupied] = np.add.reduceat(model.theta.take(order), starts)
+    return rule.L * np.fft.ifft(b)
 
 
 def eval_model(model: TrigModel, x) -> np.ndarray:
@@ -284,11 +314,12 @@ def eval_model_on_lattice(model: TrigModel, rule: LatticeRule) -> np.ndarray:
     Coefficients sharing a residue ``k . g mod L`` alias to the same
     one-dimensional frequency along the lattice, so they are bucketed
     first; cost O(M + L log L) against O(L M d) for direct evaluation,
-    with the residues (O(d M)) cached on the model for the last rule.
+    with the rows' sort by residue (O(d M + M log M)) cached on the
+    model for the last rule.
     """
     if rule.d != model.d:
         raise ValueError(f"rule has d={rule.d}, model has d={model.d}")
-    return _residue_fft(_classes(model, rule).residues, model.theta, rule.L)
+    return _node_values(model, rule)
 
 
 def regularizer(
@@ -313,8 +344,8 @@ def regularizer(
         7.0
     """
     # no copy of a complex128 array; array methods rather than the numpy
-    # wrappers (np.sum, np.real), which cost more than the arithmetic on
-    # a short vector
+    # wrappers (np.sum, np.real), and the common kinds first: on a short
+    # vector each numpy call costs more than the arithmetic
     th = np.asarray(theta, dtype=np.complex128)
     if th.ndim != 1:
         raise ValueError(f"theta must be a vector, got shape {th.shape}")
@@ -326,37 +357,35 @@ def regularizer(
         raise ValueError("a tikhonov matrix only applies to kind='ridge'")
     if mix is not None and kind != "elastic":
         raise ValueError("a mixing parameter only applies to kind='elastic'")
-    if kind == "none":
-        return 0.0
-    if kind == "best_subset":
-        return float(np.count_nonzero(th))
-    if kind == "lasso":
-        return float(np.abs(th).sum())
     if kind == "ridge":
-        if tikhonov is None:
-            v = th
-        else:
+        if tikhonov is not None:
             t = np.asarray(tikhonov)
             if t.ndim != 2 or t.shape[1] != th.shape[0]:
                 raise ValueError(
                     f"tikhonov matrix {t.shape} cannot act on theta of "
                     f"length {th.shape[0]}"
                 )
-            v = t @ th
-        return float(_squared_norm(v))
-    if mix is None:
-        raise ValueError("elastic penalty needs a mixing parameter")
-    mix = float(mix)
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mixing parameter {mix!r} outside [0, 1]")
-    return mix * float(np.abs(th).sum()) + (1.0 - mix) * float(
-        _squared_norm(th)
-    )
+            th = t @ th
+        return _squared_norm(th)
+    if kind == "elastic":
+        if mix is None:
+            raise ValueError("elastic penalty needs a mixing parameter")
+        mix = float(mix)
+        if not 0.0 <= mix <= 1.0:
+            raise ValueError(f"mixing parameter {mix!r} outside [0, 1]")
+        return mix * float(np.abs(th).sum()) + (1.0 - mix) * _squared_norm(
+            th
+        )
+    if kind == "none":
+        return 0.0
+    if kind == "lasso":
+        return float(np.abs(th).sum())
+    return float(np.count_nonzero(th))
 
 
 def _squared_norm(v: np.ndarray) -> float:
     """``sum |v_i|^2`` of a complex vector."""
-    return np.vdot(v, v).real
+    return float(np.vdot(v, v).real)
 
 
 @dataclass(frozen=True)
@@ -383,15 +412,33 @@ class LossReport:
         reg: float,
         lam: float,
     ) -> "LossReport":
-        value = quadratic - 2.0 * cross + constant + lam * reg
-        return cls(
-            float(value),
-            float(quadratic),
-            float(cross),
-            float(constant),
-            float(reg),
+        return cls._of(
+            float(quadratic), float(cross), float(constant), float(reg),
             float(lam),
         )
+
+    @classmethod
+    def _of(
+        cls,
+        quadratic: float,
+        cross: float,
+        constant: float,
+        reg: float,
+        lam: float,
+    ) -> "LossReport":
+        """:meth:`assemble` for Python floats.  The fields go straight into
+        the instance's dict: the frozen ``__init__`` would set each one
+        through ``object.__setattr__``, which costs more than the loss of
+        a small model."""
+        rep = object.__new__(cls)
+        d = rep.__dict__
+        d["value"] = quadratic - 2.0 * cross + constant + lam * reg
+        d["quadratic"] = quadratic
+        d["cross"] = cross
+        d["constant"] = constant
+        d["reg"] = reg
+        d["lam"] = lam
+        return rep
 
     def to_json(self) -> dict:
         return {
@@ -443,10 +490,12 @@ def compressed_loss(
 ) -> LossReport:
     """Loss approximation from the compressed weights alone.
 
-    Cost O(M + min(|U|^2, L log L)) per call for a model of M
-    coefficients whose residues occupy the classes U, after one
-    O(L log L) spectrum per :class:`WeightSet` and O(d M + L) per model
-    and rule, both cached; it never touches the original samples.
+    Cost O(M (M + |U|)) per call for a model of M coefficients whose
+    residues occupy the classes U: one product with a matrix of at most
+    2^17 entries, built once per support and :class:`WeightSet` (O(d M +
+    M^2)) from one O(L log L) spectrum per weight set; O(M + L log L) on
+    the nodes for supports too large for that matrix.  It never touches
+    the original samples.
 
     Args:
         model: model under evaluation; must be real on the nodes.
@@ -465,16 +514,16 @@ def compressed_loss(
         )
     quad, crs = _data_terms(model, weights)
     pen = regularizer(reg, model.theta, tikhonov=tikhonov, mix=mix)
-    return LossReport.assemble(quad, crs, weights.mean_y2, pen, float(lam))
+    return LossReport._of(quad, crs, float(weights.mean_y2), pen, float(lam))
 
 
-# Cells |U|^2 up to which the compressed loss sums the quadratic form
-# over the classes U rather than the node values of a length-L FFT.  A
-# call on the form costs about 20 us plus 0.9 ns a cell, one on the
-# nodes 40-80 us at L <= 1024 and 0.55-1.2 ms at L = 4099, 8191 and
-# 16384 (one thread); at 2^16 cells (|U| = 256) the form took 52-61 us
-# against 55-81 us at L = 509 and 1024.  H then holds at most 1 MiB.
-_FORM_CELLS = 1 << 16
+# Entries up to which a support's loss runs as a product with its matrix
+# W (:func:`_loss_matrix`) rather than on the node values: 2^17, so W
+# holds at most 1 MiB.  With W near that size (149 rows on about as many
+# classes) a call took 21-27 us, against 68-80 us on the nodes at L = 509
+# and 1021 and 0.4-0.9 ms at L = 4099 and 8191 (2-core host); at 1.9
+# times the size it took 43-66 us against 58-80 us at L = 509 and 1021.
+_MATRIX_ENTRIES = 1 << 17
 
 
 def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
@@ -483,53 +532,102 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
     Let ``b`` be the coefficients summed per residue class and ``h_r =
     (b_r - conj b_{-r}) / 2``.  At node l the model's imaginary part is
     ``-i sum_r h_r exp(2 pi i r l / L)``, so its largest modulus over the
-    nodes lies between ``sqrt(sum |h|^2)`` (Parseval) and ``sum |h|``.  When the second is at
-    most the realness tolerance, the real part of the model has the
-    coefficients ``b - h`` and both terms are sums over the classes; when
-    the first exceeds it the model is not real.  Otherwise, and when the
-    classes are too many for the quadratic form, the model is evaluated
-    on the nodes.
+    nodes lies between ``sqrt(sum |h|^2)`` (Parseval) and ``sum |h|``.
+    When ``sum (|Re h| + |Im h|)``, at least the second, is at most the
+    realness tolerance, the real part of the model has the coefficients
+    ``b - h`` and both terms come from one product with the support's
+    loss matrix; when ``sqrt(sum |h|^2)`` exceeds it the model is not
+    real.  Otherwise, and when the support is too large for the matrix,
+    the model is evaluated on the nodes.
     """
-    L = weights.rule.L
-    k = _classes(model, weights.rule)
-    theta = model.theta
-    n = len(k.classes)
-    if n * n <= _FORM_CELLS:
-        b = np.bincount(k.row, weights=theta.real, minlength=n) + 1j * (
-            np.bincount(k.row, weights=theta.imag, minlength=n)
-        )
-        h = 0.5 * (b - b[k.neg].conj())
-        size = np.abs(h)
-        if float(size.sum()) <= _IMAG_TOL:
-            H, s_xyz = _form(model, k, weights)
-            b -= h
-            quad = float((b @ (H @ b)).real / L)
-            crs = float((b @ s_xyz).real / L)
-            return quad, crs
-        if math.sqrt(float(size @ size)) > _IMAG_TOL:
+    rule = weights.rule
+    c = _support(model)
+    s_xz, s_xyz = weights._node_spectra()
+    e = c.loss
+    if e is None or e.spectrum is not s_xz or e.rule is not rule:
+        e = c.loss = _loss_matrix(c.freq, rule, s_xz, s_xyz)
+    if e.W is not None:
+        v = model.theta.view(np.float64)
+        y = e.W.dot(v)
+        h = y[len(v) + 1:]
+        if np.abs(h).sum() <= _IMAG_TOL:
+            return float(v.dot(y[1:len(v) + 1])), float(y[0])
+        if math.sqrt(float((h * h) @ e.h_weights)) > _IMAG_TOL:
             raise _not_real()
-    f = _residue_fft(k.residues, theta, L)
+    f = _node_values(model, rule)
     if float(np.max(np.abs(f.imag))) > _IMAG_TOL:
         raise _not_real()
     fr = f.real
+    L = rule.L
     quad = float((fr * fr) @ weights.w_xz / L)
     crs = float(fr @ weights.w_xyz / L)
     return quad, crs
 
 
-def _form(
-    model: TrigModel, k: _Classes, weights: WeightSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """``H[i, j] = S_xz[u_i + u_j]`` and ``S_xyz[u_i]`` over the classes u,
-    kept on the model for the last weights."""
-    s_xz, s_xyz = weights._node_spectra()
-    c = _support(model)
-    form = c.form
-    if form is None or form[0] is not s_xz or form[1] is not k:
-        u = k.classes
-        H = s_xz[np.add.outer(u, u) % weights.rule.L]
-        form = c.form = (s_xz, k, H, s_xyz[u])
-    return form[2], form[3]
+def _loss_matrix(
+    freq: np.ndarray,
+    rule: LatticeRule,
+    s_xz: np.ndarray,
+    s_xyz: np.ndarray,
+) -> _LossMatrix:
+    """The compressed loss on the support ``freq`` as one real matrix W
+    acting on ``v = theta.view(float64)``, the coefficients' real and
+    imaginary parts interleaved.
+
+    With ``phi_j = 2 pi r_j l / L`` for the residue r_j of row j, the
+    real part of the model at node l is ``sum_j (Re theta_j cos phi_j -
+    Im theta_j sin phi_j)``, and ``sum_l w_l cos phi_j cos phi_k`` is
+    ``Re(S[r_j + r_k] + S[r_j - r_k]) / 2``, and so on; so its weighted
+    square is ``v . Q v`` and its weighted sum ``c . v``, with Q and c
+    read from ``S_xz`` and ``S_xyz`` at the sums and differences of the
+    residues (the same terms as ``b - h`` over the classes gives).  The
+    rows of W are c, Q and then the realness part, over the classes u
+    (the residues the rows occupy together with their negations): ``2
+    Re h_u`` on the first class u < L - u of a pair, ``2 Im h_{-u}`` on
+    the second, ``Im h_u`` on a class u = -u (mod L), so the 1-norm of
+    that part is ``sum_u (|Re h_u| + |Im h_u|)`` over all the classes.
+    W has ``(2 M + n + 1) 2 M`` entries for n classes, and is left out
+    (None) beyond ``_MATRIX_ENTRIES``; O(M d + M^2) to build, as n <= 2
+    M.
+    """
+    L = rule.L
+    M = len(freq)
+    # n >= 1: a support of more than 255 rows does not fit, and needs no
+    # residues here
+    if (2 * M + 2) * 2 * M > _MATRIX_ENTRIES:
+        return _LossMatrix(s_xz, rule, None, None)
+    r = _residues(freq, rule)
+    # the distinct values by a sort: np.unique would import numpy.ma
+    u = np.sort(np.concatenate([r, -r % L]))
+    u = u[np.concatenate(([True], u[1:] != u[:-1]))]
+    n = len(u)
+    if (2 * M + n + 1) * 2 * M > _MATRIX_ENTRIES:
+        return _LossMatrix(s_xz, rule, None, None)
+    W = np.zeros((2 * M + n + 1, 2 * M))
+    W[0] = s_xyz[r].conj().view(np.float64) / L
+    plus = s_xz[np.add.outer(r, r) % L]
+    minus = s_xz[np.subtract.outer(r, r) % L]
+    Q = W[1:2 * M + 1].reshape(M, 2, M, 2)
+    Q[:, 0, :, 0] = plus.real + minus.real
+    Q[:, 0, :, 1] = minus.imag - plus.imag
+    Q[:, 1, :, 0] = -minus.imag - plus.imag
+    Q[:, 1, :, 1] = minus.real - plus.real
+    Q *= 0.5 / L
+    # row j adds its coefficient to the class a_j of its residue; b_j is
+    # the class of -r_j, where the same coefficient enters conjugated
+    neg = np.searchsorted(u, -u % L)
+    k = np.arange(n)
+    first, second = k < neg, k > neg
+    half = np.where(second, 1.0, np.where(first, 0.0, 0.5))
+    a = np.searchsorted(u, r)
+    b = neg[a]
+    j = np.arange(M)
+    E = W[2 * M + 1:].reshape(n, M, 2)
+    E[a, j, 0] = first[a]
+    E[b, j, 0] -= first[b]
+    E[a, j, 1] = half[a]
+    E[b, j, 1] += half[b]
+    return _LossMatrix(s_xz, rule, W, np.where(first | second, 0.5, 1.0))
 
 
 def _not_real() -> ValueError:

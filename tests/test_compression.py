@@ -396,6 +396,28 @@ class TestPhases:
         assert (sum(columns) < len(u)) == factored
         assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
 
+    @pytest.mark.parametrize("u", [
+        np.array([2**22 - 1]),
+        np.array([10**7 + 1]),
+        np.array([-(2**30 - 1), 2**30 - 1]),
+        np.arange(2**21 - 3, 2**21 + 3),
+        np.arange(-2**21 - 2, -2**21 + 2),
+        np.arange(5_000_000 - 40, 5_000_000 + 41),
+        np.sort(np.random.default_rng(54).choice(
+            np.arange(-2**41, 2**41, 2**23 + 7), 300, replace=False)),
+        np.array([-(2**42 - 1), -2**41, 0, 3, 2**42 - 1]),
+    ])
+    def test_beyond_exact_turns(self, u) -> None:
+        # past 2^21 the value splits as uh 2^21 + ul; each factor's angle
+        # is still reduced by whole turns without rounding
+        got = compression._unit_phases(self.X, u)
+        assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
+
+    @pytest.mark.parametrize("top", [2**42, -2**42, 2**50])
+    def test_phase_bound(self, top) -> None:
+        with pytest.raises(ValueError, match="phase bound"):
+            compression._unit_phases(self.X, np.array([0, 1, top]))
+
 
 class TestSplit:
     """The head/tail split against sums that share none of its code."""

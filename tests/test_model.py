@@ -118,6 +118,24 @@ class TestEvalModel:
         got = eval_model(m, pts)
         np.testing.assert_allclose(got, direct, atol=1e-11)
 
+    def test_frequencies_beyond_2_21(self) -> None:
+        # 5,000,001 lies past the 2^21 up to which one reduction by whole
+        # turns is exact; the model still matches exactly reduced angles
+        from test_compression import _exact_phases
+
+        k = np.array([0, 5_000_001, -5_000_001, 2**21, 3, 2**30 + 5])
+        freq = np.column_stack([k, np.roll(k, 1)])
+        theta = np.random.default_rng(12).standard_normal(
+            (len(k), 2)
+        ) @ np.array([1.0, 1j])
+        pts = np.random.default_rng(13).random((30, 2))
+        direct = (
+            _exact_phases(pts[:, 0], freq[:, 0])
+            * _exact_phases(pts[:, 1], freq[:, 1])
+        ) @ theta
+        got = eval_model(TrigModel(freq, theta), pts)
+        assert float(np.max(np.abs(got - direct))) < 1e-12
+
     @pytest.mark.parametrize("zero", [True, False])
     def test_real_and_complex_models(self, zero) -> None:
         # The sum runs over the rows r >=_lex 0 with P = theta_r + conj
@@ -196,6 +214,10 @@ class TestRegularizer:
         assert regularizer("lasso", th) == 7.0
         assert regularizer("ridge", th) == 25.0
         assert regularizer("elastic", th, mix=0.5) == 16.0
+
+    def test_elastic_mix(self) -> None:
+        # mix * lasso + (1 - mix) * squared norm: 0.25 * 7 + 0.75 * 25
+        assert regularizer("elastic", [0.0, 3.0, -4.0], mix=0.25) == 20.5
 
     def test_zero_vector(self) -> None:
         th = np.zeros(4)
@@ -393,7 +415,8 @@ class TestFrequencyDomainLoss:
         assert len(set(r.tolist())) < model.size  # residues collide
         report = compressed_loss(model, ws, lam=0.1, reg="ridge")
         _assert_node_terms(report, model, ws)
-        assert (model._cache.form is not None) == form
+        assert (model._cache.loss.W is not None) == form
+        assert (model._cache.nodes is None) == form
 
     def test_support_not_closed_under_negation(self) -> None:
         # (1, 0) and (-26, 1) are not each other's negation, but their
@@ -405,7 +428,8 @@ class TestFrequencyDomainLoss:
         model = TrigModel(freq, [0.5, 0.3 + 0.2j, 0.3 - 0.2j])
         ws = _weights(5, rule)
         _assert_node_terms(compressed_loss(model, ws), model, ws)
-        assert model._cache.form is not None
+        assert model._cache.loss.W is not None
+        assert model._cache.nodes is None
         # a lone residue whose negation no row occupies is not real
         lone = TrigModel(freq[:2], [0.5, 0.3 + 0.2j])
         with pytest.raises(ValueError, match="real-valued"):
@@ -441,7 +465,7 @@ class TestFrequencyDomainLoss:
             report = compressed_loss(model, ws)
             quad, crs = _node_terms(model, ws)
             assert (report.quadratic, report.cross) == (quad, crs)
-        assert model._cache.form is None
+        assert model._cache.nodes is not None
 
     @pytest.mark.parametrize(
         "L, g, reach, m", [(61, (1, 25), 9, 80), (1021, (1, 408), 40, 400)]
@@ -456,7 +480,7 @@ class TestFrequencyDomainLoss:
             def no_nodes(*args):
                 raise AssertionError("the bound should have decided")
 
-            monkeypatch.setattr(model_mod, "_residue_fft", no_nodes)
+            monkeypatch.setattr(model_mod, "_node_values", no_nodes)
         for model in (
             TrigModel(real.frequencies, real.theta + 1e-6j),
             TrigModel(np.array([[1, 0]]), np.array([1.0 + 0j])),
@@ -472,7 +496,8 @@ class TestFrequencyDomainLoss:
         ws = _weights(24, LatticeRule(61, (1, 25)))
         model = TrigModel(np.array([[1, 0]]), np.array([4e-10 + 0j]))
         _assert_node_terms(compressed_loss(model, ws), model, ws)
-        assert model._cache.form is not None
+        assert model._cache.loss.W is not None
+        assert model._cache.nodes is None
 
     def test_repeated_calls_bitwise(self) -> None:
         rule = LatticeRule(61, (1, 25))
@@ -536,6 +561,189 @@ class TestFrequencyDomainLoss:
         w_xz[:] = 0.0
         assert compressed_loss(mine, copy) == before
         assert not copy.w_xz.flags.writeable
+
+
+class TestLossMatrix:
+    """The loss matrix W of a support and weight set, and the node path
+    for supports too large for it."""
+
+    def test_between_the_norms_takes_the_nodes(self) -> None:
+        # theta_1 is off from conj theta_{-1} by eps = 9e-10 (1 + i) /
+        # sqrt 2: sum |h| = 9e-10 is within the tolerance, sum (|Re h| +
+        # |Im h|) = 1.27e-9 is not, and sqrt(sum |h|^2) = 6.4e-10 does not
+        # decide either, so the nodes do: the loss of the real part.
+        rule = LatticeRule(61, (1, 25))
+        ws = _weights(25, rule)
+        eps = 9e-10 * (1 + 1j) / math.sqrt(2)
+        freq = np.array([[0, 0], [1, 0], [-1, 0]])
+        model = TrigModel(freq, [0.5, 0.3 + 0.2j + eps, 0.3 - 0.2j])
+        h = 0.5 * eps
+        assert 2 * abs(h) <= 1e-9 < 2 * (abs(h.real) + abs(h.imag))
+        report = compressed_loss(model, ws)
+        _assert_node_terms(report, model, ws)
+        assert model._cache.loss.W is not None
+        assert model._cache.nodes is not None
+        # the real part, theta - h on each class, takes the matrix, with
+        # the same terms
+        a = 0.3 + 0.2j + 0.5 * eps
+        real = TrigModel(freq, [0.5, a, a.conjugate()])
+        again = compressed_loss(real, ws)
+        assert real._cache.nodes is None
+        assert abs(again.quadratic - report.quadratic) <= 1e-14
+        assert abs(again.cross - report.cross) <= 1e-14
+
+    @pytest.mark.parametrize("reach, fits", [(73, True), (74, False)])
+    def test_size_rule(self, reach, fits) -> None:
+        # 2 reach + 1 rows on as many classes: W has (2 M + n + 1) 2 M
+        # entries, 129,948 at reach 73 and 133,504 at 74, against 2^17
+        ws = _weights(35, LatticeRule(509, (1,)))
+        k = np.arange(-reach, reach + 1)
+        rng = np.random.default_rng(36)
+        a = rng.standard_normal(reach) + 1j * rng.standard_normal(reach)
+        theta = np.concatenate([a[::-1].conj(), [0.3], a])
+        model = TrigModel(k[:, None], theta)
+        _assert_node_terms(compressed_loss(model, ws), model, ws)
+        assert (model._cache.loss.W is not None) == fits
+        assert (model._cache.nodes is None) == fits
+
+    @pytest.mark.parametrize("L, g, row", [
+        (61, (1, 25), [0, 0]),  # the class 0
+        (64, (1, 27), [5, 1]),  # the class L / 2 = 32
+    ])
+    def test_self_negating_class(self, L, g, row, monkeypatch) -> None:
+        # a class u = -u (mod L) is real only with a real coefficient sum
+        from latcompress import model as model_mod
+
+        ws = _weights(37, LatticeRule(L, g))
+        freq = np.array([row, [1, 0], [-1, 0]])
+        base = [0.5, 0.3 + 0.2j, 0.3 - 0.2j]
+        tiny = TrigModel(freq, [0.5 + 4e-10j, *base[1:]])
+        report = compressed_loss(tiny, ws)
+        assert tiny._cache.nodes is None
+        real = TrigModel(freq, base)
+        assert report == compressed_loss(real, ws)
+
+        def no_nodes(*args):
+            raise AssertionError("the bound should have decided")
+
+        monkeypatch.setattr(model_mod, "_node_values", no_nodes)
+        with pytest.raises(ValueError, match="real-valued"):
+            compressed_loss(TrigModel(freq, [0.5 + 2e-9j, *base[1:]]), ws)
+
+    def test_two_norm_decides_without_the_nodes(self, monkeypatch) -> None:
+        # h_1 = 1.5e-9 and h_{-1} = -1.5e-9: sqrt(sum |h|^2) = 2.1e-9
+        from latcompress import model as model_mod
+
+        def no_nodes(*args):
+            raise AssertionError("the bound should have decided")
+
+        monkeypatch.setattr(model_mod, "_node_values", no_nodes)
+        ws = _weights(38, LatticeRule(61, (1, 25)))
+        freq = np.array([[0, 0], [1, 0], [-1, 0]])
+        model = TrigModel(freq, [0.5, 0.3 + 0.2j + 3e-9, 0.3 - 0.2j])
+        with pytest.raises(ValueError, match="real-valued"):
+            compressed_loss(model, ws)
+
+    def test_built_once_per_weight_set(self, monkeypatch) -> None:
+        from latcompress import model as model_mod
+
+        built = []
+        loss_matrix = model_mod._loss_matrix
+
+        def counted(*args):
+            built.append(args[1])
+            return loss_matrix(*args)
+
+        monkeypatch.setattr(model_mod, "_loss_matrix", counted)
+        rule = LatticeRule(61, (1, 25))
+        ws1, ws2 = _weights(26, rule), _weights(27, rule)
+        model = _real_model(28, 2, 6, 30)
+        a1 = compressed_loss(model, ws1)
+        W1 = model._cache.loss.W
+        assert compressed_loss(model, ws1) == a1
+        assert model._cache.loss.W is W1 and len(built) == 1
+        a2 = compressed_loss(model, ws2)
+        assert len(built) == 2 and model._cache.loss.W is not W1
+        _assert_node_terms(a1, model, ws1)
+        _assert_node_terms(a2, model, ws2)
+        # new vectors on the same weight set are seen
+        ws2.w_xz = ws1.w_xz.copy()
+        b = compressed_loss(model, ws2)
+        assert len(built) == 3
+        assert abs(b.quadratic - a1.quadratic) <= 1e-12 * abs(a1.quadratic)
+
+    @pytest.mark.parametrize("L, g", [(509, (1, 205)), (65537, (1, 4099))])
+    def test_node_bucketing_matches_bincount(self, L, g) -> None:
+        # about 2,900 rows; on L = 509 most residues are shared by several
+        # rows, and on L = 65537 the row (-1, 0) takes the residue 65536,
+        # past 16 bits
+        rule = LatticeRule(L, g)
+        rng = np.random.default_rng(29)
+        freq = np.unique(np.concatenate([
+            rng.integers(-60, 61, size=(3200, 2)), [[-1, 0]]
+        ]), axis=0)
+        theta = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
+            len(freq)
+        )
+        model = TrigModel(freq, theta)
+        r = (freq @ np.asarray(rule.g)) % rule.L
+        b = np.bincount(r, theta.real, rule.L) + 1j * np.bincount(
+            r, theta.imag, rule.L
+        )
+        ref = rule.L * np.fft.ifft(b)
+        got = eval_model_on_lattice(model, rule)
+        assert (len(np.unique(r)) < len(freq) // 4) == (L == 509)
+        assert float(np.max(np.abs(got - ref))) <= 1e-15 * float(
+            np.abs(theta).sum()
+        )
+
+    def test_large_support_takes_the_nodes(self) -> None:
+        # 2,710 rows on 509 residues: W would hold 3.2e7 entries
+        ws = _weights(30, LatticeRule(509, (1, 205)))
+        real = _real_model(31, 2, 60, 1500)
+        report = compressed_loss(real, ws)
+        assert real._cache.loss.W is None
+        _assert_node_terms(report, real, ws)
+
+    def test_with_theta_shares_the_cache(self, monkeypatch) -> None:
+        from latcompress import model as model_mod
+
+        built = []
+        loss_matrix = model_mod._loss_matrix
+
+        def counted(*args):
+            built.append(args[1])
+            return loss_matrix(*args)
+
+        monkeypatch.setattr(model_mod, "_loss_matrix", counted)
+        rule = LatticeRule(61, (1, 25))
+        ws = _weights(32, rule)
+        base = _real_model(33, 2, 6, 30)
+        rng = np.random.default_rng(34)
+        steps = [base.theta * (1.0 + 0.1 * rng.standard_normal())
+                 for _ in range(5)]
+        model, chained = base, []
+        for theta in steps:
+            model = model.with_theta(theta)
+            chained.append(compressed_loss(model, ws, lam=0.1, reg="ridge"))
+            assert model.frequencies is base.frequencies
+            assert not model.theta.flags.writeable
+        assert len(built) == 1
+        fresh = [
+            compressed_loss(TrigModel(base.frequencies, theta), ws, lam=0.1,
+                            reg="ridge")
+            for theta in steps
+        ]
+        assert chained == fresh and len(built) == 1 + len(steps)
+        # validated and copied as by the constructor
+        mine = steps[0].copy()
+        moved = base.with_theta(mine)
+        mine[:] = 7.0
+        assert np.array_equal(moved.theta, steps[0])
+        with pytest.raises(ValueError, match="theta has shape"):
+            base.with_theta(steps[0][:-1])
+        with pytest.raises(ValueError, match="finite"):
+            base.with_theta(np.full(base.size, np.nan))
 
 
 class TestModelSquared:
