@@ -17,11 +17,12 @@ routes sit in one table, ``_ROUTES``, with one calling convention:
 ``(data, rule, index_set, cvecs, threads, cap)`` in, one weight vector
 per coefficient vector out.  ``naive`` sums directly and is the
 reference; ``general-fft`` serves any set by sum factorisation over a
-head/tail split of the coordinates, one matrix product per bucket of
-heads (:func:`_split_plan`), the plan ``eval_model`` runs the other way
-round.  Both sum only over the representatives ``r >=_lex 0`` of the
-rows (``r = k`` or ``-k``, :func:`_fold`), since the phases of r and -r
-are conjugates.  ``rectangle`` and ``step-cross`` run one
+head/tail split of the coordinates, one real matrix product per bucket
+of heads (:func:`_split_plan`), the plan ``eval_model`` runs the other
+way round.  Both sum only over the representatives ``r >=_lex 0`` of
+the rows (``r = k`` or ``-k``, :func:`_fold`), since the phases of r and
+-r are conjugates, and one pair cell serves a head's tails ``+-tau``
+from the tail's cosines and sines.  ``rectangle`` and ``step-cross`` run one
 Dirichlet-kernel DP over the set's run tables, grouping prefix products
 by accumulated cost, and never enumerate the set.  ``compress`` takes the route
 :func:`choose_route` predicts to be cheapest, pricing each route from
@@ -37,6 +38,7 @@ import json
 import math
 import os
 import struct
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -197,16 +199,18 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
         )
 
 
-# Head and tail phases general-FFT and eval_model build per block of
-# samples (4 MiB, which keeps a block in a core's cache), the elements
-# of the temporaries that multiply gathered phase columns in (256 KiB),
+# Real elements general-FFT and eval_model hold per block of samples:
+# the cosine and sine columns of its head and tail phases and of its
+# widest scaled product operand (4 MiB, which keeps a block in a core's
+# cache), the elements of the temporaries that multiply gathered phase
+# columns in (256 KiB),
 # the elements of each phase block of the naive route, and the most
 # samples in a block of the kernel route.  The last is fixed, never
 # derived from the thread count, so the blocks and hence the bits of the
 # output are the same for any thread count; at 2,048 rows a 10,000-sample
 # run has five blocks for a pool to share, and one thread runs as fast
 # as with one block (1.9 s either way for a d = 6 step cross at L = 127).
-_FFT_BLOCK = 1 << 18
+_FFT_BLOCK = 1 << 19
 _GATHER = 1 << 14
 _NAIVE_BLOCK = 1 << 20
 _SWEEP_ROWS = 2048
@@ -257,37 +261,41 @@ def _phase_axes(freq: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _phase_matrix(X: np.ndarray, axes) -> np.ndarray:
-    """Phases ``exp(2 pi i k . x)``, one row per point of X and one
-    column per frequency row described by :func:`_phase_axes`; rows of
-    width 0 (no axes) are the single frequency whose phase is 1.
+def _phase_matrix(X: np.ndarray, axes, out: np.ndarray) -> None:
+    """Phases ``exp(2 pi i k . x)`` into ``out``, one row per point of X
+    and one column per frequency row described by :func:`_phase_axes`,
+    C-ordered so that each phase's cosine and sine lie side by side; rows
+    of width 0 (no axes) are the single frequency whose phase is 1.
 
     Built per coordinate from the distinct frequency values
     (:func:`_unit_phases`), so the cosines and sines are at most ``rows *
-    sum_j |unique(k_j)|`` rather than ``rows * |K| * d``, and about
-    ``rows * sum_j 2 sqrt(span_j)`` on wide ranges; the rest is gathers
-    and elementwise products.
+    sum_j |unique(|k_j|)|`` rather than ``rows * |K| * d``, and about
+    ``rows * sum_j log2(span_j)`` on ranges; the rest is gathers and
+    elementwise products.
     """
     if not axes:
-        return np.ones((X.shape[0], 1), dtype=np.complex128)
+        out[:] = 1.0
+        return
     (u, inv), *rest = axes
     # a column of distinct values (a side of one coordinate) needs no
     # gather: its phases are made in row order
     if len(u) == len(inv):
-        ph = _unit_phases(X[:, 0], u[inv])
+        _unit_phases(X[:, 0], u[inv], out)
     else:
-        ph = _unit_phases(X[:, 0], u)[:, inv]
+        table, index = _phase_table(X[:, 0], u)
+        table.take(index[inv], axis=1, out=out, mode="clip")
     for j, (u, inv) in enumerate(rest, 1):
-        _times_columns(ph, _unit_phases(X[:, j], u), inv)
-    return ph
+        table = None  # the last axis' table goes before this one is made
+        table, index = _phase_table(X[:, j], u)
+        _times_columns(out, table, index[inv])
 
 
 def _times_columns(out: np.ndarray, a: np.ndarray, cols: np.ndarray) -> None:
-    """``out *= a[:, cols]``, gathered a few columns at a time: no
-    temporary exceeds ``_GATHER`` elements."""
-    step = max(1, _GATHER // max(len(out), 1))
-    for s in range(0, len(cols), step):
-        out[:, s:s + step] *= a[:, cols[s:s + step]]
+    """``out *= a[:, cols]`` for C-ordered arrays, gathered a few rows at
+    a time: no temporary exceeds ``_GATHER`` elements."""
+    step = max(1, _GATHER // max(len(cols), 1))
+    for s in range(0, len(out), step):
+        out[s:s + step] *= a[s:s + step].take(cols, axis=1)
 
 
 # |v| below which _turn_phases reduces the angles x v exactly, and the
@@ -296,26 +304,47 @@ _EXACT_TURNS = 1 << 21
 _PHASE_BOUND = 1 << 42
 
 
-def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``exp(2 pi i x u)`` for every x and every value of the distinct
-    integers u.
+def _unit_phases(
+    x: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``exp(2 pi i x u)`` for every x and every value of the integers u,
+    into ``out`` when given; made by :func:`_phase_table`."""
+    table, index = _phase_table(x, u, out)
+    if table is out:
+        return out
+    if out is not None:
+        return table.take(index, axis=1, out=out, mode="clip")
+    if np.array_equal(index, np.arange(table.shape[1])):
+        return table
+    return table.take(index, axis=1)
 
-    With ``B = ceil(sqrt(span))`` over the span of u, each value is
-    ``min(u) + B q + r`` with ``0 <= r < B``, and its phase is the giant
-    step's phase times the baby step's: one complex product per pair
-    from ``B + Q`` directly computed columns instead of ``|u|``, each
-    factor within an ulp or two, so the product is within a few ulp at
-    any |u|.  Taken only when it needs fewer columns than u has values.
+
+def _phase_table(
+    x: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A table of phases at every x and the column of each value of the
+    integers u in it: ``exp(2 pi i x u) = table[:, index]``.  When u's
+    phases are the table itself, it is made in ``out``, if given.
+
+    A value's phase is the conjugate of its magnitude's, so only the
+    distinct magnitudes ``|u|`` are made.  Directly, each costs a cosine
+    and a sine column; with baby and giant steps (:func:`_factoring`),
+    a magnitude ``B q + r`` with ``B = 2^k`` and ``0 <= r < B`` is the
+    giant step ``B q``'s phase, computed directly, times the baby step
+    r's, and the babies come from the k directly computed phases of
+    ``2^j`` by doubling: ``e(2^j + r) = e(r) e(2^j)``.  Each computed
+    phase is within an ulp or two and a baby is a product of at most k
+    of them, so every phase is within a few tens of ulp at any |u|.
 
     :func:`_turn_phases` reduces angles exactly for |u| < 2^21.  Beyond
     that, u splits as ``uh 2^21 + ul`` with ``0 <= ul < 2^21``, and the
     phase is that of ``ul`` at x times that of ``uh`` at ``y = frac(x
     2^21)`` (exact: x 2^21 is a power-of-two scaling and loses only whole
-    turns), again within a few ulp.  Up to ``_PHASE_BOUND`` one split
-    suffices; larger values raise ``ValueError``.
+    turns), again within a few tens of ulp.  Up to ``_PHASE_BOUND`` one
+    split suffices; larger values raise ``ValueError``.
     """
     if not len(u):
-        return _turn_phases(x, u)
+        return _turn_phases(x, u, out), np.arange(0)
     lo, hi = int(u.min()), int(u.max())
     if max(-lo, hi) >= _EXACT_TURNS:
         if max(-lo, hi) >= _PHASE_BOUND:
@@ -326,36 +355,113 @@ def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         uh, ul = np.divmod(u, _EXACT_TURNS)
         y = x * float(_EXACT_TURNS)
         y -= np.floor(y)
-        out = _unit_phases(y, uh)
+        out = _unit_phases(y, uh, out)
         out *= _unit_phases(x, ul)
-        return out
-    # two factors take at least two columns, so up to two values are
-    # computed directly
-    low = lo if len(u) > 2 else 0
-    span = hi - low + 1 if len(u) > 2 else 1
-    step = math.isqrt(span - 1) + 1
-    giants = -(-span // step)
-    if step + giants >= len(u):
-        return _turn_phases(x, u)
-    q, r = np.divmod(u - low, step)
-    out = _turn_phases(x, low + step * np.arange(giants))[:, q]
-    _times_columns(out, _turn_phases(x, np.arange(step)), r)
+        return out, np.arange(len(u))
+    mag = np.abs(u)
+    vals = _distinct(mag)
+    k = _factoring(int(vals[0]), int(vals[-1]), len(vals))[0]
+    babies = k >= 0 and vals[-1] < 1 << k
+    if babies:
+        # the babies are the phases of every magnitude up to the largest
+        vals = np.arange(int(vals[-1]) + 1)
+    n = len(vals)
+    # the table of the magnitudes' phases, after their conjugates when
+    # some values are negative, made in place when it is u's phases
+    if lo < 0:
+        table = np.empty((len(x), 2 * n), dtype=np.complex128)
+    elif out is not None and np.array_equal(u, vals):
+        table = out
+    else:
+        table = np.empty((len(x), n), dtype=np.complex128)
+    half = table[:, table.shape[1] - n:]
+    if babies:
+        _baby_table(x, n, half)
+    elif k < 0:
+        _turn_phases(x, vals, half)
+    else:
+        q, r = np.divmod(vals, 1 << k)
+        giants = _turn_phases(x, np.arange(q[0], q[-1] + 1) << k)
+        giants.take(q - q[0], axis=1, out=half, mode="clip")
+        _times_columns(half, _baby_table(x, 1 << k), r)
+    index = np.searchsorted(vals, mag)
+    if lo < 0:
+        np.conjugate(half, out=table[:, :n])
+        index += (u >= 0) * n
+    return table, index
+
+
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The distinct values of v, sorted (a plain ``np.unique`` would
+    import ``numpy.ma`` on its first call)."""
+    v = np.sort(v)
+    return v[np.diff(v, prepend=v[:1] - 1) != 0]
+
+
+# The cost of a directly computed cosine and sine column, in products of
+# one phase column (about 50 ns against 3 ns a sample on the machine the
+# prices were fitted on), and the most doublings a baby step is made by.
+_TRIG_PRODUCTS = 16
+_DOUBLINGS = 10
+
+
+def _factoring(low: int, m: int, n: int) -> tuple[int, int, int]:
+    """How :func:`_unit_phases` makes n distinct magnitudes in [low, m]
+    (below 2^21, where no value splits): the k of its baby steps ``2^k``,
+    or -1 to compute them directly, with the cosine and sine columns it
+    then computes and the products of phase columns it makes of them.
+
+    With baby steps, the babies up to m (all of them when m reaches 2^k)
+    take at most k doublings, and when m reaches 2^k the giant steps
+    from ``low`` to m take a column each and every magnitude a product.
+    The choice is the least cost, a cosine and sine column counting
+    ``_TRIG_PRODUCTS`` products.
+    """
+    best = (-1, n, 0)
+    for k in range(1, _DOUBLINGS + 1):
+        if m < 1 << k:
+            trig, values = m.bit_length(), m + 1
+        else:
+            trig, values = k + (m >> k) - (low >> k) + 1, (1 << k) + n
+        if (_TRIG_PRODUCTS * (trig - best[1]) + values - best[2]) < 0:
+            best = (k, trig, values)
+    return best
+
+
+def _baby_table(
+    x: np.ndarray, size: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``exp(2 pi i x r)`` for r = 0, ..., size - 1, into ``out`` when
+    given, by doubling from the directly computed phases of the powers
+    of two below size."""
+    k = (size - 1).bit_length()
+    powers = _turn_phases(x, 1 << np.arange(k))
+    if out is None:
+        out = np.empty((len(x), size), dtype=np.complex128)
+    out[:, 0] = 1.0
+    for j in range(k):
+        s = 1 << j
+        e = min(2 * s, size)
+        np.multiply(out[:, :e - s], powers[:, j:j + 1], out=out[:, s:e])
     return out
 
 
-def _turn_phases(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``exp(2 pi i x v)`` for every x and integer v, by a cosine and a
-    sine (cheaper than a complex ``exp``) of the angle reduced by whole
-    turns.  The reduction is exact: x splits as ``xh + xl`` with xh on a
-    grid of 2^-32, so ``xh v`` is exact for |v| < 2^21 and loses its
-    whole turns without rounding, and the small ``xl v`` is added
-    after.  Larger values go through :func:`_unit_phases`."""
+def _turn_phases(
+    x: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``exp(2 pi i x v)`` for every x and integer v, into ``out`` when
+    given, by a cosine and a sine (cheaper than a complex ``exp``) of the
+    angle reduced by whole turns.  The reduction is exact: x splits as
+    ``xh + xl`` with xh on a grid of 2^-32, so ``xh v`` is exact for |v| <
+    2^21 and loses its whole turns without rounding, and the small ``xl
+    v`` is added after.  Larger values go through :func:`_unit_phases`."""
     xh = np.round(x * 2.0**32) * 2.0**-32
     t = np.outer(xh, v)
     t -= np.round(t)
     t += np.outer(x - xh, v)
     t *= _TWO_PI
-    out = np.empty(t.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(t.shape, dtype=np.complex128)
     np.cos(t, out=out.real)
     np.sin(t, out=out.imag)
     return out
@@ -385,12 +491,15 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _buckets(tails_per_head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The heads in bucket order and where each bucket starts in it.
 
-    A head with t tails goes to bucket b, the least b with ``t <= 2^b``.
+    A head with t tails goes to bucket b, the least b with ``t <= 2^b``,
+    and the buckets run from the most tails to the fewest (so the heads
+    of one coordinate whose tails shrink as |a| grows come in order).
     (A plain ``np.unique`` would import ``numpy.ma`` on its first call.)
     """
     b = np.frexp(np.asarray(tails_per_head, dtype=np.float64) - 1.0)[1]
-    order = np.argsort(b, kind="stable")
-    return order, np.flatnonzero(np.diff(b[order], prepend=-1))
+    order = np.argsort(-b, kind="stable")
+    b = b[order]
+    return order, np.flatnonzero(np.diff(b, prepend=b[:1] + 1))
 
 
 class _Fold(NamedTuple):
@@ -434,26 +543,58 @@ def _fold(freq: np.ndarray) -> _Fold:
     return _Fold(reps, rep, flip)
 
 
+class _Sizes(NamedTuple):
+    """What a split plan does per sample and coefficient vector: its
+    distinct heads and tails tau; the coordinates of their phases, each a
+    gather and a product, together with the values each axis multiplies
+    out of baby and giant steps; its pair cells; and the cosine and sine
+    columns its axes compute directly."""
+
+    heads: int
+    tails: int
+    coords: int
+    cells: int
+    trig: int
+
+
+def _sizes(heads: int, tails: int, h: int, mags, cells: int) -> _Sizes:
+    """The sizes of a split after coordinate h with the given heads,
+    tails and pair cells, its axes' values of the magnitudes ``mags``
+    (the least, the greatest and their number per coordinate, heads
+    first)."""
+    trig = values = 0
+    for m in mags:
+        _, t, v = _factoring(*m)
+        trig, values = trig + t, values + v
+    coords = heads * h + tails * (len(mags) - h) + values
+    return _Sizes(heads, tails, coords, cells, trig)
+
+
 class _SplitPlan(NamedTuple):
     """Sum factorisation of a folded frequency set over a head/tail split.
 
     Each representative is ``r = (a, b)``: its first h coordinates (the
-    head) and the rest (the tail).  ``heads`` holds the distinct heads,
-    ordered by bucket, and ``tails`` the distinct tails.  Heads are
-    bucketed by the number of tails they pair with, in powers of two;
-    ``buckets`` holds per bucket ``(a0, a1, tb, ii, jj, rows)``: its
-    heads are ``heads[a0:a1]``, ``tb`` indexes the union of their tails
-    (a slice when they form a range), and representative
-    ``rows[r]`` is cell ``(ii[r], jj[r])`` of the bucket's ``(a1 - a0) x
-    |tb|`` block.  ``work`` is the cells of all blocks, the multiply-adds
-    per sample and vector, and ``fold`` maps the set's rows onto the
-    representatives.
+    head) and the rest (the tail), and each tail is ``b = tau`` or ``b =
+    -tau`` with ``tau >=_lex 0``.  ``heads`` holds the distinct heads,
+    ordered by bucket, and ``tails`` the distinct tails tau, those that
+    pair with the most heads first.  Heads are bucketed by the number of
+    tails tau they pair with, in powers of two; ``buckets`` holds per
+    bucket ``(a0, a1, tb, ii, jj, flip, rows)``: its heads are
+    ``heads[a0:a1]``, ``tb`` indexes the union of their tails (a slice
+    ``[0, n)`` when they are a prefix of ``tails``), and representative
+    ``rows[r]`` is pair cell ``(ii[r], jj[r])`` of the bucket's ``(a1 -
+    a0) x |tb|`` block, with tail ``-tau`` where ``flip[r]``, else
+    ``tau``.  ``axes`` holds the
+    phase axes (:func:`_phase_axes`) of the heads and of the tails,
+    ``sizes`` what the plan does per sample, and ``fold`` maps the set's
+    rows onto the representatives.
     """
 
     heads: np.ndarray
     tails: np.ndarray
     buckets: tuple
-    work: int
+    axes: tuple
+    sizes: _Sizes
     fold: _Fold
 
 
@@ -462,75 +603,104 @@ def _split_plan(fold: _Fold, h: int) -> _SplitPlan:
     ``h``."""
     freq = fold.reps
     heads, head_of = _distinct_rows(freq[:, :h])
-    tails, tail_of = _distinct_rows(freq[:, h:])
-    # Tails by sign, then by how many heads they pair with: the negative
-    # ones rising, the others falling.  In a set closed under negation,
-    # where a head takes the tails up to some cost and the zero head the
-    # nonnegative ones among them, each bucket's tails then form a range,
-    # and its phases a view rather than a copy.
-    uses = np.bincount(tail_of, minlength=len(tails))
-    below = _below_zero(tails)
-    seq = np.lexsort((np.where(below, uses, -uses), ~below))
+    # the tails folded by sign onto tau >=_lex 0: the one sort of rows
+    flip = _below_zero(freq[:, h:])
+    tails, tail_of = _distinct_rows(
+        np.where(flip[:, None], -freq[:, h:], freq[:, h:])
+    )
+
+    def pairs(of: np.ndarray, n: int) -> np.ndarray:
+        # A pair (a, tau) holds tau, -tau or both, so the larger count of
+        # the two signs is the number of pairs, exactly so when every
+        # pair with -tau holds tau too, as in the named families.
+        return np.maximum(np.bincount(of[flip], minlength=n),
+                          np.bincount(of[~flip], minlength=n))
+
+    # Tails by the number of heads they pair with, most first.  Where a
+    # head takes the tails up to some cost, the more heads the cheaper
+    # the tail, so each bucket's tails are a prefix, and its phases a view.
+    seq = np.argsort(-pairs(tail_of, len(tails)), kind="stable")
     rank = np.empty(len(tails), dtype=np.intp)
     rank[seq] = np.arange(len(tails))
     tails, tail_of = tails[seq], rank[tail_of]
-    # Heads in bucket order, so a bucket is a slice of them.
-    order, starts = _buckets(np.bincount(head_of, minlength=len(heads)))
+    # Heads in bucket order, so a bucket is a slice of them, and the rows
+    # by bucket: a radix sort of small keys.
+    order, starts = _buckets(pairs(head_of, len(heads)))
     col = np.empty(len(heads), dtype=np.intp)
     col[order] = np.arange(len(heads))
     row_col = col[head_of]
-    # One sort of the rows by bucket, then tail: each bucket is a slice,
-    # and its distinct tails are where the tail changes within it.
     bucket = np.searchsorted(starts, row_col, side="right") - 1
-    by = np.argsort(bucket * len(tails) + tail_of, kind="stable")
-    t, b = tail_of[by], bucket[by]
-    new = np.ones(len(by), dtype=bool)
-    new[1:] = (t[1:] != t[:-1]) | (b[1:] != b[:-1])
-    slot = np.cumsum(new) - 1
-    ends = np.searchsorted(b, np.arange(1, len(starts) + 1)).tolist()
+    by = np.argsort(bucket.astype(np.uint8), kind="stable")
+    ends = np.searchsorted(bucket[by], np.arange(1, len(starts) + 1))
     bounds = starts.tolist() + [len(heads)]
-    buckets, work, s = [], 0, 0
-    for a0, a1, e in zip(bounds, bounds[1:], ends):
+    buckets, cells, s = [], 0, 0
+    for a0, a1, e in zip(bounds, bounds[1:], ends.tolist()):
         rows = by[s:e]
-        tb = t[s:e][new[s:e]]
-        work += (a1 - a0) * len(tb)
-        if len(tb) and tb[-1] - tb[0] == len(tb) - 1:
-            tb = slice(int(tb[0]), int(tb[-1]) + 1)
-        buckets.append((a0, a1, tb, row_col[rows] - a0, slot[s:e] - slot[s],
-                        rows))
+        jj = tail_of[rows]
+        used = np.zeros(len(tails), dtype=bool)
+        used[jj] = True
+        n = int(np.count_nonzero(used))
+        if used[:n].all():
+            tb = slice(0, n)
+        else:
+            tb = np.flatnonzero(used)
+            jj = (np.cumsum(used) - 1)[jj]
+        cells += (a1 - a0) * n
+        buckets.append((a0, a1, tb, row_col[rows] - a0, jj, flip[rows], rows))
         s = e
-    return _SplitPlan(heads[order], tails, tuple(buckets), work, fold)
+    heads = heads[order]
+    axes = _phase_axes(heads), _phase_axes(tails)
+    mags = []
+    for u, _ in axes[0] + axes[1]:
+        v = _distinct(np.abs(u))
+        mags.append((int(v[0]), int(v[-1]), len(v)) if len(v) else (0, 0, 0))
+    sizes = _sizes(len(heads), len(tails), h, mags, cells)
+    return _SplitPlan(heads, tails, tuple(buckets), axes, sizes, fold)
 
 
-def _split_price(phases: float, work: float) -> float:
-    """Predicted seconds per sample of a split with ``work`` cells and
-    head and tail phases of ``phases`` coordinates in all: each
-    coordinate of a phase is a gather and a product."""
-    return work * _GEMM_S + phases * _PHASE_S
+def _split_price(sizes: _Sizes) -> float:
+    """Predicted seconds per sample of a split pass with both coefficient
+    vectors: its pair cells, the coordinates of its phases and the
+    cosine and sine columns of its axes."""
+    return (sizes.cells * _GEMM_S + sizes.coords * _PHASE_S
+            + sizes.trig * _TRIG_S)
 
 
-def _plan_price(p: _SplitPlan) -> float:
-    return _split_price(p.heads.size + p.tails.size, p.work)
+def _family_magnitudes(runs) -> list[tuple[int, int, int]]:
+    """Per coordinate of a named family, the least and greatest magnitude
+    of its values and their number, from the run tables: the magnitudes
+    are 0 to the reach of the last run the coordinate admits alone, all
+    of them taken, on either side of any split.  (A value v > 0 is the
+    row with v there and zeros elsewhere, a zero costing the identity in
+    every family; a value -v < 0 on a side's rows ``>=_lex 0`` needs a
+    positive value before it, so it reaches no further.)"""
+    ident = np.full(1, float(runs.combine.identity))
+    reach = [
+        int(ups[_last_run(runs, ident, costs)[0]])
+        for ups, costs in zip(runs.ups, runs.costs)
+    ]
+    return [(0, w, w + 1) for w in reach]
 
 
-def _family_sizes(runs, h: int) -> tuple[float, float]:
-    """The phase coordinates and the cells of a named family's folded
-    split after coordinate h, from its run tables without enumerating
-    the set.
+def _family_sizes(runs, h: int) -> _Sizes:
+    """The sizes of a named family's folded split after coordinate h,
+    from its run tables without enumerating the set.
 
     The heads are the prefixes over the first h tables, grouped by
     accumulated cost; the tails are the walk over the other tables from
     the identity, i.e. at the full budget.  Membership depends on |k_j|
     only, so the set is closed under negation and folds onto its rows
     ``>=_lex 0``: the heads ``>_lex 0`` with every tail, and the zero
-    head with the tails ``>=_lex 0``.  A head of cost ``a`` pairs with
-    the tails whose cost its remaining budget admits, a prefix of their
-    sorted costs, so tail sets nest as ``a`` grows.  A cost group of n
-    heads holds ``(n - [0 in group]) / 2`` positive heads.  The zero head
-    has the least cost and ``(t + 1) / 2`` of the t tails it admits (the
-    zero tail is its own negation); in a bucket whose positive heads
-    reach t' tails, it adds half of the ``t - t'`` beyond them.  So the
-    sizes are those :func:`_split_plan` finds on the materialised rows.
+    head with the tails ``>=_lex 0``.  A cost group of n heads holds
+    ``(n - [0 in group]) / 2`` positive heads.  A head of cost ``a``
+    pairs with the t tails whose cost its remaining budget admits, both
+    signs of each, so with ``(t + 1) / 2`` tails tau (the zero tail is its
+    own negation), a prefix of the tails tau sorted by cost; the zero
+    head, of the least cost, pairs with all of them, one sign each.  So
+    tail sets nest as ``a`` grows, a bucket's union is its largest set,
+    and the sizes are those :func:`_split_plan` finds on the materialised
+    rows.  The magnitudes of the axes come from
+    :func:`_family_magnitudes`.
     """
     d = len(runs.ups)
     acc, heads = _cost_groups(runs, range(h))
@@ -538,67 +708,101 @@ def _family_sizes(runs, h: int) -> tuple[float, float]:
     # an empty run leaves cost groups of no prefix; they bucket nothing
     acc, heads = acc[heads > 0], heads[heads > 0]
     if not len(acc):
-        return 0.0, 0.0
+        return _Sizes(0, 0, 0, 0, 0)
     origin = float(runs.combine.identity)
     for j in range(h):
         origin = runs.combine(origin, runs.costs[j][0])
     zero = acc == origin
     reach = np.cumsum(tails.astype(np.float64))[_last_run(runs, acc, cost)]
     pos = (heads.astype(np.float64) - zero) / 2.0
-    full = float(reach[zero][0])
-    # per head: its tails, the zero head last with (t + 1) / 2 of its t
-    per_head = np.append(reach[pos > 0], (full + 1.0) / 2.0)
+    taus = (reach + 1.0) / 2.0
+    # per head its tails tau, the zero head last
+    per_head = np.append(taus[pos > 0], taus[zero][0])
     count = np.append(pos[pos > 0], 1.0)
     order, starts = _buckets(per_head)
-    # a bucket's union: the most tails of its positive heads (1, the zero
-    # tail, for none), and in the zero head's bucket half of the zero
-    # head's other tails besides
-    most = np.append(reach[pos > 0], 1.0)
-    union = np.maximum.reduceat(most[order], starts)
-    b = np.searchsorted(starts, np.argmax(order == len(order) - 1),
-                        side="right") - 1
-    union[b] = (union[b] + full) / 2.0
-    work = np.add.reduceat(count[order], starts) @ union
-    n_tails = (most.max() + full) / 2.0
-    return float(count.sum() * h + n_tails * (d - h)), float(work)
+    union = np.maximum.reduceat(per_head[order], starts)
+    cells = float(np.add.reduceat(count[order], starts) @ union)
+    return _sizes(float(count.sum()), float(taus[zero][0]), h,
+                  _family_magnitudes(runs), cells)
 
 
 def _family_split(runs) -> tuple[int, float]:
     """The cheapest split point of a named family and its price per
     sample."""
     prices = [
-        _split_price(*_family_sizes(runs, h))
+        _split_price(_family_sizes(runs, h))
         for h in range(1, len(runs.ups) + 1)
     ]
     h = int(np.argmin(prices))
     return h + 1, prices[h]
 
 
-def _split_rows(freq: np.ndarray, runs=None) -> _SplitPlan:
-    """The cheapest split plan of the rows of ``freq``, folded onto their
-    representatives: priced from the run tables of their named family
-    when given, else from each candidate plan."""
+def _split_rows(
+    freq: np.ndarray, runs=None, h: Optional[int] = None
+) -> _SplitPlan:
+    """The split plan of the rows of ``freq``, folded onto their
+    representatives, after coordinate h when given, else at the cheapest
+    split: priced from the run tables of their named family when given,
+    else from each candidate plan."""
     fold = _fold(freq)
-    if runs is not None:
-        return _split_plan(fold, _family_split(runs)[0])
+    if h is None and runs is not None:
+        h = _family_split(runs)[0]
+    if h is not None:
+        return _split_plan(fold, h)
     plans = (_split_plan(fold, h) for h in range(1, freq.shape[1] + 1))
-    return min(plans, key=_plan_price)
+    return min(plans, key=lambda p: _split_price(p.sizes))
 
 
-def _split_phases(plan: _SplitPlan):
-    """How a plan's phases are made per block: the rows of a block, about
-    ``_FFT_BLOCK`` head and tail phases, and a function from points to
-    their head and tail phases."""
+def _split_phases(plan: _SplitPlan, rows: int):
+    """How a plan's phases are made per block of ``rows`` points: the
+    rows of a block and a function from points to their head and tail
+    phases.
+
+    A block holds about ``_FFT_BLOCK`` real elements, and at most
+    ``rows`` points: the cosine and sine columns of every head and tail
+    phase, and of the widest operand a product scales (its bucket's
+    narrower side).  The phases are views of buffers each thread
+    allocates once and reuses from block to block.
+    """
     h = plan.heads.shape[1]
-    axes = _phase_axes(plan.heads), _phase_axes(plan.tails)
-    block = max(1, _FFT_BLOCK // max(len(plan.heads) + len(plan.tails), 1))
+    widest = max(
+        (min(a1 - a0, _width(tb)) for a0, a1, tb, *_ in plan.buckets),
+        default=0,
+    )
+    widths = len(plan.heads), len(plan.tails)
+    width = 2 * (sum(widths) + widest)
+    block = max(1, min(rows, _FFT_BLOCK // max(width, 1)))
+    local = threading.local()
+
+    def buffer(i: int, rows: int) -> np.ndarray:
+        # made on the thread's first use, so the first block's head
+        # phases are built before its tail buffer exists
+        bufs = local.__dict__.setdefault("bufs", {})
+        if i not in bufs:
+            bufs[i] = np.empty((block, widths[i]), dtype=np.complex128)
+        return bufs[i][:rows]
 
     def phases(Xb: np.ndarray):
-        return _phase_matrix(Xb[:, :h], axes[0]), _phase_matrix(
-            Xb[:, h:], axes[1]
-        )
+        A = buffer(0, len(Xb))
+        _phase_matrix(Xb[:, :h], plan.axes[0], A)
+        B = buffer(1, len(Xb))
+        _phase_matrix(Xb[:, h:], plan.axes[1], B)
+        return A, B
 
     return block, phases
+
+
+def _width(tb) -> int:
+    """The number of tails a bucket's index ``tb`` selects."""
+    return tb.stop if isinstance(tb, slice) else len(tb)
+
+
+def _trig(ph: np.ndarray, cols) -> np.ndarray:
+    """The cosine and sine columns, side by side, of the phase columns
+    ``cols`` (a slice or indices) of a C-ordered phase matrix: a view of
+    a slice, a gathered copy otherwise."""
+    sub = ph[:, cols] if isinstance(cols, slice) else ph.take(cols, axis=1)
+    return sub.view(np.float64)
 
 
 def _split_adjoint(
@@ -609,35 +813,50 @@ def _split_adjoint(
     sums of the other rows are ``S(-r) = conj S(r)``
     (:func:`_folded_fft`).
 
-    Per block of samples and per bucket, one matrix product: the heads'
-    phases scaled by c, transposed, times the tails' phases give every
-    (head, tail) cell.  The cells are summed over the blocks, and each
-    bucket's representatives are gathered from them once at the end.
+    A complex phase column is a cosine and a sine column side by side in
+    memory, so with ``e_a = exp(2 pi i a . x)`` and a tail tau's cosine
+    and sine, a pair cell's sums ``X = sum_n c e_a cos`` and ``Y = sum_n
+    c e_a sin`` give ``S(a, +-tau) = X +- i Y``.  Per block of samples
+    and per bucket, one real matrix product: the heads' cosines and sines,
+    transposed, times the tails' cosines and sines, the narrower side
+    scaled by c, give the four real sums of every pair cell, half the
+    multiply-adds of a complex product over the tails of both signs.
+    The products are summed over the blocks, and each bucket's
+    representatives are formed from them once at the end.
     """
-    block, phases = _split_phases(plan)
+    block, phases = _split_phases(plan, len(X))
+    # a vector of ones scales nothing (multiplying by 1 is exact)
+    ones = [not np.any(cv != 1.0) for cv in cvecs]
 
     def one(s: int, e: int) -> list[np.ndarray]:
         A, B = phases(X[s:e])
         cells = []
-        for cv in cvecs:
+        for cv, unit in zip(cvecs, ones):
             c = cv[s:e, None]
             for a0, a1, tb, *_ in plan.buckets:
-                Ab, Bb = A[:, a0:a1], B[:, tb]
+                Ab, Bb = _trig(A, slice(a0, a1)), _trig(B, tb)
                 # c scales the narrower side
-                if a1 - a0 <= Bb.shape[1]:
-                    cells.append((Ab * c).T @ Bb)
-                else:
-                    cells.append(Ab.T @ (Bb * c))
+                if not unit and Ab.shape[1] <= Bb.shape[1]:
+                    Ab = Ab * c
+                elif not unit:
+                    Bb = Bb * c
+                cells.append(Ab.T @ Bb)
         return cells
 
     cells = _sum_blocks(len(X), block, one, threads)
+    del one, phases  # the phase buffers go before the sums are formed
     sums = []
     for v in range(len(cvecs)):
         out = np.empty(len(plan.fold.reps), dtype=np.complex128)
-        for (*_, ii, jj, rows), g in zip(
+        for (a0, a1, tb, ii, jj, flip, rows), g in zip(
             plan.buckets, cells[v * len(plan.buckets):]
         ):
-            out[rows] = g[ii, jj]
+            # g[a, p, t, q]: the sum of c, the head's cosine (p = 0) or
+            # sine (p = 1) and the tail's cosine (q = 0) or sine (q = 1)
+            g = g.reshape(a1 - a0, 2, -1, 2)
+            sign = np.where(flip, -1.0, 1.0)
+            out.real[rows] = g[ii, 0, jj, 0] - sign * g[ii, 1, jj, 1]
+            out.imag[rows] = g[ii, 1, jj, 0] + sign * g[ii, 0, jj, 1]
         sums.append(out)
     return sums
 
@@ -653,37 +872,51 @@ def _split_forward(
     conj theta_{-r}`` and ``Q_r = theta_r - conj theta_{-r}`` (a missing
     row counts as 0); the zero row, its own negation, enters once, its
     real part in P and its imaginary part in Q.  So ``f = Re sum P_r e_r
-    + i Im sum Q_r e_r``.  The coefficients form a matrix with p = 1
-    column (P) when Q is zero, i.e. the model is real, and else p = 2
-    (P and Q), run through the same products.  Per block and bucket, the
-    tails' phases times the bucket's coefficient block give p columns per
-    head, and each point sums them against its head phases, or the other
-    way round when the bucket has fewer tails than heads.
+    + i Re sum (-i Q_r) e_r``: p = 1 coefficient column (P) when Q is
+    zero, i.e. the model is real, and else p = 2 (P and -i Q).
+
+    A representative is ``(a, +-tau)`` and ``e_{(a, +-tau)} = e_a (cos
+    +- i sin)`` of tau, so a column's sum is ``Re sum_a e_a G_a`` with
+    ``G_a = sum_tau (M_{a,tau} + M_{a,-tau}) cos + i (M_{a,tau} -
+    M_{a,-tau}) sin``, M the column's coefficients.  That is a real
+    bilinear form in the heads' cosines and sines and the tails'.  Per
+    block and bucket, one real product with its matrix keeps the narrower
+    side's columns, p per cosine and sine, and each point sums them
+    against its phases on the other side.
     """
     coef = _folded_coefficients(plan.fold, theta)
     p = coef.shape[1]
+    if p == 2:
+        coef[:, 1] *= -1j
     mats = []
-    for a0, a1, tb, ii, jj, rows in plan.buckets:
-        c = np.zeros((int(jj.max()) + 1, p, a1 - a0), dtype=np.complex128)
-        c[jj, :, ii] = coef[rows]
-        # the product keeps the narrower side's columns
-        by_heads = c.shape[0] < c.shape[2]
-        if by_heads:
-            c = c.transpose(2, 1, 0)
-        mats.append((by_heads, c.reshape(len(c), -1)))
+    for a0, a1, tb, ii, jj, flip, rows in plan.buckets:
+        m = np.zeros((2, a1 - a0, _width(tb), p), dtype=np.complex128)
+        m[flip.view(np.uint8), ii, jj] = coef[rows]
+        C, D = m[0] + m[1], m[0] - m[1]
+        # w[a, x, t, y, col]: the weight of the head's cosine (x = 0) or
+        # sine (x = 1) times the tail's cosine (y = 0) or sine (y = 1)
+        w = np.empty((a1 - a0, 2, m.shape[2], 2, p))
+        w[:, 0, :, 0] = C.real
+        w[:, 0, :, 1] = -D.imag
+        w[:, 1, :, 0] = -C.imag
+        w[:, 1, :, 1] = -D.real
+        by_heads = m.shape[2] < a1 - a0
+        axes = (0, 1, 4, 2, 3) if by_heads else (2, 3, 4, 0, 1)
+        w = w.transpose(axes)
+        mats.append((by_heads, w.reshape(w.shape[0] * 2, -1)))
     out = np.empty(len(X), dtype=np.complex128)
-    block, phases = _split_phases(plan)
+    block, phases = _split_phases(plan, len(X))
     for s in range(0, len(X), block):
         A, B = phases(X[s:s + block])
-        f = np.zeros((len(A), p), dtype=np.complex128)
-        for (a0, a1, tb, *_), (by_heads, m) in zip(plan.buckets, mats):
-            Ab, Bb = A[:, a0:a1], B[:, tb]
+        f = np.zeros((len(A), p))
+        for (a0, a1, tb, *_), (by_heads, w) in zip(plan.buckets, mats):
+            Ab, Bb = _trig(A, slice(a0, a1)), _trig(B, tb)
             left, right = (Ab, Bb) if by_heads else (Bb, Ab)
             f += np.einsum(
-                "ipj,ij->ip", (left @ m).reshape(len(A), p, -1), right
+                "ipj,ij->ip", (left @ w).reshape(len(A), p, -1), right
             )
-        out.real[s:s + block] = f[:, 0].real
-        out.imag[s:s + block] = f[:, 1].imag if p == 2 else 0.0
+        out.real[s:s + block] = f[:, 0]
+        out.imag[s:s + block] = f[:, 1] if p == 2 else 0.0
     return out
 
 
@@ -799,11 +1032,13 @@ def _general_fft_route(
     cvecs: list[np.ndarray],
     threads: int,
     cap: int,
+    split: Optional[int] = None,
 ) -> list[np.ndarray]:
     """One adjoint transform pass shared by every coefficient vector.
 
     phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n) by the cheapest
-    head/tail split of the set (:func:`_split_adjoint`), blocked over n.
+    head/tail split of the set (:func:`_split_adjoint`), blocked over n;
+    ``split`` is that split point when :func:`choose_route` has priced it.
     The coefficients are real, so phi_hat_{-k} = conj phi_hat_k: the pass
     sums only the representatives ``r >=_lex 0`` of the rows, about half
     of them, and the lattice fold of the frequencies -k takes each
@@ -812,7 +1047,7 @@ def _general_fft_route(
     """
     freq = index_set.materialized(cap).frequencies
     runs = None if index_set.family == "custom" else index_set._runs
-    plan = _split_rows(freq, runs)
+    plan = _split_rows(freq, runs, split)
     sums = _split_adjoint(data.X, plan, cvecs, threads)
     return [_folded_fft(plan.fold, acc / data.N, rule) for acc in sums]
 
@@ -1007,11 +1242,15 @@ def weights_general_fft(
     One adjoint nonequispaced transform gives the set's Fourier data;
     folding it onto the residues of ``k . g`` modulo L and a single
     length-L inverse FFT finish the job.  The transform splits each
-    frequency into a head and a tail and runs as matrix products, so the
-    cost is O(N (cells + h |heads| + (d - h) |tails|) + d |K| + L log L)
-    at the cheapest split point h.  The coefficients are real, so only
-    the rows ``r >=_lex 0`` are summed and their negations take the
-    conjugates: about |K| / 2 cells on crosses and step crosses.
+    frequency into a head and a tail ``+-tau`` and runs as real matrix
+    products, so the cost is O(N (cells + h |heads| + (d - h) |tails| +
+    trig) + d |K| + L log L) at the cheapest split point h, with trig the
+    cosine and sine columns its axes compute directly (about log2 of
+    each axis' span).  The coefficients are real, so only the rows ``r
+    >=_lex 0`` are summed and their negations take the conjugates, and a
+    pair cell ``(a, tau)``, 4 real multiply-adds a sample, gives the sums
+    of both ``(a, tau)`` and ``(a, -tau)``: about |K| / 4 pair cells on
+    crosses and step crosses.
     """
     return _run("general-fft", data, [c], rule, index_set, threads, cap)[0]
 
@@ -1064,12 +1303,15 @@ def weights_step_cross_pair(
 
 # Predicted single-thread seconds per element of each route's work,
 # calibrated on a 2-vCPU x86-64 virtual machine:
-#   general-FFT, per sample: _GEMM_S per bucket cell (both coefficient
-#   vectors) and _PHASE_S per coordinate of each head and tail phase,
-#   fitted by least squares in relative error to the split pass of
-#   cross-4d, stepcross-6d and a d=8, m=6 step cross at every split
-#   point (9 cases, predictions 0.76-1.33 times the measured seconds;
-#   BENCH_split_gemm.json);
+#   general-FFT, per sample: _GEMM_S per pair cell (both coefficient
+#   vectors, 4 real multiply-adds each), _PHASE_S per coordinate of each
+#   head and tail phase and per product of phase columns an axis makes
+#   of baby and giant steps, and _TRIG_S per cosine and sine column an
+#   axis computes directly, fitted by least squares in relative error to
+#   the split pass of paper-2d's set and its 16,641-row model, cross-4d,
+#   stepcross-6d and a d=8, m=6 step cross at 14 split points, measured
+#   twice (28 cases, predictions 0.76-1.29 times the measured seconds;
+#   BENCH_tail_fold.json);
 #   kernel routes, per sample and node, where a pass is one DP product or
 #   sum over a block: stepcross-6d took 1.66 s (traced, median of seeds
 #   1-3) for N L = 10,000 x 127 with 113 array passes and 29 Dirichlet
@@ -1080,8 +1322,9 @@ def weights_step_cross_pair(
 #   per pass and 43 ns per kernel, every case within 3 %.
 # Every price is a per-sample cost times N, so a subsample takes the
 # route of the full data.
-_GEMM_S = 5.2e-10
-_PHASE_S = 5.0e-9
+_GEMM_S = 5.3e-10
+_PHASE_S = 4.0e-9
+_TRIG_S = 6.5e-8
 _PASS_S = 9.0e-10
 _DIRICHLET_S = 4.3e-8
 
@@ -1095,15 +1338,16 @@ def choose_route(
     """Predict the cost of every route that can serve a set; pick the least.
 
     ``general-fft`` serves any set at its cheapest head/tail split of
-    the rows ``>=_lex 0``, about half the set: per sample, the bucket
-    cells of the split's matrix products and the coordinates of its head
-    and tail phases; a lazy set above ``cap`` rows is no candidate.  A named family is sized from its run tables
-    and a custom set from its rows, so a lazy set and its materialised
-    copy get the same price.  The kernel route of a rectangle or a step
-    cross costs about ``N L`` times the full-size array passes (DP
-    products and sums) and Dirichlet kernels of the plan it runs.  Every
-    cost is exactly proportional to N, so a subsample takes the route
-    the full data would.  The set is sized by
+    the rows ``>=_lex 0``, about half the set: per sample, the pair
+    cells of the split's matrix products, the coordinates of its head and
+    tail phases and the cosine and sine columns of their axes; a lazy set
+    above ``cap`` rows is no candidate.  A named family is sized from its
+    run tables and a custom set from its rows, so a lazy set and its
+    materialised copy get the same price.  The kernel route of a
+    rectangle or a step cross costs about ``N L`` times the full-size
+    array passes (DP products and sums) and Dirichlet kernels of the plan
+    it runs.  Every cost is exactly proportional to N, so a subsample
+    takes the route the full data would.  The set is sized by
     :meth:`IndexSet.cardinality`, which caches the count on it, and a
     named family is never enumerated.
 
@@ -1115,14 +1359,24 @@ def choose_route(
         CapExceeded: when no route is left, i.e. a lazy set that only
             general-FFT can serve holds more than ``cap`` rows.
     """
+    return _route_choice(n_samples, rule, index_set, cap)[0]
+
+
+def _route_choice(
+    n_samples: int, rule: LatticeRule, index_set: IndexSet, cap: int
+) -> tuple[dict, Optional[int]]:
+    """:func:`choose_route`'s result, and general-FFT's split point when
+    it is a candidate (else None), for the route to run without pricing
+    the split again."""
     count = index_set.cardinality()
-    costs = {}
+    costs, split = {}, None
     if index_set.family == "custom":
-        costs["general-fft"] = n_samples * _plan_price(
-            _split_rows(index_set.frequencies)
-        )
+        plan = _split_rows(index_set.frequencies)
+        split = plan.heads.shape[1]
+        costs["general-fft"] = n_samples * _split_price(plan.sizes)
     elif not (index_set.frequencies is None and count > cap):
-        costs["general-fft"] = n_samples * _family_split(index_set._runs)[1]
+        split, price = _family_split(index_set._runs)
+        costs["general-fft"] = n_samples * price
     if index_set.family in _ROUTES:
         plan = _sweep_plan(index_set)
         costs[index_set.family] = n_samples * rule.L * (
@@ -1130,7 +1384,7 @@ def choose_route(
         )
     if not costs:
         raise CapExceeded(count, cap)
-    return {"route": min(costs, key=costs.get), "costs": costs}
+    return {"route": min(costs, key=costs.get), "costs": costs}, split
 
 
 def _points_on_rule(rule: LatticeRule, X: np.ndarray) -> bool:
@@ -1367,7 +1621,8 @@ def compress(
         rule: node lattice.
         index_set: frequency set; named families may arrive lazy.
         algorithm: "auto" takes the route :func:`choose_route` predicts
-            to be cheapest; explicit choices are "naive", "general-fft",
+            to be cheapest, and general-FFT then runs the split it
+            priced; explicit choices are "naive", "general-fft",
             "rectangle", "step-cross".
         threads: worker threads for the blocked passes; the result is
             bitwise identical for any value.
@@ -1383,10 +1638,15 @@ def compress(
         # A copy of the lazy set: sizing it below caches the count here,
         # not on the caller's object, and the result's descriptor reuses it.
         index_set = index_set.descriptor()
+    extra = {}
     if algorithm == "auto":
-        algorithm = choose_route(data.N, rule, index_set, cap)["route"]
+        choice, split = _route_choice(data.N, rule, index_set, cap)
+        algorithm = choice["route"]
+        if algorithm == "general-fft":
+            extra["split"] = split
     w1, w2 = _run(
-        algorithm, data, ["ones", "responses"], rule, index_set, threads, cap
+        algorithm, data, ["ones", "responses"], rule, index_set, threads,
+        cap, **extra
     )
     if np.iscomplexobj(w1):
         worst = max(float(np.max(np.abs(w.imag))) for w in (w1, w2))

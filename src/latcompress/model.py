@@ -273,17 +273,22 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
     theta_r + conj theta_{-r}`` and ``Q_r = theta_r - conj theta_{-r}``.
     A real model has Q = 0 and takes one coefficient column, any other
     model two, in the same matrix products.  Each representative splits
-    as ``r = (a, b)`` into a head (its first h coordinates) and a tail,
-    with h the cheapest split (the general-FFT plan of
-    :mod:`latcompress.compression`).  Per block of points, the tails'
-    phases times the coefficients, as a matrix of tails by heads, give
-    one column per head and coefficient column, and each point sums
-    those against its head phases.  So ``rows * (|heads| + |tails|)``
-    phases are built, per coordinate from baby-step/giant-step factors of
-    its distinct frequency values, and about ``rows * M / 2``
-    multiply-adds per coefficient column run as matrix products.  Rows
+    as ``r = (a, +-tau)`` into a head (its first h coordinates) and a
+    tail ``tau >=_lex 0`` with a sign, with h the cheapest split (the
+    general-FFT plan of :mod:`latcompress.compression`).  Per block of
+    points and bucket of heads, one real matrix product of one side's
+    cosines and sines with the bucket's coefficients gives the narrower
+    side's columns, and each point sums those against its cosines and
+    sines on the other side.  So ``rows * (|heads| + |tails|)`` phases
+    are built, per coordinate from baby-step/giant-step factors of its
+    distinct frequency values, and 4 real multiply-adds per pair cell
+    ``(a, tau)`` and coefficient column run as matrix products, about
+    ``rows * M`` on the named families, whose pair cells hold both signs
+    of their tail.  Rows
     need not be sorted, nor the support closed under negation.  The plan
-    is made on the first call and kept on the model.
+    is made on the first call and kept on the model.  Points outside
+    [0, 1) are reduced by their floor first, which is exact, so the
+    phases are as accurate there as inside.
 
     Args:
         model: model to evaluate.
@@ -302,7 +307,9 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
     c = _support(model)
     if c.plan is None:
         c.plan = _split_rows(c.freq)
-    out = _split_forward(pts, c.plan, model.theta)
+    # The phases reduce angles exactly for points in [0, 1); taking the
+    # floor off first is exact, and leaves such points as they are.
+    out = _split_forward(pts - np.floor(pts), c.plan, model.theta)
     if scalar:
         return complex(out[0])
     return out

@@ -376,24 +376,25 @@ class TestPhases:
         (np.sort(np.random.default_rng(53).choice(
             np.arange(-100_000, 100_001), 1200, replace=False)), True),
         (np.array([-100_000, -3, 0, 7, 99_999]), False),
-        (np.arange(-100_000, 100_001, 997), False),
+        (np.arange(-100_000, 100_001, 997), True),
         (np.array([-5, 5]), False),
         (np.array([100_000]), False),
     ])
     def test_against_exact_angles(self, u, factored, monkeypatch) -> None:
         # Both forms, baby-step/giant-step factors and direct columns,
-        # stay within a few ulp at any |u|: the angles are reduced by
-        # whole turns without rounding.
+        # stay within a few tens of ulp at any |u|: the angles are
+        # reduced by whole turns without rounding.  Factored, fewer
+        # columns are computed than u has distinct magnitudes.
         columns = []
         turn_phases = compression._turn_phases
 
-        def counted(x, v):
+        def counted(x, v, *out):
             columns.append(len(v))
-            return turn_phases(x, v)
+            return turn_phases(x, v, *out)
 
         monkeypatch.setattr(compression, "_turn_phases", counted)
         got = compression._unit_phases(self.X, u)
-        assert (sum(columns) < len(u)) == factored
+        assert (sum(columns) < len(np.unique(np.abs(u)))) == factored
         assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
 
     @pytest.mark.parametrize("u", [
@@ -525,15 +526,27 @@ class TestSplit:
     )
     def test_run_table_sizes_match_rows(self, spec) -> None:
         # A named family is priced from its run tables; at every split
-        # point the sizes equal those of the folded plan of its rows, and
-        # every bucket's tails are a range of the tail phases (a view).
+        # point the sizes equal those of the folded plan of its rows:
+        # heads, tails tau, phase coordinates, pair cells and cosine and
+        # sine columns.  Every bucket's tails are a prefix of the tails
+        # (a view).
         fold = compression._fold(spec.frequencies)
         for h in range(1, spec.d + 1):
             plan = compression._split_plan(fold, h)
-            assert all(isinstance(b[2], slice) for b in plan.buckets)
-            assert compression._family_sizes(spec._runs, h) == (
-                plan.heads.size + plan.tails.size, plan.work
-            )
+            sizes = compression._family_sizes(spec._runs, h)
+            assert sizes == plan.sizes
+            assert sizes.heads == len(plan.heads)
+            assert sizes.tails == len(plan.tails)
+            if h == 1:
+                # heads of one coordinate come in order, so their phases
+                # are made in place, without a gathered copy
+                assert np.all(np.diff(plan.heads[:, 0]) > 0)
+            assert not compression._below_zero(plan.tails).any()
+            cells = 0
+            for a0, a1, tb, *_ in plan.buckets:
+                assert isinstance(tb, slice) and tb.start == 0
+                cells += (a1 - a0) * tb.stop
+            assert sizes.cells == cells
 
     def test_empty_custom_set(self) -> None:
         data = _dataset(49, 10, 2)
@@ -855,14 +868,43 @@ class TestChooseRoute:
             assert choose_route(50, rule, lazy) == choose_route(50, rule, full)
 
     def test_large_step_cross_keeps_the_kernel_route(self) -> None:
-        # d = 8, m = 6: |K| far above L, where the kernel sweep beats the
-        # split's |K| multiply-adds per sample.
+        # d = 8, m = 10: |K| far above L, where the kernel sweep beats the
+        # split's multiply-adds per sample, well clear of the break-even
+        # point (between m = 7 and m = 8 at L = 127).
         rule = LatticeRule(127, (1, 35, 57, 19, 44, 101, 7, 88))
-        spec = IndexSet.step_cross(1.0, ProductWeights.ones(8), 6,
+        spec = IndexSet.step_cross(1.0, ProductWeights.ones(8), 10,
                                    materialize=False)
         plan = choose_route(5000, rule, spec)
-        assert spec.cardinality() == 768_609
+        assert spec.cardinality() == 9_413_361
         assert plan["route"] == "step-cross"
+        assert plan["costs"]["general-fft"] > 3.0 * plan["costs"]["step-cross"]
+
+    def test_split_priced_once_per_compress(self, monkeypatch) -> None:
+        # compress hands the split point it priced to the route: one
+        # pricing of a named family's split, and for a custom set one
+        # plan per split point to price plus the one it runs
+        calls = {"_family_split": 0, "_split_plan": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(compression, name), _n=name):
+                calls[_n] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(compression, name, counted)
+        data = _dataset(31, 40, 3)
+        rule = LatticeRule(31, (1, 12, 7))
+        gamma = (1.0, 0.5, 0.25)
+        for spec in (
+            IndexSet.step_cross(1.0, gamma, 4, materialize=False),
+            IndexSet.cross(1.0, gamma, 30.0),
+        ):
+            assert compress(data, rule, spec).algorithm == "general-fft"
+            assert calls == {"_family_split": 1, "_split_plan": 1}
+            compress(data, rule, spec, algorithm="general-fft")
+            assert calls == {"_family_split": 2, "_split_plan": 2}
+            calls.update(dict.fromkeys(calls, 0))
+        custom = IndexSet.custom(_sparse_support(32, 3, 30), 1.0, gamma)
+        assert compress(data, rule, custom).algorithm == "general-fft"
+        assert calls == {"_family_split": 0, "_split_plan": 3 + 1}
 
     def test_cap_removes_general_fft(self) -> None:
         rule = LatticeRule(31, (1, 12))

@@ -136,6 +136,29 @@ class TestEvalModel:
         got = eval_model(TrigModel(freq, theta), pts)
         assert float(np.max(np.abs(got - direct))) < 1e-12
 
+    def test_points_outside_the_unit_cube(self) -> None:
+        # Points are reduced by their floor first, which is exact: far
+        # from [0, 1) the phases still match exactly reduced angles, and
+        # points inside are left as they are, to the bit.
+        from test_compression import _exact_phases
+
+        k = 2**20 + 3
+        model = TrigModel(np.array([[k], [1]]), np.array([1.0, 0.5j]))
+        x = np.array([5.3, 1000.3, -7.9, 0.3])
+        direct = (
+            _exact_phases(x, np.array([k, 1])) @ model.theta
+        )
+        got = eval_model(model, x[:, None])
+        assert float(np.max(np.abs(got - direct))) < 1e-12
+        inside = np.random.default_rng(14).random((9, 1))
+        np.testing.assert_array_equal(
+            eval_model(model, inside),
+            compression._split_forward(
+                inside, compression._split_rows(model.frequencies),
+                model.theta,
+            ),
+        )
+
     @pytest.mark.parametrize("zero", [True, False])
     def test_real_and_complex_models(self, zero) -> None:
         # The sum runs over the rows r >=_lex 0 with P = theta_r + conj
