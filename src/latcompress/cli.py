@@ -24,8 +24,8 @@ from .analysis import BoundQuery, select_parameter
 from .compression import (
     Dataset,
     WeightSet,
-    choose_route,
-    compress,
+    _compress,
+    _route_choice,
     weights_step_cross_pair,
 )
 from .index_sets import DEFAULT_CAP, CapExceeded, IndexSet
@@ -242,14 +242,13 @@ def _cmd_compress(args) -> int:
     rule = _resolve_rule(args, data.d)
     args.modulus_hint = rule.L
     spec, level = _resolve_index_set(args, data.d, args.cap_frequencies)
-    route_choice = choose_route(data.N, rule, spec, args.cap_frequencies)
+    # priced once: compress takes the route and general-FFT's split
+    priced = _route_choice(data.N, rule, spec, args.cap_frequencies)
+    route_choice = priced[0]
     start = time.perf_counter()
-    ws = compress(
-        data, rule, spec,
-        algorithm=(route_choice["route"] if args.algorithm == "auto"
-                   else args.algorithm),
-        threads=args.threads,
-        cap=args.cap_frequencies,
+    ws = _compress(
+        data, rule, spec, args.algorithm, args.threads,
+        args.cap_frequencies, priced,
     )
     seconds = time.perf_counter() - start
     ws.save(args.out, sidecar=args.sidecar)

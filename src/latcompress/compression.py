@@ -200,10 +200,10 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
 
 
 # Real elements general-FFT and eval_model hold per block of samples:
-# the cosine and sine columns of its head and tail phases and of its
-# widest scaled product operand (4 MiB, which keeps a block in a core's
-# cache), the elements of the temporaries that multiply gathered phase
-# columns in (256 KiB),
+# the cosine and sine rows of its head and tail phases (made complex in
+# the same memory first) and of its widest scaled or product operand
+# (4 MiB, which keeps a block in a core's cache), the elements of the
+# temporaries that gather, multiply and split phase rows (256 KiB),
 # the elements of each phase block of the naive route, and the most
 # samples in a block of the kernel route.  The last is fixed, never
 # derived from the thread count, so the blocks and hence the bits of the
@@ -261,80 +261,97 @@ def _phase_axes(freq: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _phase_matrix(X: np.ndarray, axes, out: np.ndarray) -> None:
-    """Phases ``exp(2 pi i k . x)`` into ``out``, one row per point of X
-    and one column per frequency row described by :func:`_phase_axes`,
-    C-ordered so that each phase's cosine and sine lie side by side; rows
-    of width 0 (no axes) are the single frequency whose phase is 1.
+def _phase_matrix(X: np.ndarray, axes, out: np.ndarray) -> np.ndarray:
+    """Phases ``exp(2 pi i k . x)``, value-major: one row per frequency
+    row described by :func:`_phase_axes`, holding that frequency's phase
+    at every point of X; with no axes (width 0) the single frequency,
+    whose phase is 1.  Made complex in ``out`` and returned as its planes
+    (:func:`_split_planes`), in the same memory.
 
     Built per coordinate from the distinct frequency values
-    (:func:`_unit_phases`), so the cosines and sines are at most ``rows *
+    (:func:`_phase_table`), so the cosines and sines are at most ``rows *
     sum_j |unique(|k_j|)|`` rather than ``rows * |K| * d``, and about
     ``rows * sum_j log2(span_j)`` on ranges; the rest is gathers and
-    elementwise products.
+    products of whole rows, the last of them made as the rows are split.
     """
     if not axes:
         out[:] = 1.0
-        return
+        return _split_planes(out)
     (u, inv), *rest = axes
     # a column of distinct values (a side of one coordinate) needs no
-    # gather: its phases are made in row order
+    # gather: its phases are made in frequency order
     if len(u) == len(inv):
-        _unit_phases(X[:, 0], u[inv], out)
+        _value_phases(X[:, 0], u[inv], out)
     else:
         table, index = _phase_table(X[:, 0], u)
-        table.take(index[inv], axis=1, out=out, mode="clip")
+        table.take(index[inv], axis=0, out=out, mode="clip")
+    if not rest:
+        return _split_planes(out)
     for j, (u, inv) in enumerate(rest, 1):
         table = None  # the last axis' table goes before this one is made
         table, index = _phase_table(X[:, j], u)
-        _times_columns(out, table, index[inv])
+        # the last axis' factor is multiplied in as the rows are split
+        if j < len(rest):
+            _times_rows(out, table, index[inv])
+    return _split_planes(out, table, index[inv])
 
 
-def _times_columns(out: np.ndarray, a: np.ndarray, cols: np.ndarray) -> None:
-    """``out *= a[:, cols]`` for C-ordered arrays, gathered a few rows at
+def _times_rows(out: np.ndarray, a: np.ndarray, rows: np.ndarray) -> None:
+    """``out *= a[rows]`` for value-major tables, gathered a few rows at
     a time: no temporary exceeds ``_GATHER`` elements."""
-    step = max(1, _GATHER // max(len(cols), 1))
+    step = max(1, _GATHER // max(a.shape[1], 1))
     for s in range(0, len(out), step):
-        out[s:s + step] *= a[s:s + step].take(cols, axis=1)
+        out[s:s + step] *= a.take(rows[s:s + step], axis=0)
 
 
 # |v| below which _turn_phases reduces the angles x v exactly, and the
-# bound on |u| up to which _unit_phases does so by splitting u once.
+# bound on |u| up to which _phase_table does so by splitting u once.
 _EXACT_TURNS = 1 << 21
 _PHASE_BOUND = 1 << 42
 
 
-def _unit_phases(
+def _unit_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i x u)``, one row per x and one column per value of the
+    integers u: the transpose of :func:`_value_phases`."""
+    return _value_phases(x, u).T
+
+
+def _value_phases(
     x: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """``exp(2 pi i x u)`` for every x and every value of the integers u,
-    into ``out`` when given; made by :func:`_phase_table`."""
+    """``exp(2 pi i x u)``, value-major: one row per value of the integers
+    u and one column per x, into ``out`` when given; made by
+    :func:`_phase_table`."""
     table, index = _phase_table(x, u, out)
     if table is out:
         return out
     if out is not None:
-        return table.take(index, axis=1, out=out, mode="clip")
-    if np.array_equal(index, np.arange(table.shape[1])):
+        return table.take(index, axis=0, out=out, mode="clip")
+    if np.array_equal(index, np.arange(len(table))):
         return table
-    return table.take(index, axis=1)
+    return table.take(index, axis=0)
 
 
 def _phase_table(
     x: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A table of phases at every x and the column of each value of the
-    integers u in it: ``exp(2 pi i x u) = table[:, index]``.  When u's
-    phases are the table itself, it is made in ``out``, if given.
+    """A value-major table of phases at every x and the row of each value
+    of the integers u in it: ``exp(2 pi i x u) = table[index]``, one
+    contiguous row of the points' phases per tabled value, so doubling,
+    giant times baby steps and conjugates are products and copies of
+    whole rows.  When u's phases are the table itself, it is made in
+    ``out``, if given.
 
     A value's phase is the conjugate of its magnitude's, so only the
-    distinct magnitudes ``|u|`` are made.  Directly, each costs a cosine
-    and a sine column; with baby and giant steps (:func:`_factoring`),
-    a magnitude ``B q + r`` with ``B = 2^k`` and ``0 <= r < B`` is the
-    giant step ``B q``'s phase, computed directly, times the baby step
-    r's, and the babies come from the k directly computed phases of
-    ``2^j`` by doubling: ``e(2^j + r) = e(r) e(2^j)``.  Each computed
-    phase is within an ulp or two and a baby is a product of at most k
-    of them, so every phase is within a few tens of ulp at any |u|.
+    distinct magnitudes ``|u|`` are made.  Directly, each costs a row of
+    cosines and a row of sines; with baby and giant steps
+    (:func:`_factoring`), a magnitude ``B q + r`` with ``B = 2^k`` and
+    ``0 <= r < B`` is the giant step ``B q``'s phase, computed directly,
+    times the baby step r's, and the babies come from the k directly
+    computed phases of ``2^j`` by doubling: ``e(2^j + r) = e(r)
+    e(2^j)``.  Each computed phase is within an ulp or two and a baby is
+    a product of at most k of them, so every phase is within a few tens
+    of ulp at any |u|.
 
     :func:`_turn_phases` reduces angles exactly for |u| < 2^21.  Beyond
     that, u splits as ``uh 2^21 + ul`` with ``0 <= ul < 2^21``, and the
@@ -355,8 +372,8 @@ def _phase_table(
         uh, ul = np.divmod(u, _EXACT_TURNS)
         y = x * float(_EXACT_TURNS)
         y -= np.floor(y)
-        out = _unit_phases(y, uh, out)
-        out *= _unit_phases(x, ul)
+        out = _value_phases(y, uh, out)
+        out *= _value_phases(x, ul)
         return out, np.arange(len(u))
     mag = np.abs(u)
     vals = _distinct(mag)
@@ -369,12 +386,12 @@ def _phase_table(
     # the table of the magnitudes' phases, after their conjugates when
     # some values are negative, made in place when it is u's phases
     if lo < 0:
-        table = np.empty((len(x), 2 * n), dtype=np.complex128)
+        table = np.empty((2 * n, len(x)), dtype=np.complex128)
     elif out is not None and np.array_equal(u, vals):
         table = out
     else:
-        table = np.empty((len(x), n), dtype=np.complex128)
-    half = table[:, table.shape[1] - n:]
+        table = np.empty((n, len(x)), dtype=np.complex128)
+    half = table[len(table) - n:]
     if babies:
         _baby_table(x, n, half)
     elif k < 0:
@@ -382,11 +399,11 @@ def _phase_table(
     else:
         q, r = np.divmod(vals, 1 << k)
         giants = _turn_phases(x, np.arange(q[0], q[-1] + 1) << k)
-        giants.take(q - q[0], axis=1, out=half, mode="clip")
-        _times_columns(half, _baby_table(x, 1 << k), r)
+        giants.take(q - q[0], axis=0, out=half, mode="clip")
+        _times_rows(half, _baby_table(x, 1 << k), r)
     index = np.searchsorted(vals, mag)
     if lo < 0:
-        np.conjugate(half, out=table[:, :n])
+        np.conjugate(half, out=table[:n])
         index += (u >= 0) * n
     return table, index
 
@@ -406,7 +423,7 @@ _DOUBLINGS = 10
 
 
 def _factoring(low: int, m: int, n: int) -> tuple[int, int, int]:
-    """How :func:`_unit_phases` makes n distinct magnitudes in [low, m]
+    """How :func:`_phase_table` makes n distinct magnitudes in [low, m]
     (below 2^21, where no value splits): the k of its baby steps ``2^k``,
     or -1 to compute them directly, with the cosine and sine columns it
     then computes and the products of phase columns it makes of them.
@@ -431,34 +448,40 @@ def _factoring(low: int, m: int, n: int) -> tuple[int, int, int]:
 def _baby_table(
     x: np.ndarray, size: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """``exp(2 pi i x r)`` for r = 0, ..., size - 1, into ``out`` when
-    given, by doubling from the directly computed phases of the powers
-    of two below size."""
+    """``exp(2 pi i x r)`` for r = 0, ..., size - 1, value-major, into
+    ``out`` when given, by doubling whole rows from the directly computed
+    phases of the powers of two below size."""
     k = (size - 1).bit_length()
     powers = _turn_phases(x, 1 << np.arange(k))
     if out is None:
-        out = np.empty((len(x), size), dtype=np.complex128)
-    out[:, 0] = 1.0
+        out = np.empty((size, len(x)), dtype=np.complex128)
+    out[0] = 1.0
     for j in range(k):
         s = 1 << j
         e = min(2 * s, size)
-        np.multiply(out[:, :e - s], powers[:, j:j + 1], out=out[:, s:e])
+        np.multiply(out[:e - s], powers[j], out=out[s:e])
     return out
 
 
 def _turn_phases(
     x: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """``exp(2 pi i x v)`` for every x and integer v, into ``out`` when
-    given, by a cosine and a sine (cheaper than a complex ``exp``) of the
-    angle reduced by whole turns.  The reduction is exact: x splits as
-    ``xh + xl`` with xh on a grid of 2^-32, so ``xh v`` is exact for |v| <
-    2^21 and loses its whole turns without rounding, and the small ``xl
-    v`` is added after.  Larger values go through :func:`_unit_phases`."""
-    xh = np.round(x * 2.0**32) * 2.0**-32
-    t = np.outer(xh, v)
-    t -= np.round(t)
-    t += np.outer(x - xh, v)
+    """``exp(2 pi i x v)`` for every integer v and x, value-major, into
+    ``out`` when given, by a cosine and a sine (cheaper than a complex
+    ``exp``) of the angle reduced by whole turns.  The reduction is
+    exact: ``x v`` itself is exact when every v is a power of two (a
+    scaling), and otherwise x splits as ``xh + xl`` with xh on a grid of
+    2^-32, so ``xh v`` is exact for |v| < 2^21 and loses its whole turns
+    without rounding, and the small ``xl v`` is added after.  Larger
+    values go through :func:`_phase_table`."""
+    if len(v) and v.min() > 0 and not np.any(v & (v - 1)):
+        t = np.outer(v, x)
+        t -= np.rint(t)
+    else:
+        xh = np.round(x * 2.0**32) * 2.0**-32
+        t = np.outer(v, xh)
+        t -= np.round(t)
+        t += np.outer(v, x - xh)
     t *= _TWO_PI
     if out is None:
         out = np.empty(t.shape, dtype=np.complex128)
@@ -756,12 +779,17 @@ def _split_rows(
 def _split_phases(plan: _SplitPlan, rows: int):
     """How a plan's phases are made per block of ``rows`` points: the
     rows of a block and a function from points to their head and tail
-    phases.
+    phases, each planar, of shape (columns, 2, rows): per head or tail,
+    a row of the points' cosines and a row of their sines, so that the
+    phases of a side or of a bucket are one real matrix of cosine and
+    sine rows (:func:`_trig`).
 
     A block holds about ``_FFT_BLOCK`` real elements, and at most
-    ``rows`` points: the cosine and sine columns of every head and tail
-    phase, and of the widest operand a product scales (its bucket's
-    narrower side).  The phases are views of buffers each thread
+    ``rows`` points: the cosine and sine rows of every head and tail
+    phase, and of the widest operand a product scales or yields (its
+    bucket's narrower side).  Each side is made complex and value-major
+    (:func:`_phase_matrix`) in the memory of its planes and split into
+    them in place (:func:`_split_planes`), in buffers each thread
     allocates once and reuses from block to block.
     """
     h = plan.heads.shape[1]
@@ -774,22 +802,44 @@ def _split_phases(plan: _SplitPlan, rows: int):
     block = max(1, min(rows, _FFT_BLOCK // max(width, 1)))
     local = threading.local()
 
-    def buffer(i: int, rows: int) -> np.ndarray:
+    def side(i: int, X: np.ndarray) -> np.ndarray:
         # made on the thread's first use, so the first block's head
         # phases are built before its tail buffer exists
         bufs = local.__dict__.setdefault("bufs", {})
         if i not in bufs:
-            bufs[i] = np.empty((block, widths[i]), dtype=np.complex128)
-        return bufs[i][:rows]
+            bufs[i] = np.empty(2 * widths[i] * block)
+        flat = bufs[i][:2 * widths[i] * len(X)]
+        z = flat.view(np.complex128).reshape(widths[i], len(X))
+        return _phase_matrix(X, plan.axes[i], z)
 
     def phases(Xb: np.ndarray):
-        A = buffer(0, len(Xb))
-        _phase_matrix(Xb[:, :h], plan.axes[0], A)
-        B = buffer(1, len(Xb))
-        _phase_matrix(Xb[:, h:], plan.axes[1], B)
-        return A, B
+        return side(0, Xb[:, :h]), side(1, Xb[:, h:])
 
     return block, phases
+
+
+def _split_planes(
+    z: np.ndarray, a: Optional[np.ndarray] = None, rows=None
+) -> np.ndarray:
+    """The contiguous complex table z of shape (n, m), or ``z * a[rows]``
+    when a table a and the rows of it are given, rewritten in z's memory
+    as planes of shape (n, 2, m): the real parts of each of its n rows,
+    then their imaginary parts.  A few rows at a time, so no temporary
+    exceeds ``_GATHER`` elements."""
+    n, m = z.shape
+    planes = z.view(np.float64).reshape(n, 2, m)
+    step = max(1, _GATHER // max(m, 1))
+    buf = np.empty((min(step, n), m), dtype=np.complex128)
+    for s in range(0, n, step):
+        part = buf[:min(step, n - s)]
+        if a is None:
+            part[:] = z[s:s + step]
+        else:
+            a.take(rows[s:s + step], axis=0, out=part, mode="clip")
+            part *= z[s:s + step]
+        planes[s:s + step, 0] = part.real
+        planes[s:s + step, 1] = part.imag
+    return planes
 
 
 def _width(tb) -> int:
@@ -798,11 +848,11 @@ def _width(tb) -> int:
 
 
 def _trig(ph: np.ndarray, cols) -> np.ndarray:
-    """The cosine and sine columns, side by side, of the phase columns
-    ``cols`` (a slice or indices) of a C-ordered phase matrix: a view of
-    a slice, a gathered copy otherwise."""
-    sub = ph[:, cols] if isinstance(cols, slice) else ph.take(cols, axis=1)
-    return sub.view(np.float64)
+    """The cosine and sine rows, in turn, of the phases ``cols`` (a slice
+    or indices) of a planar phase table: a real matrix (2 len(cols),
+    rows), a view of a slice, a gathered copy otherwise."""
+    sub = ph[cols] if isinstance(cols, slice) else ph.take(cols, axis=0)
+    return sub.reshape(-1, ph.shape[2])
 
 
 def _split_adjoint(
@@ -813,16 +863,16 @@ def _split_adjoint(
     sums of the other rows are ``S(-r) = conj S(r)``
     (:func:`_folded_fft`).
 
-    A complex phase column is a cosine and a sine column side by side in
-    memory, so with ``e_a = exp(2 pi i a . x)`` and a tail tau's cosine
-    and sine, a pair cell's sums ``X = sum_n c e_a cos`` and ``Y = sum_n
-    c e_a sin`` give ``S(a, +-tau) = X +- i Y``.  Per block of samples
-    and per bucket, one real matrix product: the heads' cosines and sines,
-    transposed, times the tails' cosines and sines, the narrower side
-    scaled by c, give the four real sums of every pair cell, half the
-    multiply-adds of a complex product over the tails of both signs.
-    The products are summed over the blocks, and each bucket's
-    representatives are formed from them once at the end.
+    With ``e_a = exp(2 pi i a . x)`` and a tail tau's cosine and sine, a
+    pair cell's sums ``X = sum_n c e_a cos`` and ``Y = sum_n c e_a sin``
+    give ``S(a, +-tau) = X +- i Y``.  Per block of samples and per
+    bucket, one real matrix product of the planar phases
+    (:func:`_split_phases`): the heads' cosine and sine rows times the
+    tails' transposed, the narrower side scaled by c, give the four real
+    sums of every pair cell, half the multiply-adds of a complex product
+    over the tails of both signs.  The products are summed over the
+    blocks, and each bucket's representatives are formed from them once
+    at the end.
     """
     block, phases = _split_phases(plan, len(X))
     # a vector of ones scales nothing (multiplying by 1 is exact)
@@ -832,15 +882,15 @@ def _split_adjoint(
         A, B = phases(X[s:e])
         cells = []
         for cv, unit in zip(cvecs, ones):
-            c = cv[s:e, None]
+            c = cv[s:e]
             for a0, a1, tb, *_ in plan.buckets:
                 Ab, Bb = _trig(A, slice(a0, a1)), _trig(B, tb)
                 # c scales the narrower side
-                if not unit and Ab.shape[1] <= Bb.shape[1]:
+                if not unit and len(Ab) <= len(Bb):
                     Ab = Ab * c
                 elif not unit:
                     Bb = Bb * c
-                cells.append(Ab.T @ Bb)
+                cells.append(Ab @ Bb.T)
         return cells
 
     cells = _sum_blocks(len(X), block, one, threads)
@@ -880,9 +930,15 @@ def _split_forward(
     ``G_a = sum_tau (M_{a,tau} + M_{a,-tau}) cos + i (M_{a,tau} -
     M_{a,-tau}) sin``, M the column's coefficients.  That is a real
     bilinear form in the heads' cosines and sines and the tails'.  Per
-    block and bucket, one real product with its matrix keeps the narrower
-    side's columns, p per cosine and sine, and each point sums them
-    against its phases on the other side.
+    block and bucket, on the planar phases (:func:`_split_phases`), one
+    real product ``w @ B`` of the bucket's matrix w with the wider
+    side's cosine and sine rows B gives, per cosine or sine of the
+    narrower side, p rows, and their row-wise products with the
+    narrower side's own cosine or sine rows, summed, add the bucket's
+    share of f.  The product runs once per plane (cosines, sines) of the
+    narrower side, over the planes of the wider side it weighs: a model
+    whose coefficients are real and equal on k and -k weighs cosines by
+    cosines and sines by sines alone, so half of w is zero and skipped.
     """
     coef = _folded_coefficients(plan.fold, theta)
     p = coef.shape[1]
@@ -900,23 +956,36 @@ def _split_forward(
         w[:, 0, :, 1] = -D.imag
         w[:, 1, :, 0] = -C.imag
         w[:, 1, :, 1] = -D.real
+        # per plane x of the narrower side, its matrix: rows (col,
+        # narrower side), columns (wider side, y) over the planes y of the
+        # wider side it weighs
         by_heads = m.shape[2] < a1 - a0
-        axes = (0, 1, 4, 2, 3) if by_heads else (2, 3, 4, 0, 1)
-        w = w.transpose(axes)
-        mats.append((by_heads, w.reshape(w.shape[0] * 2, -1)))
+        w = w.transpose((4, 2, 3, 0, 1) if by_heads else (4, 0, 1, 2, 3))
+        sides = []
+        for x in (0, 1):
+            ys = [y for y in (0, 1) if w[:, :, x, :, y].any()]
+            if ys:
+                wx = w[:, :, x][..., ys].reshape(p * w.shape[1], -1)
+                sides.append((x, ys, wx))
+        mats.append((by_heads, sides))
     out = np.empty(len(X), dtype=np.complex128)
     block, phases = _split_phases(plan, len(X))
     for s in range(0, len(X), block):
         A, B = phases(X[s:s + block])
-        f = np.zeros((len(A), p))
-        for (a0, a1, tb, *_), (by_heads, w) in zip(plan.buckets, mats):
-            Ab, Bb = _trig(A, slice(a0, a1)), _trig(B, tb)
-            left, right = (Ab, Bb) if by_heads else (Bb, Ab)
-            f += np.einsum(
-                "ipj,ij->ip", (left @ w).reshape(len(A), p, -1), right
-            )
-        out.real[s:s + block] = f[:, 0]
-        out.imag[s:s + block] = f[:, 1] if p == 2 else 0.0
+        f = np.zeros((p, A.shape[2]))
+        for (a0, a1, tb, *_), (by_heads, sides) in zip(plan.buckets, mats):
+            Ab, Bb = A[a0:a1], B[tb]
+            wide, narrow = (Ab, Bb) if by_heads else (Bb, Ab)
+            for x, ys, wx in sides:
+                # one plane is a strided view, both are the whole side
+                op = (wide[:, ys[0]] if len(ys) == 1
+                      else wide.reshape(-1, wide.shape[2]))
+                f += np.einsum(
+                    "pjn,jn->pn", (wx @ op).reshape(p, len(narrow), -1),
+                    narrow[:, x],
+                )
+        out.real[s:s + block] = f[0]
+        out.imag[s:s + block] = f[1] if p == 2 else 0.0
     return out
 
 
@@ -1002,27 +1071,56 @@ def _naive_route(
     first, then ``W_l = (1/N) sum_k exp(-2 pi i k . z_l)`` times them.
     Still a direct sum with one complex exponential per entry and no
     FFT, at a cost of ``O((L + N) |K|)``; each phase block holds about
-    ``_NAIVE_BLOCK`` entries.  The reference the other routes are tested
+    ``_NAIVE_BLOCK`` entries, and each angle is reduced by whole turns
+    (:func:`_naive_turns`).  The reference the other routes are tested
     against, so it shares none of their helpers; it runs on one thread
     whatever ``threads`` says."""
     freq = index_set.materialized(cap).frequencies
     work = rule.L * data.N * len(freq)
     if work > work_cap:
         raise CapExceeded(work, work_cap)
-    ft = freq.T.astype(np.float64)
     step = max(1, _NAIVE_BLOCK // max(len(freq), 1))
     sums = [np.zeros(len(freq), dtype=np.complex128) for _ in cvecs]
     for s in range(0, data.N, step):
-        ph = np.exp(2j * np.pi * (data.X[s:s + step] @ ft))
+        ph = np.exp(2j * np.pi * _naive_turns(data.X[s:s + step], freq))
         for acc, cvec in zip(sums, cvecs):
             acc += cvec[s:s + step] @ ph
     nodes = generate_points(rule)
     out = np.empty((len(cvecs), rule.L), dtype=np.complex128)
     for s in range(0, rule.L, step):
-        ph = np.exp(-2j * np.pi * (nodes[s:s + step] @ ft))
+        ph = np.exp(-2j * np.pi * _naive_turns(nodes[s:s + step], freq))
         for i, acc in enumerate(sums):
             out[i, s:s + step] = ph @ acc
     return list(out / data.N)
+
+
+def _naive_turns(X: np.ndarray, freq: np.ndarray) -> np.ndarray:
+    """``k . x`` in turns for every point x in [0, 1)^d (rows of X) and
+    every frequency row k, reduced to [-1/2, 1/2].
+
+    Per coordinate, k splits into limbs ``k = sum_i l_i 2^(21 i)`` with
+    ``|l_i| < 2^21``, and ``x 2^(21 i)`` loses only whole turns when
+    reduced by its floor (a power-of-two scaling is exact).  Each point
+    splits as ``xh + xl`` with xh on a grid of 2^-32, so ``xh l`` is
+    exact and loses its whole turns without rounding, and ``xl l``, below
+    2^-12, is added after: each angle is off by a few ulp of one turn at
+    any integer k.  The naive route's own reduction, sharing nothing
+    with the phase tables of the fast routes.
+    """
+    t = np.zeros((len(X), len(freq)))
+    for j in range(freq.shape[1]):
+        x, k = X[:, j], freq[:, j]
+        while np.any(k):
+            low = np.sign(k) * (np.abs(k) % (1 << 21))
+            xh = np.round(x * 2.0**32) * 2.0**-32
+            p = np.outer(xh, low)
+            t += p - np.round(p)
+            t += np.outer(x - xh, low)
+            t -= np.round(t)
+            k = (k - low) >> 21
+            x = x * 2.0**21
+            x = x - np.floor(x)
+    return t
 
 
 def _general_fft_route(
@@ -1633,17 +1731,34 @@ def compress(
         Custom sets keep complex vectors when their symmetrisation does
         not cancel the imaginary parts.
     """
+    return _compress(data, rule, index_set, algorithm, threads, cap)
+
+
+def _compress(
+    data: Dataset,
+    rule: LatticeRule,
+    index_set: IndexSet,
+    algorithm: str,
+    threads: int,
+    cap: int,
+    priced: Optional[tuple] = None,
+) -> WeightSet:
+    """:func:`compress`, given :func:`_route_choice`'s result for these
+    arguments when the caller has priced the routes already: then "auto"
+    takes its route and general-FFT its split, and nothing is priced
+    again."""
     _check_dims(data.d, rule, index_set)
     if index_set.frequencies is None:
         # A copy of the lazy set: sizing it below caches the count here,
         # not on the caller's object, and the result's descriptor reuses it.
         index_set = index_set.descriptor()
+    if algorithm == "auto" and priced is None:
+        priced = _route_choice(data.N, rule, index_set, cap)
     extra = {}
     if algorithm == "auto":
-        choice, split = _route_choice(data.N, rule, index_set, cap)
-        algorithm = choice["route"]
-        if algorithm == "general-fft":
-            extra["split"] = split
+        algorithm = priced[0]["route"]
+    if algorithm == "general-fft" and priced is not None:
+        extra["split"] = priced[1]
     w1, w2 = _run(
         algorithm, data, ["ones", "responses"], rule, index_set, threads,
         cap, **extra

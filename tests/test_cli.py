@@ -225,14 +225,14 @@ class TestCompressCommand:
         want = cbc_construct(31, 2, 1.5, ProductWeights.ones(2))
         # The command prices the routes once and compresses by the choice.
         priced = []
-        real = compression.choose_route
+        real = compression._route_choice
 
         def counted(*args, **kwargs):
             priced.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "choose_route", counted)
-        monkeypatch.setattr(compression, "choose_route", counted)
+        monkeypatch.setattr(cli, "_route_choice", counted)
+        monkeypatch.setattr(compression, "_route_choice", counted)
         cases = [
             # 21 frequencies against 31 nodes times the sweep's passes:
             # the split is cheaper.  278,529 frequencies: the sweep is.
@@ -257,6 +257,39 @@ class TestCompressCommand:
             assert min(choice["costs"], key=choice["costs"].get) == route
             assert len(priced) == 1
             priced.clear()
+
+    def test_split_priced_once(
+        self, dataset_file, tmp_path, capsys, monkeypatch
+    ) -> None:
+        # general-FFT runs the split the command priced: one _family_split
+        # per command on a step cross, with the route choice printed as
+        # choose_route gives it.
+        path, data = dataset_file
+        calls = []
+        real = compression._family_split
+
+        def counted(runs):
+            calls.append(runs)
+            return real(runs)
+
+        monkeypatch.setattr(compression, "_family_split", counted)
+        argv = [
+            "compress", "--data", path, "--generator", "1,12",
+            "--modulus", "31", "--family", "step-cross", "--alpha", "1.0",
+            "--gamma", "one", "--order", "3",
+        ]
+        for extra in ([], ["--algorithm", "general-fft"]):
+            out = str(tmp_path / f"s{len(extra)}.json")
+            assert main(argv + extra + ["--out", out]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["algorithm"] == "general-fft"
+            assert len(calls) == 1, extra
+            spec = WeightSet.load(out).index_set
+            want = compression.choose_route(
+                data.N, LatticeRule(31, (1, 12)), spec
+            )
+            assert summary["route_choice"] == want
+            del calls[:]
 
     def test_missing_out_is_usage_error(self, dataset_file) -> None:
         path, _ = dataset_file

@@ -133,6 +133,28 @@ FAST_CASES = [
 
 
 class TestFastAgainstNaive:
+    def test_naive_reduces_angles_exactly(self) -> None:
+        # Frequencies past 2^21, and one past 2^42: the oracle's angles
+        # lose only whole turns, against phases from exactly reduced
+        # angles.
+        freq = np.array([
+            [2**21 + 5, 3], [-(2**30 + 7), 1], [2**40 + 1, -(2**22) - 9],
+            [0, 0], [2**45 + 3, 1],
+        ])
+        data = _dataset(55, 9, 2)
+        rule = LatticeRule(5, (1, 2))
+
+        def phases(P):
+            return (_exact_phases(P[:, 0], freq[:, 0])
+                    * _exact_phases(P[:, 1], freq[:, 1]))
+
+        want = phases(generate_points(rule)).conj() @ (
+            data.Y @ phases(data.X)
+        ) / data.N
+        spec = IndexSet.custom(freq, 1.0, (1.0, 1.0))
+        got = weights_naive(data, "responses", rule, spec)
+        assert _gap(got, want) < 1e-13
+
     @pytest.mark.parametrize("family, seed, n, d, L, g, param", FAST_CASES)
     def test_families(self, family, seed, n, d, L, g, param) -> None:
         data = _dataset(seed, n, d)
@@ -419,6 +441,37 @@ class TestPhases:
         with pytest.raises(ValueError, match="phase bound"):
             compression._unit_phases(self.X, np.array([0, 1, top]))
 
+    @pytest.mark.parametrize("u", [
+        np.arange(0, 65),                      # babies alone
+        np.arange(99_000, 100_001, 3),         # giants times babies
+        np.arange(-64, 65),                    # babies and conjugates
+        np.array([-100_000, -3, 0, 7, 99_999]),  # direct, both signs
+        np.array([100_000]),                   # a lone value
+        np.array([-7]),
+        np.arange(2**21 - 3, 2**21 + 3),       # split past 2^21
+        np.array([-(2**30 - 1), 5, 2**30 - 1]),
+    ])
+    def test_value_major_tables(self, u, monkeypatch) -> None:
+        # The table builder's layout: one contiguous row of the points'
+        # phases per tabled value, every value's row within 1e-14 of the
+        # exactly reduced angle.  Its planes, split in chunks of two rows,
+        # are the real and imaginary parts of the table, or of its product
+        # with gathered rows, to the bit.
+        table, index = compression._phase_table(self.X, u)
+        assert table.flags.c_contiguous
+        assert table.shape[1] == len(self.X)
+        got = table[index]
+        want = _exact_phases(self.X, u).T
+        assert float(np.max(np.abs(got - want))) < 1e-14
+        monkeypatch.setattr(compression, "_GATHER", 2 * len(self.X))
+        for planes, whole in (
+            (compression._split_planes(got.copy()), got),
+            (compression._split_planes(got.copy(), table, index), got * got),
+        ):
+            assert planes.shape == (len(u), 2, len(self.X))
+            np.testing.assert_array_equal(planes[:, 0], whole.real)
+            np.testing.assert_array_equal(planes[:, 1], whole.imag)
+
 
 class TestSplit:
     """The head/tail split against sums that share none of its code."""
@@ -455,6 +508,61 @@ class TestSplit:
                 assert _gap(got, c @ ph_reps) < 1e-12
             got = compression._split_forward(data.X, plan, theta)
             assert _gap(got, ph @ theta) < 1e-12
+
+    def test_unpaired_tails_over_blocks(self, monkeypatch) -> None:
+        # A custom set whose pair cells often hold one sign of their tail,
+        # run over blocks of 5 samples (the last one partial), at every
+        # split point: the adjoint for both vectors, bitwise the same for
+        # two threads and for one vector at a time, and the forward pass
+        # of a complex model (two coefficient columns) and of real ones
+        # (one column), an even and an odd one.
+        monkeypatch.setattr(compression, "_FFT_BLOCK", 1 << 9)
+        d = 3
+        freq = _sparse_support(56, d, 60)
+        data = _dataset(57, 37, d)
+        rng = np.random.default_rng(58)
+        theta = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
+            len(freq)
+        )
+        # real models on the support closed under negation (its sorted
+        # rows: row i is the negation of row -1 - i): even ones weigh
+        # cosines by cosines and sines by sines, odd ones cosines by sines
+        sym = np.unique(np.vstack([freq, -freq]), axis=0)
+        coef = rng.standard_normal(len(sym))
+        even, odd = coef + coef[::-1], 1j * (coef - coef[::-1])
+        ph = np.exp(2j * np.pi * (data.X @ freq.T))
+        cvecs = [np.ones(data.N), data.Y]
+        fold = compression._fold(freq)
+        ph_reps = np.exp(2j * np.pi * (data.X @ fold.reps.T))
+        lone = 0
+        for h in range(1, d + 1):
+            plan = compression._split_plan(fold, h)
+            for a0, a1, tb, ii, jj, flip, rows in plan.buckets:
+                tails = plan.tails[np.arange(len(plan.tails))[tb][jj]]
+                _, first, counts = np.unique(
+                    np.stack([ii, jj]), axis=1, return_index=True,
+                    return_counts=True,
+                )
+                lone += int(np.sum((counts == 1) & tails[first].any(axis=1)))
+            block = compression._split_phases(plan, data.N)[0]
+            assert data.N % block and data.N > 2 * block
+            sums = compression._split_adjoint(data.X, plan, cvecs, 1)
+            for got, c in zip(sums, cvecs):
+                assert _gap(got, c @ ph_reps) < 1e-12
+            pooled = compression._split_adjoint(data.X, plan, cvecs, 2)
+            for got, c, a in zip(pooled, cvecs, sums):
+                np.testing.assert_array_equal(got, a)
+                single = compression._split_adjoint(data.X, plan, [c], 1)[0]
+                np.testing.assert_array_equal(single, a)
+            got = compression._split_forward(data.X, plan, theta)
+            assert _gap(got, ph @ theta) < 1e-12
+            sym_plan = compression._split_plan(compression._fold(sym), h)
+            sym_ph = np.exp(2j * np.pi * (data.X @ sym.T))
+            for c in (even, odd):
+                got = compression._split_forward(data.X, sym_plan, c)
+                assert np.all(got.imag == 0.0)
+                assert _gap(got, sym_ph @ c) < 1e-12
+        assert lone > 0
 
     @pytest.mark.parametrize("zero", [True, False])
     def test_fold_on_an_asymmetric_set(self, zero) -> None:

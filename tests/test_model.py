@@ -301,6 +301,31 @@ class TestLossReport:
         assert pen.reg == 2.0
         assert pen.value == pytest.approx(plain.value + 0.5 * 2.0)
 
+    def test_residual_summed_directly(self) -> None:
+        # A model that fits its data to about 1e-6: the three terms are
+        # near 1 and cancel in value, while the residual, summed from
+        # f - y, keeps its digits; the penalty stays out of it.
+        model = _real_box_model(3)
+        rng = np.random.default_rng(59)
+        X = rng.random((500, 2))
+        noise = 1e-6 * rng.standard_normal(500)
+        data = Dataset(X, eval_model(model, X).real + noise)
+        rep = exact_loss(model, data, lam=0.5, reg="ridge")
+        assert rep.quadratic > 0.1
+        assert rep.residual == pytest.approx(np.mean(noise**2), rel=1e-6)
+        assert abs(rep.value - rep.lam * rep.reg - rep.residual) < 1e-14
+        assert rep.to_json()["residual"] == rep.residual
+        assert exact_loss(
+            TrigModel(np.array([[0]]), np.array([1.0 + 0j])),
+            Dataset(np.array([[0.1], [0.4]]), np.array([1.0, -1.0])),
+        ).residual == 2.0
+        # the compressed loss has no residual to report
+        ws = compress(data, LatticeRule(31, (1, 12)),
+                      IndexSet.cross(1.0, (1.0, 1.0), 8.0))
+        approx = compressed_loss(model, ws)
+        assert approx.residual is None
+        assert "residual" not in approx.to_json()
+
 
 def _sole_class_member(spec: IndexSet, rule: LatticeRule, rows) -> bool:
     # Each row must be the only index-set element in its residue class
