@@ -22,11 +22,10 @@ coefficients, so for a support and a weight set one real matrix ``W``
 model's departure from realness: a loss costs one product with ``W``,
 O(M (M + |U|)) for the residue classes U the support occupies, with
 ``W`` capped at 2^17 entries.  Supports too large for ``W`` take the
-node values instead: the coefficients summed
-per residue along a cached sort, then one length-L inverse FFT, O(M + L
-log L).  A model caches what depends on its support alone (the split
-plan of :func:`eval_model`, the residue sort) and ``W`` of the last
-weights it met; :meth:`TrigModel.with_theta` hands that cache on.
+node values instead: the coefficients summed per residue class, then
+one length-L inverse FFT, O(M + L log L).  A model caches what depends
+on its support alone (the split plan of :func:`eval_model`, the residue
+classes) and ``W`` of the last weights it met; :meth:`TrigModel.with_theta` hands that cache on.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ import numpy as np
 from .compression import (
     Dataset,
     WeightSet,
+    _classes,
+    _distinct,
+    _lattice_sum,
     _residues,
     _split_forward,
     _split_rows,
@@ -105,7 +107,7 @@ class TrigModel:
         """The model with coefficients ``theta`` on this model's support.
 
         The new model shares the frequency array and everything cached
-        on it (the split plan, the residue sort and the loss matrix of
+        on it (the split plan, the residue classes and the loss matrix of
         the last weights), so a sequence of coefficient vectors on one
         support, as an optimiser makes, builds those once.  ``theta`` is
         validated and copied as by the constructor.
@@ -217,7 +219,7 @@ class _LossMatrix(NamedTuple):
 class _SupportCache:
     """What the evaluations of one model reuse, all derived from its
     frequency array ``freq``: the split plan of :func:`eval_model`, the
-    residue sort on the last rule (``(rule, order, starts, occupied)``,
+    residue classes on the last rule (``(rule, classes)``,
     :func:`_node_values`) and the loss matrix of the last weights."""
 
     __slots__ = ("freq", "plan", "nodes", "loss")
@@ -238,30 +240,13 @@ def _support(model: TrigModel) -> _SupportCache:
 
 
 def _node_values(model: TrigModel, rule: LatticeRule) -> np.ndarray:
-    """``sum_k theta_k exp(2 pi i k . z_l)`` at every node ``z_l``: the
-    coefficients summed per residue ``k . g mod L``, then one length-L
-    inverse FFT.
-
-    The rows' stable sort by residue is kept on the model for the last
-    rule, so a call gathers the coefficients in that order and sums each
-    residue's run with one ``np.add.reduceat``; O(M + L log L).
-    """
+    """``sum_k theta_k exp(2 pi i k . z_l)`` at every node ``z_l``
+    (:func:`_lattice_sum`), with the rows' residue classes kept on the
+    model for the last rule; O(M + L log L)."""
     c = _support(model)
-    nodes = c.nodes
-    if nodes is None or nodes[0] != rule:
-        residues = _residues(c.freq, rule)
-        # numpy sorts keys of 16 bits by radix: 0.1 ms against 1.2 ms as
-        # int64 for paper-2d's 16,641 rows
-        key = residues.astype(np.uint16) if rule.L <= 1 << 16 else residues
-        order = np.argsort(key, kind="stable")
-        counts = np.bincount(residues, minlength=rule.L)
-        occupied = np.flatnonzero(counts)
-        ends = np.cumsum(counts[occupied])
-        nodes = c.nodes = (rule, order, ends - counts[occupied], occupied)
-    _, order, starts, occupied = nodes
-    b = np.zeros(rule.L, dtype=np.complex128)
-    b[occupied] = np.add.reduceat(model.theta.take(order), starts)
-    return rule.L * np.fft.ifft(b)
+    if c.nodes is None or c.nodes[0] != rule:
+        c.nodes = (rule, _classes(_residues(c.freq, rule), rule.L))
+    return _lattice_sum(c.nodes[1], model.theta)
 
 
 def eval_model(model: TrigModel, x) -> np.ndarray:
@@ -327,8 +312,8 @@ def eval_model_on_lattice(model: TrigModel, rule: LatticeRule) -> np.ndarray:
     Coefficients sharing a residue ``k . g mod L`` alias to the same
     one-dimensional frequency along the lattice, so they are bucketed
     first; cost O(M + L log L) against O(L M d) for direct evaluation,
-    with the rows' sort by residue (O(d M + M log M)) cached on the
-    model for the last rule.
+    with the rows' residue classes cached on the model for the last
+    rule.
     """
     if rule.d != model.d:
         raise ValueError(f"rule has d={rule.d}, model has d={model.d}")
@@ -631,9 +616,7 @@ def _loss_matrix(
     if (2 * M + 2) * 2 * M > _MATRIX_ENTRIES:
         return _LossMatrix(s_xz, rule, None, None)
     r = _residues(freq, rule)
-    # the distinct values by a sort: np.unique would import numpy.ma
-    u = np.sort(np.concatenate([r, -r % L]))
-    u = u[np.concatenate(([True], u[1:] != u[:-1]))]
+    u = _distinct(np.concatenate([r, -r % L]))
     n = len(u)
     if (2 * M + n + 1) * 2 * M > _MATRIX_ENTRIES:
         return _LossMatrix(s_xz, rule, None, None)

@@ -29,7 +29,7 @@ from latcompress.compression import (
 )
 from latcompress.index_sets import CapExceeded, IndexSet
 from latcompress.lattice import LatticeRule, ProductWeights, generate_points
-from latcompress.model import TrigModel, eval_model
+from latcompress.model import TrigModel, eval_model, lattice_alias_offenders
 from test_index_sets import _step_cross_shapes
 
 
@@ -148,12 +148,23 @@ class TestFastAgainstNaive:
             return (_exact_phases(P[:, 0], freq[:, 0])
                     * _exact_phases(P[:, 1], freq[:, 1]))
 
-        want = phases(generate_points(rule)).conj() @ (
+        want = _exact_node_phases(rule, freq).conj() @ (
             data.Y @ phases(data.X)
         ) / data.N
         spec = IndexSet.custom(freq, 1.0, (1.0, 1.0))
         got = weights_naive(data, "responses", rule, spec)
         assert _gap(got, want) < 1e-13
+
+    def test_general_fft_matches_naive_at_large_frequencies(self) -> None:
+        # k . z_l from rounded float nodes is off by about |k| 2^-53
+        # turns; both routes take the node phases from exact residues.
+        freq = np.array([[2**40 + 1, 3], [0, 0], [2**33 + 7, -1]])
+        data = _dataset(0, 9, 2)
+        rule = LatticeRule(7, (1, 3))
+        spec = IndexSet.custom(freq, 1.0, (1.0, 1.0))
+        naive = weights_naive(data, "responses", rule, spec)
+        fast = weights_general_fft(data, "responses", rule, spec)
+        assert _gap(fast, naive) < 1e-13
 
     @pytest.mark.parametrize("family, seed, n, d, L, g, param", FAST_CASES)
     def test_families(self, family, seed, n, d, L, g, param) -> None:
@@ -373,6 +384,18 @@ SPLIT_CASES = [
 ]
 
 
+def _exact_node_phases(rule: LatticeRule, freq: np.ndarray) -> np.ndarray:
+    """exp(2 pi i k . z_l) at every node l and row k, from the residue
+    l (k . g) mod L in Python integers."""
+    out = np.empty((rule.L, len(freq)), dtype=np.complex128)
+    for ell in range(rule.L):
+        for j, k in enumerate(freq.tolist()):
+            m = ell * sum(a * b for a, b in zip(k, rule.g)) % rule.L
+            t = 2.0 * math.pi * m / rule.L
+            out[ell, j] = complex(math.cos(t), math.sin(t))
+    return out
+
+
 def _exact_phases(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """exp(2 pi i x u) from the angle reduced in exact rational
     arithmetic, then one cosine and one sine."""
@@ -415,7 +438,7 @@ class TestPhases:
             return turn_phases(x, v, *out)
 
         monkeypatch.setattr(compression, "_turn_phases", counted)
-        got = compression._unit_phases(self.X, u)
+        got = compression._value_phases(self.X, u).T
         assert (sum(columns) < len(np.unique(np.abs(u)))) == factored
         assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
 
@@ -433,13 +456,13 @@ class TestPhases:
     def test_beyond_exact_turns(self, u) -> None:
         # past 2^21 the value splits as uh 2^21 + ul; each factor's angle
         # is still reduced by whole turns without rounding
-        got = compression._unit_phases(self.X, u)
+        got = compression._value_phases(self.X, u).T
         assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
 
     @pytest.mark.parametrize("top", [2**42, -2**42, 2**50])
     def test_phase_bound(self, top) -> None:
         with pytest.raises(ValueError, match="phase bound"):
-            compression._unit_phases(self.X, np.array([0, 1, top]))
+            compression._value_phases(self.X, np.array([0, 1, top])).T
 
     @pytest.mark.parametrize("u", [
         np.arange(0, 65),                      # babies alone
@@ -589,10 +612,13 @@ class TestSplit:
         for h in range(1, d + 1):
             plan = compression._split_plan(fold, h)
             sums = compression._split_adjoint(data.X, plan, cvecs, 1)
-            for c, s in zip(cvecs, sums):
+            # one fold shared by both vectors, and each vector's own
+            shared = compression._folded_fft(fold, sums, rule)
+            for c, s, got in zip(cvecs, sums, shared):
                 direct = c @ np.exp(2j * np.pi * (data.X @ freq.T))
-                got = compression._folded_fft(fold, s, rule)
                 assert _gap(got, node_ph @ direct) < 1e-12
+                alone = compression._folded_fft(fold, [s], rule)[0]
+                np.testing.assert_array_equal(alone, got)
 
     @pytest.mark.parametrize("d, freq", SPLIT_CASES[:5])
     def test_public_entries_match_triple_loop(self, d, freq) -> None:
@@ -692,6 +718,10 @@ class TestSplit:
             real = lc.TrigModel(freq[:3], [1.0, 0.5, 0.5])
             lc.compressed_loss(real, ws, lam=0.1, reg="elastic", mix=0.5)
             lc.eval_model_on_lattice(real, rule)
+            data_rule = lc.LatticeRule(61, (1, 23, 40))
+            for responses in (None, np.linspace(-1.0, 1.0, 61)):
+                lc.weights_lattice_data(data_rule, responses, rule, spec)
+            lc.lattice_alias_offenders(freq, rule)
             print(sorted(set(sys.modules) - before))
         """)
         env = dict(os.environ, PYTHONPATH=src)
@@ -796,6 +826,18 @@ class TestThreads:
 
 
 class TestLatticeData:
+    def test_residues_exact_past_int64(self) -> None:
+        # max |k_j| sum g passes 2^63 here, though |k_j| < 2^42: the
+        # products k_j g_j wrap in int64 unless reduced mod L first.
+        L = 4_194_301
+        rule = LatticeRule(L, (L - 1, 1))
+        k = 2**42 - 5
+        freq = np.array([[k, 1], [-k, -1], [k, k % L], [3, -7]])
+        want = [(a * (L - 1) + b) % L for a, b in freq.tolist()]
+        np.testing.assert_array_equal(compression._residues(freq, rule), want)
+        offenders = lattice_alias_offenders(freq, rule)
+        np.testing.assert_array_equal(offenders, freq[2:3])
+
     def test_responses_match_naive(self) -> None:
         data_rule = LatticeRule(16, (1, 7))
         rule = LatticeRule(5, (1, 2))
