@@ -21,11 +21,16 @@ routes sit in one table, ``_ROUTES``, with one calling convention:
 per coefficient vector out.  ``naive`` sums directly and is the
 reference; ``general-fft`` serves any set by sum factorisation over a
 head/tail split of the coordinates, one real matrix product per bucket
-of heads (:func:`_split_plan`), the plan ``eval_model`` runs the other
-way round.  Both sum only over the representatives ``r >=_lex 0`` of
-the rows (``r = k`` or ``-k``, :func:`_fold`), since the phases of r and
--r are conjugates, and one pair cell serves a head's tails ``+-tau``
-from the tail's cosines and sines.  ``rectangle`` and ``step-cross`` run one
+of heads and block of samples for every coefficient vector.  Both it and
+``eval_model``, which runs the plan the other way round, sum only over
+the representatives ``r >=_lex 0`` of the rows (``r = k`` or ``-k``),
+since the phases of r and -r are conjugates, and one pair cell serves a
+head's tails ``+-tau`` from the tail's cosines and sines.  A named
+family's plan is read from its run tables (:func:`_table_plan`), priced
+and run as one object, and its set is never enumerated; a custom set
+and a model's support fold their rows (:func:`_fold`,
+:func:`_split_plan`), the oracle of the table plan in the tests.
+``rectangle`` and ``step-cross`` run one
 Dirichlet-kernel DP over the set's run tables, grouping prefix products
 by accumulated cost, and never enumerate the set.  ``compress`` takes the route
 :func:`choose_route` predicts to be cheapest, pricing each route from
@@ -54,8 +59,12 @@ from .index_sets import (
     DEFAULT_CAP,
     CapExceeded,
     IndexSet,
-    _cost_groups,
+    _cost_group_steps,
+    _last_group,
     _last_run,
+    _prefixes,
+    _row_costs,
+    _run_prefixes,
 )
 from .lattice import LatticeRule, generate_points
 
@@ -567,27 +576,42 @@ class _Sizes(NamedTuple):
     """What a split plan does per sample and coefficient vector: its
     distinct heads and tails tau; the coordinates of their phases, each a
     gather and a product, together with the values each axis multiplies
-    out of baby and giant steps; its pair cells; and the cosine and sine
-    columns its axes compute directly."""
+    out of baby and giant steps; its pair cells; the cosine and sine
+    columns its axes compute directly; and the most heads or tails on
+    the narrower side of a bucket, which with the heads and tails sets
+    how many samples a block holds (:func:`_block`)."""
 
     heads: int
     tails: int
     coords: int
     cells: int
     trig: int
+    widest: int
 
 
-def _sizes(heads: int, tails: int, h: int, mags, cells: int) -> _Sizes:
+def _sizes(
+    heads: int, tails: int, h: int, mags, cells: int, widest: int
+) -> _Sizes:
     """The sizes of a split after coordinate h with the given heads,
-    tails and pair cells, its axes' values of the magnitudes ``mags``
-    (the least, the greatest and their number per coordinate, heads
-    first)."""
+    tails, pair cells and widest narrower side, its axes' values of the
+    magnitudes ``mags`` (the least, the greatest and their number per
+    coordinate, heads first)."""
     trig = values = 0
     for m in mags:
         _, t, v = _factoring(*m)
         trig, values = trig + t, values + v
     coords = heads * h + tails * (len(mags) - h) + values
-    return _Sizes(heads, tails, coords, cells, trig)
+    return _Sizes(heads, tails, coords, cells, trig, widest)
+
+
+def _block(sizes: _Sizes, stack: int) -> int:
+    """The samples a block of a split pass holds: about ``_FFT_BLOCK``
+    real elements over the cosine and sine rows of every head and tail
+    phase and of the widest operand a product scales or yields (a
+    bucket's narrower side, ``stack`` times over when the product stacks
+    it once per coefficient vector)."""
+    width = 2 * (sizes.heads + sizes.tails + stack * sizes.widest)
+    return max(1, int(_FFT_BLOCK // max(width, 1)))
 
 
 class _SplitPlan(NamedTuple):
@@ -607,7 +631,9 @@ class _SplitPlan(NamedTuple):
     ``tau``.  ``axes`` holds the
     phase axes (:func:`_phase_axes`) of the heads and of the tails,
     ``sizes`` what the plan does per sample, and ``fold`` maps the set's
-    rows onto the representatives.
+    rows onto the representatives; it is None for a plan read from a
+    named family's run tables (:func:`_table_plan`), whose
+    representatives are its pair cells in bucket order.
     """
 
     heads: np.ndarray
@@ -653,7 +679,7 @@ def _split_plan(fold: _Fold, h: int) -> _SplitPlan:
     by = np.argsort(bucket.astype(np.uint8), kind="stable")
     ends = np.searchsorted(bucket[by], np.arange(1, len(starts) + 1))
     bounds = starts.tolist() + [len(heads)]
-    buckets, cells, s = [], 0, 0
+    buckets, cells, widest, s = [], 0, 0, 0
     for a0, a1, e in zip(bounds, bounds[1:], ends.tolist()):
         rows = by[s:e]
         jj = tail_of[rows]
@@ -666,6 +692,7 @@ def _split_plan(fold: _Fold, h: int) -> _SplitPlan:
             tb = np.flatnonzero(used)
             jj = (np.cumsum(used) - 1)[jj]
         cells += (a1 - a0) * n
+        widest = max(widest, min(a1 - a0, n))
         buckets.append((a0, a1, tb, row_col[rows] - a0, jj, flip[rows], rows))
         s = e
     heads = heads[order]
@@ -674,106 +701,148 @@ def _split_plan(fold: _Fold, h: int) -> _SplitPlan:
     for u, _ in axes[0] + axes[1]:
         v = _distinct(np.abs(u))
         mags.append((int(v[0]), int(v[-1]), len(v)) if len(v) else (0, 0, 0))
-    sizes = _sizes(len(heads), len(tails), h, mags, cells)
+    sizes = _sizes(len(heads), len(tails), h, mags, cells, widest)
     return _SplitPlan(heads, tails, tuple(buckets), axes, sizes, fold)
 
 
 def _split_price(sizes: _Sizes) -> float:
     """Predicted seconds per sample of a split pass with both coefficient
-    vectors: its pair cells, the coordinates of its phases and the
-    cosine and sine columns of its axes."""
-    return (sizes.cells * _GEMM_S + sizes.coords * _PHASE_S
-            + sizes.trig * _TRIG_S)
+    vectors: its pair cells, whose partial sums are also written and
+    added once per block of samples, the coordinates of its phases and
+    the cosine and sine columns of its axes."""
+    return (sizes.cells * (_GEMM_S + _BLOCK_S / _block(sizes, 2))
+            + sizes.coords * _PHASE_S + sizes.trig * _TRIG_S)
 
 
-def _family_magnitudes(runs) -> list[tuple[int, int, int]]:
-    """Per coordinate of a named family, the least and greatest magnitude
-    of its values and their number, from the run tables: the magnitudes
-    are 0 to the reach of the last run the coordinate admits alone, all
-    of them taken, on either side of any split.  (A value v > 0 is the
-    row with v there and zeros elsewhere, a zero costing the identity in
-    every family; a value -v < 0 on a side's rows ``>=_lex 0`` needs a
-    positive value before it, so it reaches no further.)"""
-    ident = np.full(1, float(runs.combine.identity))
-    reach = [
-        int(ups[_last_run(runs, ident, costs)[0]])
-        for ups, costs in zip(runs.ups, runs.costs)
-    ]
-    return [(0, w, w + 1) for w in reach]
+class _TableSplit(NamedTuple):
+    """A named family's split after coordinate h, sized from its run
+    tables alone: the price of the split and the plan
+    :func:`_table_plan` expands, one object.  ``acc`` holds the
+    accumulated costs of the heads, ascending (their cost groups), and
+    ``sizes`` what the expanded plan does per sample."""
+
+    runs: object
+    h: int
+    acc: np.ndarray
+    sizes: _Sizes
 
 
-def _family_sizes(runs, h: int) -> _Sizes:
-    """The sizes of a named family's folded split after coordinate h,
-    from its run tables without enumerating the set.
+def _table_splits(runs) -> list[_TableSplit]:
+    """The splits of a named family after each coordinate h = 1, ..., d,
+    without building a row of the set.
 
-    The heads are the prefixes over the first h tables, grouped by
-    accumulated cost; the tails are the walk over the other tables from
-    the identity, i.e. at the full budget.  Membership depends on |k_j|
-    only, so the set is closed under negation and folds onto its rows
-    ``>=_lex 0``: the heads ``>_lex 0`` with every tail, and the zero
-    head with the tails ``>=_lex 0``.  A cost group of n heads holds
-    ``(n - [0 in group]) / 2`` positive heads.  A head of cost ``a``
-    pairs with the t tails whose cost its remaining budget admits, both
-    signs of each, so with ``(t + 1) / 2`` tails tau (the zero tail is its
-    own negation), a prefix of the tails tau sorted by cost; the zero
-    head, of the least cost, pairs with all of them, one sign each.  So
-    tail sets nest as ``a`` grows, a bucket's union is its largest set,
-    and the sizes are those :func:`_split_plan` finds on the materialised
-    rows.  The magnitudes of the axes come from
-    :func:`_family_magnitudes`.
+    Membership depends on |k_j| only, so the set is closed under
+    negation and folds onto its rows ``>=_lex 0``: the heads ``>_lex 0``
+    with every tail, and the zero head with the tails ``>=_lex 0``.  The
+    heads are the prefixes over the first h tables, grouped by
+    accumulated cost (:func:`_cost_group_steps`, one walk for every h);
+    a cost group of n heads holds ``(n - [0 in group]) / 2`` heads
+    ``>_lex 0``, and the zero head is in the first, of the least cost.
+    The tails are the walk over the other tables, taken a run at a time
+    (:func:`_run_prefixes`), and a head admits a tail when the walk
+    would, its cost combined with the tail's in the walk's order
+    (:func:`_last_group`): so the sizes are those of the expanded plan,
+    also on a level line.  A head of cost a pairs with the t tails its
+    cost admits, both signs of each, so with ``(t + 1) / 2`` tails tau
+    (the zero tail is its own negation); the tail sets nest as a grows,
+    and a bucket's union is its largest set.  Per coordinate the
+    magnitudes are 0 to the reach of the last run it admits alone, on
+    either side of any split (a value v > 0 is the row with v there and
+    zeros elsewhere, a zero costing the identity in every family).
     """
     d = len(runs.ups)
-    acc, heads = _cost_groups(runs, range(h))
-    cost, tails = _cost_groups(runs, range(h, d))
-    # an empty run leaves cost groups of no prefix; they bucket nothing
-    acc, heads = acc[heads > 0], heads[heads > 0]
-    if not len(acc):
-        return _Sizes(0, 0, 0, 0, 0)
-    origin = float(runs.combine.identity)
-    for j in range(h):
-        origin = runs.combine(origin, runs.costs[j][0])
-    zero = acc == origin
-    reach = np.cumsum(tails.astype(np.float64))[_last_run(runs, acc, cost)]
-    pos = (heads.astype(np.float64) - zero) / 2.0
-    taus = (reach + 1.0) / 2.0
-    # per head its tails tau, the zero head last
-    per_head = np.append(taus[pos > 0], taus[zero][0])
-    count = np.append(pos[pos > 0], 1.0)
-    order, starts = _buckets(per_head)
-    union = np.maximum.reduceat(per_head[order], starts)
-    cells = float(np.add.reduceat(count[order], starts) @ union)
-    return _sizes(float(count.sum()), float(taus[zero][0]), h,
-                  _family_magnitudes(runs), cells)
-
-
-def _family_split(runs) -> tuple[int, float]:
-    """The cheapest split point of a named family and its price per
-    sample."""
-    prices = [
-        _split_price(_family_sizes(runs, h))
-        for h in range(1, len(runs.ups) + 1)
+    ident = np.full(1, float(runs.combine.identity))
+    reach = [
+        int(ups[_last_run(runs, ident, c)[0]])
+        for ups, c in zip(runs.ups, runs.costs)
     ]
-    h = int(np.argmin(prices))
-    return h + 1, prices[h]
+    mags = [(0, w, w + 1) for w in reach]
+    splits = []
+    for h, (acc, heads) in enumerate(_cost_group_steps(runs, range(d)), 1):
+        # an empty run leaves cost groups of no prefix; they bucket nothing
+        acc, heads = acc[heads > 0], heads[heads > 0].astype(np.float64)
+        costs, count = _run_prefixes(runs, range(h, d))
+        last = _last_group(runs, acc, costs)
+        # per cost group, the tails of both signs it admits
+        reach = np.cumsum(np.bincount(last, count, len(acc))[::-1])[::-1]
+        pos = (heads - (np.arange(len(acc)) == 0)) / 2.0
+        taus = (reach + 1.0) / 2.0
+        # per head its tails tau, the zero head last
+        per_head = np.append(taus[pos > 0], taus[0])
+        n = np.append(pos[pos > 0], 1.0)
+        order, starts = _buckets(per_head)
+        union = np.maximum.reduceat(per_head[order], starts)
+        held = np.add.reduceat(n[order], starts)
+        sizes = _sizes(float(n.sum()), float(taus[0]), h, mags,
+                       float(held @ union),
+                       float(np.minimum(held, union).max()))
+        splits.append(_TableSplit(runs, h, acc, sizes))
+    return splits
 
 
-def _split_rows(
-    freq: np.ndarray, runs=None, h: Optional[int] = None
-) -> _SplitPlan:
+def _cheapest_split(runs) -> _TableSplit:
+    """The split of a named family with the least price per sample."""
+    return min(_table_splits(runs), key=lambda s: _split_price(s.sizes))
+
+
+def _table_plan(split: _TableSplit) -> _SplitPlan:
+    """The plan of a named family's split, read from its run tables: no
+    row of the set is built, folded or sorted.
+
+    The heads are the walk over the first h tables and the tails tau the
+    walk over the others, each the rows ``>=_lex 0`` of its walk, in
+    lexicographic order (:func:`_prefixes`).  A head's cost group admits
+    the tails the walk would (:func:`_last_group`).  Heads and tails are
+    then ordered and bucketed as :func:`_split_plan` does on the rows, so
+    the two plans agree exactly.  The representatives are the pair cells
+    ``(a, tau)``, and ``(a, -tau)`` as well where a and tau are both
+    nonzero, in bucket order, the zero row first (``fold`` is None); the
+    set's rows are the representatives and their negations.
+    """
+    runs, h, acc = split.runs, split.h, split.acc
+    d = len(runs.ups)
+    heads, cost = _prefixes(runs, range(h))
+    half = len(heads) // 2
+    heads, group = heads[half:], np.searchsorted(acc, cost[half:])
+    tails = _prefixes(runs, range(h, d))[0]
+    tails = tails[len(tails) // 2:]
+    last = _last_group(runs, acc, _row_costs(runs, tails, range(h, d)))
+    # tails by the heads they pair with, most first: the zero head and
+    # the heads >_lex 0 of every cost group that admits them
+    pos = np.bincount(group[1:], minlength=len(acc))
+    seq = np.argsort(-np.cumsum(pos)[last], kind="stable")
+    tails, last = tails[seq], last[seq]
+    admitted = np.cumsum(np.bincount(last, minlength=len(acc))[::-1])[::-1]
+    order, starts = _buckets(admitted[group])
+    heads, group = heads[order], group[order]
+    bounds = starts.tolist() + [len(heads)]
+    nonzero_tail = tails.any(axis=1)
+    buckets, s = [], 0
+    for a0, a1 in zip(bounds, bounds[1:]):
+        g = group[a0:a1]
+        used = last >= g.min()
+        n = int(np.count_nonzero(used))
+        tb = slice(0, n) if used[:n].all() else np.flatnonzero(used)
+        ii, jj = np.nonzero(last[tb][None, :] >= g[:, None])
+        both = np.flatnonzero(heads[a0:a1].any(axis=1)[ii]
+                              & nonzero_tail[tb][jj])
+        ii, jj = np.append(ii, ii[both]), np.append(jj, jj[both])
+        flip = np.arange(len(ii)) >= len(ii) - len(both)
+        buckets.append((a0, a1, tb, ii, jj, flip, np.arange(s, s + len(ii))))
+        s += len(ii)
+    axes = _phase_axes(heads), _phase_axes(tails)
+    return _SplitPlan(heads, tails, tuple(buckets), axes, split.sizes, None)
+
+
+def _split_rows(freq: np.ndarray) -> _SplitPlan:
     """The split plan of the rows of ``freq``, folded onto their
-    representatives, after coordinate h when given, else at the cheapest
-    split: priced from the run tables of their named family when given,
-    else from each candidate plan."""
+    representatives, at the split point whose plan is cheapest."""
     fold = _fold(freq)
-    if h is None and runs is not None:
-        h = _family_split(runs)[0]
-    if h is not None:
-        return _split_plan(fold, h)
     plans = (_split_plan(fold, h) for h in range(1, freq.shape[1] + 1))
     return min(plans, key=lambda p: _split_price(p.sizes))
 
 
-def _split_phases(plan: _SplitPlan, rows: int):
+def _split_phases(plan: _SplitPlan, rows: int, stack: int = 1):
     """How a plan's phases are made per block of ``rows`` points: the
     rows of a block and a function from points to their head and tail
     phases, each planar, of shape (columns, 2, rows): per head or tail,
@@ -781,22 +850,15 @@ def _split_phases(plan: _SplitPlan, rows: int):
     phases of a side or of a bucket are one real matrix of cosine and
     sine rows (:func:`_trig`).
 
-    A block holds about ``_FFT_BLOCK`` real elements, and at most
-    ``rows`` points: the cosine and sine rows of every head and tail
-    phase, and of the widest operand a product scales or yields (its
-    bucket's narrower side).  Each side is made complex and value-major
+    A block holds at most ``rows`` points, and about ``_FFT_BLOCK`` real
+    elements (:func:`_block`).  Each side is made complex and value-major
     (:func:`_phase_matrix`) in the memory of its planes and split into
     them in place (:func:`_split_planes`), in buffers each thread
     allocates once and reuses from block to block.
     """
     h = plan.heads.shape[1]
-    widest = max(
-        (min(a1 - a0, _width(tb)) for a0, a1, tb, *_ in plan.buckets),
-        default=0,
-    )
     widths = len(plan.heads), len(plan.tails)
-    width = 2 * (sum(widths) + widest)
-    block = max(1, min(rows, _FFT_BLOCK // max(width, 1)))
+    block = max(1, min(rows, _block(plan.sizes, stack)))
     local = threading.local()
 
     def side(i: int, X: np.ndarray) -> np.ndarray:
@@ -856,55 +918,69 @@ def _split_adjoint(
     X: np.ndarray, plan: _SplitPlan, cvecs: list, threads: int
 ) -> list[np.ndarray]:
     """``S(r) = sum_n c_n exp(2 pi i r . x_n)`` for every representative
-    r of the plan's fold, one vector per real coefficient vector c; the
-    sums of the other rows are ``S(-r) = conj S(r)``
-    (:func:`_folded_fft`).
+    r of the plan, one vector per real coefficient vector c, in the
+    order of the buckets' ``rows``; the sums of the other rows are
+    ``S(-r) = conj S(r)`` (:func:`_folded_fft`, :func:`_table_fft`).
 
     With ``e_a = exp(2 pi i a . x)`` and a tail tau's cosine and sine, a
     pair cell's sums ``X = sum_n c e_a cos`` and ``Y = sum_n c e_a sin``
     give ``S(a, +-tau) = X +- i Y``.  Per block of samples and per
     bucket, one real matrix product of the planar phases
-    (:func:`_split_phases`): the heads' cosine and sine rows times the
-    tails' transposed, the narrower side scaled by c, give the four real
-    sums of every pair cell, half the multiply-adds of a complex product
+    (:func:`_split_phases`) serves every vector: the narrower side's
+    cosine and sine rows, stacked once per vector and scaled by its c
+    (``[narrow c_1; narrow c_2]``, written in place), times the wider
+    side's transposed give the four real sums of every pair
+    cell for each vector, half the multiply-adds of a complex product
     over the tails of both signs.  The products are summed over the
     blocks, and each bucket's representatives are formed from them once
     at the end.
     """
-    block, phases = _split_phases(plan, len(X))
+    p = len(cvecs)
+    block, phases = _split_phases(plan, len(X), p)
     # a vector of ones scales nothing (multiplying by 1 is exact)
     ones = [not np.any(cv != 1.0) for cv in cvecs]
 
     def one(s: int, e: int) -> list[np.ndarray]:
         A, B = phases(X[s:e])
         cells = []
-        for cv, unit in zip(cvecs, ones):
-            c = cv[s:e]
-            for a0, a1, tb, *_ in plan.buckets:
-                Ab, Bb = _trig(A, slice(a0, a1)), _trig(B, tb)
-                # c scales the narrower side
-                if not unit and len(Ab) <= len(Bb):
-                    Ab = Ab * c
-                elif not unit:
-                    Bb = Bb * c
-                cells.append(Ab @ Bb.T)
+        for a0, a1, tb, *_ in plan.buckets:
+            Ab, Bb = _trig(A, slice(a0, a1)), _trig(B, tb)
+            # c scales the narrower side
+            by_heads = len(Ab) <= len(Bb)
+            narrow = Ab if by_heads else Bb
+            k = len(narrow)
+            if p == 1 and ones[0]:
+                stacked = narrow
+            else:
+                # made per bucket, so it is never held while the next
+                # block's phases are built
+                stacked = np.empty((p * k, e - s))
+                for i, (cv, unit) in enumerate(zip(cvecs, ones)):
+                    part = stacked[i * k:(i + 1) * k]
+                    if unit:
+                        part[:] = narrow
+                    else:
+                        np.multiply(narrow, cv[s:e], out=part)
+            # heads down, tails across, for every vector in turn
+            cells.append(stacked @ Bb.T if by_heads else Ab @ stacked.T)
         return cells
 
     cells = _sum_blocks(len(X), block, one, threads)
     del one, phases  # the phase buffers go before the sums are formed
-    sums = []
-    for v in range(len(cvecs)):
-        out = np.empty(len(plan.fold.reps), dtype=np.complex128)
-        for (a0, a1, tb, ii, jj, flip, rows), g in zip(
-            plan.buckets, cells[v * len(plan.buckets):]
-        ):
+    n = sum(len(b[6]) for b in plan.buckets)
+    sums = [np.empty(n, dtype=np.complex128) for _ in cvecs]
+    for (a0, a1, tb, ii, jj, flip, rows), prod in zip(plan.buckets, cells):
+        na, nt = a1 - a0, _width(tb)
+        sign = np.where(flip, -1.0, 1.0)
+        for v, out in enumerate(sums):
+            # the stacked side's rows of vector v
+            part = (prod[2 * na * v:2 * na * (v + 1)] if na <= nt
+                    else prod[:, 2 * nt * v:2 * nt * (v + 1)])
             # g[a, p, t, q]: the sum of c, the head's cosine (p = 0) or
             # sine (p = 1) and the tail's cosine (q = 0) or sine (q = 1)
-            g = g.reshape(a1 - a0, 2, -1, 2)
-            sign = np.where(flip, -1.0, 1.0)
+            g = part.reshape(a1 - a0, 2, -1, 2)
             out.real[rows] = g[ii, 0, jj, 0] - sign * g[ii, 1, jj, 1]
             out.imag[rows] = g[ii, 1, jj, 0] + sign * g[ii, 0, jj, 1]
-        sums.append(out)
     return sums
 
 
@@ -1001,12 +1077,15 @@ def _folded_coefficients(fold: _Fold, theta: np.ndarray) -> np.ndarray:
     return np.column_stack((P, Q)) if Q.any() else P[:, None]
 
 
-def _residues(freq: np.ndarray, rule: LatticeRule) -> np.ndarray:
-    """``k . g mod L`` for every row k of ``freq``, exactly: the rows are
+def _residues(
+    freq: np.ndarray, rule: LatticeRule, cols: slice = slice(None)
+) -> np.ndarray:
+    """``k . g mod L`` for every row k of ``freq``, exactly, over the
+    coordinates ``cols`` of g (all of them by default): the rows are
     reduced mod L first when ``max |k_j| sum g`` could reach 2^63, and
     multiplied as they are otherwise (a quarter of the cost)."""
     L = rule.L
-    g = np.array([v % L for v in rule.g], dtype=np.int64)
+    g = np.array([v % L for v in rule.g[cols]], dtype=np.int64)
     top = max(-int(freq.min()), int(freq.max())) if freq.size else 0
     if top * int(g.sum()) >= 1 << 63:
         freq = freq % L
@@ -1067,8 +1146,56 @@ def _folded_fft(
     return [_lattice_sum(classes, np.concatenate((s, s.conj()))) for s in sums]
 
 
+def _table_fft(
+    plan: _SplitPlan, sums: list[np.ndarray], rule: LatticeRule
+) -> list[np.ndarray]:
+    """The real weight vectors ``sum_k S(k) exp(-2 pi i k . z_l)`` of a
+    plan read from the run tables (:func:`_table_plan`), from the sums
+    ``S(r)`` of its representatives: the set's rows are each
+    representative r, which takes S(r) to the residue of -r, and its
+    negation, which takes conj S(r) to that of r; the zero row, the
+    first representative, once.  A representative's residue is its
+    head's plus or minus its tail's.
+
+    Both vectors of a pair are real, so they run as one: with ``2^e`` an
+    exact power of two that brings the second vector's sums to the
+    first's magnitude, ``S_1 + i 2^e S_2`` takes one gather, one
+    ``np.add.reduceat`` and one length-L inverse FFT
+    (:func:`_lattice_sum`), and the real part is the first vector, the
+    imaginary part divided by ``2^e`` the second, each within rounding
+    of its own size.
+    """
+    L, h = rule.L, plan.heads.shape[1]
+    head = _residues(plan.heads, rule, slice(None, h))
+    tail = _residues(plan.tails, rule, slice(h, None))
+    rho = np.empty(len(sums[0]), dtype=np.int64)
+    for a0, a1, tb, ii, jj, flip, rows in plan.buckets:
+        a, t = head[a0:a1][ii], tail[tb][jj]
+        rho[rows] = np.where(flip, a - t, a + t) % L
+    classes = _classes(np.concatenate((-rho % L, rho[1:])), L)
+    out = []
+    for i in range(0, len(sums), 2):
+        s1, *rest = sums[i:i + 2]
+        s2 = rest[0] if rest else np.zeros_like(s1)
+        top1, top2 = (float(np.max(np.abs(s.view(np.float64)), initial=0))
+                      for s in (s1, s2))
+        e = math.frexp(top1)[1] - math.frexp(top2)[1] if top1 and top2 else 0
+        scale = math.ldexp(1.0, e)
+        coef = np.empty(2 * len(s1) - 1, dtype=np.complex128)
+        coef.real[:len(s1)] = s1.real - scale * s2.imag
+        coef.imag[:len(s1)] = s1.imag + scale * s2.real
+        coef.real[len(s1):] = s1.real[1:] + scale * s2.imag[1:]
+        coef.imag[len(s1):] = scale * s2.real[1:] - s1.imag[1:]
+        w = _lattice_sum(classes, coef)
+        out.append(np.ascontiguousarray(w.real))
+        if rest:
+            out.append(w.imag / scale)
+    return out
+
+
 # The weight routes: (data, rule, index_set, cvecs, threads, cap) in, one
-# vector per coefficient vector out; ``cap`` bounds any enumeration.
+# vector per coefficient vector out; ``cap`` bounds any enumeration, and
+# the lazy named sets general-FFT takes without one.
 
 
 def _naive_route(
@@ -1153,24 +1280,37 @@ def _general_fft_route(
     cvecs: list[np.ndarray],
     threads: int,
     cap: int,
-    split: Optional[int] = None,
+    split: Union[_TableSplit, _SplitPlan, None] = None,
 ) -> list[np.ndarray]:
     """One adjoint transform pass shared by every coefficient vector.
 
     phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n) by the cheapest
     head/tail split of the set (:func:`_split_adjoint`), blocked over n;
-    ``split`` is that split point when :func:`choose_route` has priced it.
+    ``split`` is that split when :func:`choose_route` has priced it (a
+    :class:`_TableSplit` of a named family, the plan of a custom set).
     The coefficients are real, so phi_hat_{-k} = conj phi_hat_k: the pass
     sums only the representatives ``r >=_lex 0`` of the rows, about half
     of them, and the lattice fold of the frequencies -k takes each
-    representative's sum for r and its conjugate for -r
-    (:func:`_folded_fft`).
+    representative's sum for r and its conjugate for -r.  A named family's
+    plan is read from its run tables (:func:`_table_plan`) and folded by
+    :func:`_table_fft`, so its rows are never built; a lazy one above
+    ``cap`` rows is refused all the same, before any work.  A custom
+    set's plan comes from its rows (:func:`_split_rows`), folded by
+    :func:`_folded_fft`.
     """
-    freq = index_set.materialized(cap).frequencies
-    runs = None if index_set.family == "custom" else index_set._runs
-    plan = _split_rows(freq, runs, split)
+    if index_set.family == "custom":
+        plan = split if split is not None else _split_rows(
+            index_set.frequencies
+        )
+        sums = _split_adjoint(data.X, plan, cvecs, threads)
+        return _folded_fft(plan.fold, [acc / data.N for acc in sums], rule)
+    if index_set.frequencies is None and index_set.cardinality() > cap:
+        raise CapExceeded(index_set.cardinality(), cap)
+    if split is None:
+        split = _cheapest_split(index_set._runs)
+    plan = _table_plan(split)
     sums = _split_adjoint(data.X, plan, cvecs, threads)
-    return _folded_fft(plan.fold, [acc / data.N for acc in sums], rule)
+    return _table_fft(plan, [acc / data.N for acc in sums], rule)
 
 
 class _SweepPlan(NamedTuple):
@@ -1425,14 +1565,18 @@ def weights_step_cross_pair(
 # Predicted single-thread seconds per element of each route's work,
 # calibrated on a 2-vCPU x86-64 virtual machine:
 #   general-FFT, per sample: _GEMM_S per pair cell (both coefficient
-#   vectors, 4 real multiply-adds each), _PHASE_S per coordinate of each
-#   head and tail phase and per product of phase columns an axis makes
-#   of baby and giant steps, and _TRIG_S per cosine and sine column an
-#   axis computes directly, fitted by least squares in relative error to
-#   the split pass of paper-2d's set and its 16,641-row model, cross-4d,
-#   stepcross-6d and a d=8, m=6 step cross at 14 split points, measured
-#   twice (28 cases, predictions 0.76-1.29 times the measured seconds;
-#   BENCH_tail_fold.json);
+#   vectors, 4 real multiply-adds each, in one stacked product), and
+#   _BLOCK_S per pair cell and block sample (its partial sums, written
+#   and added once per block of _block samples), _PHASE_S per coordinate
+#   of each head and tail phase and per product of phase columns an axis
+#   makes of baby and giant steps, and _TRIG_S per cosine and sine column
+#   an axis computes directly, fitted by nonnegative least squares in
+#   relative error to the split pass of paper-2d's set and its
+#   16,641-row model, cross-4d, stepcross-6d and a d=8, m=6 step cross
+#   (N = 1,000) at 19 split points, measured twice (38 cases, predictions
+#   0.76-1.27 times the measured seconds, the same case differing by up
+#   to 1.5 times between the two rounds; the three terms without
+#   _BLOCK_S fit 0.63-1.33; BENCH_table_plan.json);
 #   kernel routes, per sample and node, where a pass is one DP product or
 #   sum over a block: stepcross-6d took 1.66 s (traced, median of seeds
 #   1-3) for N L = 10,000 x 127 with 113 array passes and 29 Dirichlet
@@ -1443,9 +1587,10 @@ def weights_step_cross_pair(
 #   per pass and 43 ns per kernel, every case within 3 %.
 # Every price is a per-sample cost times N, so a subsample takes the
 # route of the full data.
-_GEMM_S = 5.3e-10
-_PHASE_S = 4.0e-9
-_TRIG_S = 6.5e-8
+_GEMM_S = 4.2e-10
+_BLOCK_S = 7.9e-9
+_PHASE_S = 2.9e-9
+_TRIG_S = 4.6e-8
 _PASS_S = 9.0e-10
 _DIRICHLET_S = 4.3e-8
 
@@ -1460,11 +1605,13 @@ def choose_route(
 
     ``general-fft`` serves any set at its cheapest head/tail split of
     the rows ``>=_lex 0``, about half the set: per sample, the pair
-    cells of the split's matrix products, the coordinates of its head and
-    tail phases and the cosine and sine columns of their axes; a lazy set
-    above ``cap`` rows is no candidate.  A named family is sized from its
-    run tables and a custom set from its rows, so a lazy set and its
-    materialised copy get the same price.  The kernel route of a
+    cells of the split's matrix products and their partial sums per
+    block, the coordinates of its head and tail phases and the cosine
+    and sine columns of their axes; a lazy set above ``cap`` rows is no
+    candidate.  A named family is sized from its run tables
+    (:func:`_table_splits`, the very split the route then expands) and a
+    custom set from its rows, so a lazy set and its materialised copy get
+    the same price.  The kernel route of a
     rectangle or a step cross costs about ``N L`` times the full-size
     array passes (DP products and sums) and Dirichlet kernels of the plan
     it runs.  Every cost is exactly proportional to N, so a subsample
@@ -1485,19 +1632,18 @@ def choose_route(
 
 def _route_choice(
     n_samples: int, rule: LatticeRule, index_set: IndexSet, cap: int
-) -> tuple[dict, Optional[int]]:
-    """:func:`choose_route`'s result, and general-FFT's split point when
-    it is a candidate (else None), for the route to run without pricing
-    the split again."""
+) -> tuple[dict, Union[_TableSplit, _SplitPlan, None]]:
+    """:func:`choose_route`'s result, and the split general-FFT priced
+    when it is a candidate (else None), for the route to run without
+    pricing it again."""
     count = index_set.cardinality()
     costs, split = {}, None
     if index_set.family == "custom":
-        plan = _split_rows(index_set.frequencies)
-        split = plan.heads.shape[1]
-        costs["general-fft"] = n_samples * _split_price(plan.sizes)
+        split = _split_rows(index_set.frequencies)
     elif not (index_set.frequencies is None and count > cap):
-        split, price = _family_split(index_set._runs)
-        costs["general-fft"] = n_samples * price
+        split = _cheapest_split(index_set._runs)
+    if split is not None:
+        costs["general-fft"] = n_samples * _split_price(split.sizes)
     if index_set.family in _ROUTES:
         plan = _sweep_plan(index_set)
         costs[index_set.family] = n_samples * rule.L * (

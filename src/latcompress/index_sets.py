@@ -15,7 +15,9 @@ step cross adds the smallest dyadic levels against m, and the rectangle's
 costs are all zero, so only its half-widths bound it.  A family is
 therefore one table of runs per coordinate (the largest |k_j| of each run
 and its cost), and one walk over those tables counts a set, emits its
-rows in lexicographic order, or tests a single frequency.  Every budget
+rows in lexicographic order, or tests a single frequency; over a range
+of the coordinates it gives the heads and tails of general-FFT's split
+plan, which is built without a row of the set.  Every budget
 comparison goes through one predicate with a relative slack of 1e-12, so
 counting, enumeration and membership can never disagree about a
 frequency sitting exactly on a level line.
@@ -262,6 +264,14 @@ def _cost_groups(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
     """The prefixes over the coordinates ``coords``, accumulated from the
     identity and grouped by cost: the sorted costs and the exact
     Python-int number of prefixes at each.  No row is ever held."""
+    groups = np.full(1, float(runs.combine.identity)), np.ones(1, dtype=object)
+    for groups in _cost_group_steps(runs, coords):
+        pass
+    return groups
+
+
+def _cost_group_steps(runs: _Runs, coords: range):
+    """:func:`_cost_groups` after each coordinate of ``coords`` in turn."""
     acc = np.full(1, float(runs.combine.identity))
     out = np.ones(1, dtype=object)
     for j in coords:
@@ -275,23 +285,33 @@ def _cost_groups(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
         grouped = np.zeros(len(acc), dtype=object)
         np.add.at(grouped, group, np.repeat(out, n) * sizes[run])
         out = grouped
-    return acc, out
+        yield acc, out
 
 
 def _walk(runs: _Runs, rows: bool):
-    """Expand prefixes one coordinate at a time, in lexicographic order.
-
-    Each prefix admits ``|k_j| <= h``, with h the reach of its last
-    admitted run.  With ``rows`` the prefixes are repeated and extended by
-    ``-h..h``, which keeps lexicographic row order; the (M, d) rows are
-    returned.  Otherwise the cardinality is returned, counted over the
-    prefixes grouped by accumulated cost (:func:`_cost_groups`).
-    """
+    """Count a set, or with ``rows`` return its (M, d) rows in
+    lexicographic order (:func:`_prefixes` over every coordinate).  The
+    count is taken over the prefixes grouped by accumulated cost
+    (:func:`_cost_groups`), so no row is built for it."""
     if not rows:
         return int(_cost_groups(runs, range(len(runs.ups)))[1].sum())
+    return _prefixes(runs, range(len(runs.ups)))[0]
+
+
+def _prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes over the coordinates ``coords``, expanded one
+    coordinate at a time from the identity, in lexicographic order, and
+    the accumulated cost of each.
+
+    Each prefix admits ``|k_j| <= h``, with h the reach of its last
+    admitted run; it is repeated and extended by ``-h..h``, which keeps
+    lexicographic row order.  The rows are closed under negation, so
+    those ``>=_lex 0`` are the second half, the zero row first.
+    """
     acc = np.full(1, float(runs.combine.identity))
     out = np.zeros((1, 0), dtype=np.int64)
-    for ups, costs in zip(runs.ups, runs.costs):
+    for j in coords:
+        ups, costs = runs.ups[j], runs.costs[j]
         last = _last_run(runs, acc, costs)
         h = np.where(last >= 0, ups[last], -1)
         n = 2 * h + 1
@@ -299,7 +319,68 @@ def _walk(runs: _Runs, rows: bool):
         out = np.column_stack((np.repeat(out, n, axis=0), kj))
         run = np.searchsorted(ups, np.abs(kj))
         acc = runs.combine(np.repeat(acc, n), costs[run])
+    return out, acc
+
+
+def _run_prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes over the coordinates ``coords`` taken a run, not a
+    value, at a time: per prefix of runs the cost of each of its runs, in
+    order, and the number of rows it stands for (empty runs left out).
+    Admitted from the identity by the walk's own predicate, so they are
+    the runs of :func:`_prefixes`' rows, without building any row."""
+    acc = np.full(1, float(runs.combine.identity))
+    out = np.zeros((1, 0))
+    count = np.ones(1)
+    for j in coords:
+        ups, costs = runs.ups[j], runs.costs[j]
+        n = _last_run(runs, acc, costs) + 1
+        run = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        size = np.diff(2 * ups + 1, prepend=0)[run].astype(np.float64)
+        keep = size > 0
+        run = run[keep]
+        prev = np.repeat(np.arange(len(acc)), n)[keep]
+        out = np.column_stack((out[prev], costs[run]))
+        count = count[prev] * size[keep]
+        acc = runs.combine(acc[prev], costs[run])
+    return out, count
+
+
+def _row_costs(runs: _Runs, rows: np.ndarray, coords: range) -> np.ndarray:
+    """The cost of each coordinate of ``rows``, whose columns are the
+    coordinates ``coords``."""
+    out = np.empty(rows.shape)
+    for i, j in enumerate(coords):
+        run = np.searchsorted(runs.ups[j], np.abs(rows[:, i]))
+        out[:, i] = runs.costs[j][run]
     return out
+
+
+def _last_group(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """For each row of per-coordinate ``costs``, the index of the last of
+    the ascending accumulated costs ``acc`` whose prefixes admit it,
+    -1 for none.
+
+    A prefix of cost a admits a continuation when the walk's predicate
+    (:func:`_admits`) holds at each of its coordinates, the costs
+    combined from a in the walk's own left-to-right order, so the answer
+    is the walk's, also for a frequency on a level line.  Costs only grow
+    along a walk, so the admitting prefixes are those up to some cost; a
+    binary search finds it.
+    """
+    last = np.full(len(costs), -1)
+    step = 1 << len(acc).bit_length() >> 1
+    while step:
+        cand = last + step
+        ok = cand < len(acc)
+        a = acc[cand[ok]]
+        fit = np.ones(len(a), dtype=bool)
+        for cost in costs[ok].T:
+            fit &= _admits(runs, a, cost)
+            a = runs.combine(a, cost)
+        ok[ok] = fit
+        last[ok] = cand[ok]
+        step >>= 1
+    return last
 
 
 def _capped_rows(runs: _Runs, count: int, cap: int) -> np.ndarray:

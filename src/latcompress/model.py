@@ -25,13 +25,16 @@ O(M (M + |U|)) for the residue classes U the support occupies, with
 node values instead: the coefficients summed per residue class, then
 one length-L inverse FFT, O(M + L log L).  A model caches what depends
 on its support alone (the split plan of :func:`eval_model`, the residue
-classes) and ``W`` of the last weights it met; :meth:`TrigModel.with_theta` hands that cache on.
+classes) and ``W`` of the last weights it met; :meth:`TrigModel.with_theta`
+hands that cache on, and so does a model built from a live model's own
+frequency array.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -86,6 +89,14 @@ class TrigModel:
     )
 
     def __post_init__(self) -> None:
+        # A live model's own read-only array, checked when it was made,
+        # is shared with its support cache, so a fresh model per step of
+        # an optimiser builds nothing again.
+        live = _LIVE.get(id(self.frequencies))
+        if live is not None and live.freq is self.frequencies:
+            self.theta = _own_theta(self.theta, live.freq.shape[0])
+            self._cache = live
+            return
         # Own read-only copies: the support cache is checked by the
         # identity of this array, and a caller's array stays writable.
         freq = np.array(self.frequencies, dtype=np.int64)
@@ -102,6 +113,7 @@ class TrigModel:
         freq.flags.writeable = False
         self.frequencies = freq
         self.theta = theta
+        _support(self)
 
     def with_theta(self, theta: Sequence[complex]) -> "TrigModel":
         """The model with coefficients ``theta`` on this model's support.
@@ -222,11 +234,20 @@ class _SupportCache:
     residue classes on the last rule (``(rule, classes)``,
     :func:`_node_values`) and the loss matrix of the last weights."""
 
-    __slots__ = ("freq", "plan", "nodes", "loss")
+    __slots__ = ("freq", "plan", "nodes", "loss", "__weakref__")
 
     def __init__(self, freq: np.ndarray) -> None:
         self.freq = freq
         self.plan = self.nodes = self.loss = None
+
+
+# The support caches of live models by the identity of their frequency
+# array, so a model built from another's array shares its cache.  A
+# cache holds its array, so an entry's identity is never reused while the
+# entry lives, and the entry goes with the last model holding the cache.
+_LIVE: "weakref.WeakValueDictionary[int, _SupportCache]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def _support(model: TrigModel) -> _SupportCache:
@@ -236,6 +257,7 @@ def _support(model: TrigModel) -> _SupportCache:
     c = model._cache
     if c is None or c.freq is not model.frequencies:
         c = model._cache = _SupportCache(model.frequencies)
+        _LIVE[id(c.freq)] = c
     return c
 
 

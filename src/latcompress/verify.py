@@ -70,9 +70,10 @@ def oracle_suite(
     Random instances cycle through the three named families plus custom
     (possibly asymmetric) sets.  Every route :func:`choose_route` prices
     for an instance, i.e. every route ``compress`` may choose for it, is
-    run through ``compress`` and checked.  With ``inject_fault`` the
-    first instance's first fast output is perturbed by 1e-3 in one
-    entry, which the comparison must catch and localise.
+    run through ``compress``, and both of its weight vectors, ``w_xz``
+    (coefficients one) and ``w_xyz`` (the responses), are checked.  With
+    ``inject_fault`` the first instance's first fast output is perturbed
+    by 1e-3 in one entry, which the comparison must catch and localise.
     """
     rng = np.random.default_rng([int(seed), 101])
     failures: list[str] = []
@@ -97,25 +98,26 @@ def oracle_suite(
         else:
             rows = rng.integers(-6, 7, size=(10, d))
             spec = IndexSet.custom(rows, alpha, gamma)
-        c = "responses" if kind == 3 else "ones"
         routes = choose_route(n, rule, spec)["costs"]
-        ref = weights_naive(data, c, rule, spec)
+        refs = [weights_naive(data, c, rule, spec)
+                for c in ("ones", "responses")]
         for j, route in enumerate(routes):
             ws = compress(data, rule, spec, route, threads)
-            fast = ws.w_xyz if c == "responses" else ws.w_xz
-            if inject_fault and i == 0 and j == 0:
-                fast = np.array(fast, copy=True)
-                fast[L // 2] += 1e-3
-            gap = _relative_gap(fast, ref)
-            worst = max(worst, gap)
-            checks += 1
-            if gap > 1e-9:
-                node = int(np.argmax(np.abs(fast - ref)))
-                failures.append(
-                    f"instance {i} ({spec.family} by {route}, L={L}, "
-                    f"d={d}): weight at node {node} deviates by "
-                    f"{gap:.3e} relative"
-                )
+            for k, (name, ref) in enumerate(zip(("w_xz", "w_xyz"), refs)):
+                fast = getattr(ws, name)
+                if inject_fault and i == 0 and j == 0 and k == 0:
+                    fast = np.array(fast, copy=True)
+                    fast[L // 2] += 1e-3
+                gap = _relative_gap(fast, ref)
+                worst = max(worst, gap)
+                checks += 1
+                if gap > 1e-9:
+                    node = int(np.argmax(np.abs(fast - ref)))
+                    failures.append(
+                        f"instance {i} ({spec.family} by {route}, L={L}, "
+                        f"d={d}): {name} at node {node} deviates by "
+                        f"{gap:.3e} relative"
+                    )
     return _result("oracle-equivalence", checks, worst, failures)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from latcompress import cli, compression
+from latcompress import cli, compression, index_sets, verify
 from latcompress.cli import (
     _coprime_generator,
     load_dataset,
@@ -261,18 +261,25 @@ class TestCompressCommand:
     def test_split_priced_once(
         self, dataset_file, tmp_path, capsys, monkeypatch
     ) -> None:
-        # general-FFT runs the split the command priced: one _family_split
-        # per command on a step cross, with the route choice printed as
-        # choose_route gives it.
+        # general-FFT runs the split the command priced: one pricing of
+        # the step cross's splits per command, and the split it expands
+        # into a plan is the very object it priced, with the route choice
+        # printed as choose_route gives it.
         path, data = dataset_file
-        calls = []
-        real = compression._family_split
+        priced, expanded = [], []
+        cheapest, table_plan = (compression._cheapest_split,
+                                compression._table_plan)
 
-        def counted(runs):
-            calls.append(runs)
-            return real(runs)
+        def price(runs):
+            priced.append(cheapest(runs))
+            return priced[-1]
 
-        monkeypatch.setattr(compression, "_family_split", counted)
+        def expand(split):
+            expanded.append(split)
+            return table_plan(split)
+
+        monkeypatch.setattr(compression, "_cheapest_split", price)
+        monkeypatch.setattr(compression, "_table_plan", expand)
         argv = [
             "compress", "--data", path, "--generator", "1,12",
             "--modulus", "31", "--family", "step-cross", "--alpha", "1.0",
@@ -283,13 +290,40 @@ class TestCompressCommand:
             assert main(argv + extra + ["--out", out]) == 0
             summary = json.loads(capsys.readouterr().out)
             assert summary["algorithm"] == "general-fft"
-            assert len(calls) == 1, extra
+            assert len(priced) == 1, extra
+            assert len(expanded) == 1 and expanded[0] is priced[0], extra
             spec = WeightSet.load(out).index_set
             want = compression.choose_route(
                 data.N, LatticeRule(31, (1, 12)), spec
             )
             assert summary["route_choice"] == want
-            del calls[:]
+            del priced[:], expanded[:]
+
+    def test_named_set_never_built(
+        self, dataset_file, tmp_path, capsys, monkeypatch
+    ) -> None:
+        # the command prices and runs general-FFT on a lazy named set from
+        # its run tables alone: no row of the set is built
+        path, _ = dataset_file
+        walk = index_sets._walk
+
+        def count_only(runs, rows):
+            if rows:
+                raise AssertionError("a set's rows were built")
+            return walk(runs, rows)
+
+        monkeypatch.setattr(index_sets, "_walk", count_only)
+        for family in (["step-cross", "--order", "3"],
+                       ["cross", "--level", "8"]):
+            out = str(tmp_path / f"{family[0]}.json")
+            assert main([
+                "compress", "--data", path, "--generator", "1,12",
+                "--modulus", "31", "--alpha", "1.0", "--gamma", "one",
+                "--algorithm", "general-fft", "--family", *family,
+                "--out", out,
+            ]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["algorithm"] == "general-fft"
 
     def test_missing_out_is_usage_error(self, dataset_file) -> None:
         path, _ = dataset_file
@@ -369,6 +403,37 @@ class TestVerifyCommand:
         assert obj["passed"] is False
         failures = obj["suites"][0]["failures"]
         assert failures and "node" in failures[0]
+
+    def test_oracle_checks_both_vectors(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        # Every route's w_xz and w_xyz are each checked against the direct
+        # sums, with the same report at 1 and 2 threads; a fault in w_xyz
+        # alone is caught and named.
+        reports = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"o{threads}.json")
+            assert main([
+                "verify", "--suite", "oracle", "--threads", threads,
+                "--out", out,
+            ]) == 0
+            reports.append(json.load(open(out)))
+        assert reports[0] == reports[1]
+        suite = reports[0]["suites"][0]
+        assert suite["passed"] and suite["checks"] % 2 == 0
+        compress = verify.compress
+
+        def faulty(*args, **kwargs):
+            ws = compress(*args, **kwargs)
+            ws.w_xyz = ws.w_xyz.copy()
+            ws.w_xyz[0] += 1e-3
+            return ws
+
+        monkeypatch.setattr(verify, "compress", faulty)
+        report = verify.oracle_suite(instances=2)
+        assert not report["passed"]
+        assert all("w_xyz at node 0" in f for f in report["failures"])
+        assert len(report["failures"]) == report["checks"] // 2
 
 
 class TestCoprimeGenerator:

@@ -193,10 +193,13 @@ class TestFastAgainstNaive:
         assert _gap(fast, ref) < 1e-9
         assert float(np.max(np.abs(ref.imag))) > 1e-3
 
-    @pytest.mark.parametrize("route", sorted(compression._ROUTES))
+    @pytest.mark.parametrize(
+        "route", sorted(set(compression._ROUTES) - {"general-fft"})
+    )
     def test_pair_matches_singles(self, route) -> None:
         # The two-vector pass of every route gives, to the bit, the
-        # vectors of two one-vector passes.
+        # vectors of two one-vector passes; general-FFT's pair comes from
+        # one complex FFT (test_pair_from_one_fft).
         data = _dataset(7, 35, 2)
         rule = LatticeRule(13, (1, 5))
         if route == "rectangle":
@@ -212,6 +215,30 @@ class TestFastAgainstNaive:
         if route == "step-cross":
             for w, v in zip(pair, weights_step_cross_pair(data, rule, spec)):
                 np.testing.assert_array_equal(w, v)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-60, 2.0**60])
+    def test_pair_from_one_fft(self, scale) -> None:
+        # A named family's two weight vectors come from one complex FFT of
+        # S_1 + i 2^e S_2: each matches its own one-vector pass to 1e-12
+        # of its largest weight, and the direct sums to 1e-9, also when
+        # the responses are 2^60 times smaller or larger than the ones.
+        data = _dataset(7, 35, 2)
+        data = Dataset(data.X, scale * data.Y)
+        rule = LatticeRule(13, (1, 5))
+        spec = IndexSet.step_cross(1.0, (1.0, 0.5), 4)
+        run = compression._ROUTES["general-fft"]
+        cvecs = [np.ones(data.N), data.Y]
+        pair = run(data, rule, spec, cvecs, 1, index_sets.DEFAULT_CAP)
+        for w, c, name in zip(pair, cvecs, ("ones", "responses")):
+            assert w.dtype == np.float64 and w.flags.c_contiguous
+            top = float(np.max(np.abs(w)))
+            single = run(data, rule, spec, [c], 1, index_sets.DEFAULT_CAP)
+            assert float(np.max(np.abs(w - single[0]))) <= 1e-12 * top
+            ref = weights_naive(data, name, rule, spec)
+            assert float(np.max(np.abs(w - ref))) <= 1e-9 * top
+        ws = compress(data, rule, spec, algorithm="general-fft")
+        np.testing.assert_array_equal(ws.w_xz, pair[0])
+        np.testing.assert_array_equal(ws.w_xyz, pair[1])
 
     def test_sweep_builds_the_planned_kernels(self, monkeypatch) -> None:
         # The cost model counts the plan's kernels; the route must build
@@ -496,6 +523,13 @@ class TestPhases:
             np.testing.assert_array_equal(planes[:, 1], whole.imag)
 
 
+def _cells(bucket) -> list:
+    """A bucket's pair cells (a, +-tau), each once: its heads' and tails'
+    places and the sign of the tail."""
+    _, _, _, ii, jj, flip, _ = bucket
+    return sorted(zip(ii.tolist(), jj.tolist(), flip.tolist()))
+
+
 class TestSplit:
     """The head/tail split against sums that share none of its code."""
 
@@ -656,31 +690,62 @@ class TestSplit:
             IndexSet.rectangle(1.0, (1.0, 0.5, 0.2), 30.0),
             IndexSet.step_cross(0.7, (1.0, 0.5, 0.25), 5),
             IndexSet.step_cross(1.0, (1.0,) * 5, 4),
+            # (4, 4, 1) lies on the level line: the walk's left-to-right
+            # costs reject it, a head's cost times the tail's own product
+            # would admit it
+            IndexSet.cross(0.8, (0.85, 0.61, 0.43), 378.76928657971695),
         ],
     )
     def test_run_table_sizes_match_rows(self, spec) -> None:
-        # A named family is priced from its run tables; at every split
-        # point the sizes equal those of the folded plan of its rows:
-        # heads, tails tau, phase coordinates, pair cells and cosine and
-        # sine columns.  Every bucket's tails are a prefix of the tails
-        # (a view).
+        # A named family's plan is read from its run tables; at every
+        # split point it equals the folded plan of its rows, the oracle:
+        # the heads, the tails tau, the bucket bounds, the pair cells
+        # (a, +-tau) of every bucket, and the sizes it is priced by (heads,
+        # tails tau, phase coordinates, pair cells and cosine and sine
+        # columns).  Every bucket's tails are a prefix of the tails (a
+        # view), and the zero row is the first representative.
+        data = _dataset(52, 40, spec.d)
+        rule = LatticeRule(31, (1, 12, 7, 5, 3)[:spec.d])
+        cvecs = [np.ones(data.N), data.Y]
         fold = compression._fold(spec.frequencies)
         for h in range(1, spec.d + 1):
-            plan = compression._split_plan(fold, h)
-            sizes = compression._family_sizes(spec._runs, h)
-            assert sizes == plan.sizes
-            assert sizes.heads == len(plan.heads)
-            assert sizes.tails == len(plan.tails)
+            rows = compression._split_plan(fold, h)
+            split = compression._table_splits(spec._runs)[h - 1]
+            plan = compression._table_plan(split)
+            assert split.sizes == rows.sizes == plan.sizes
+            np.testing.assert_array_equal(plan.heads, rows.heads)
+            np.testing.assert_array_equal(plan.tails, rows.tails)
+            assert len(plan.buckets) == len(rows.buckets)
+            n = 0
+            for ours, theirs in zip(plan.buckets, rows.buckets):
+                assert ours[:2] == theirs[:2]
+                assert compression._width(ours[2]) == compression._width(theirs[2])
+                assert isinstance(ours[2], slice) and ours[2].start == 0
+                assert _cells(ours) == _cells(theirs)
+                np.testing.assert_array_equal(ours[6], n + np.arange(
+                    len(ours[6])))
+                n += len(ours[6])
+            assert n == len(fold.reps)
+            first = plan.buckets[0]
+            assert not plan.heads[first[0] + first[3][0]].any()
+            assert not plan.tails[first[4][0]].any() and not first[5][0]
             if h == 1:
                 # heads of one coordinate come in order, so their phases
                 # are made in place, without a gathered copy
                 assert np.all(np.diff(plan.heads[:, 0]) > 0)
             assert not compression._below_zero(plan.tails).any()
-            cells = 0
-            for a0, a1, tb, *_ in plan.buckets:
-                assert isinstance(tb, slice) and tb.start == 0
-                cells += (a1 - a0) * tb.stop
-            assert sizes.cells == cells
+            cells = sum((a1 - a0) * compression._width(tb)
+                        for a0, a1, tb, *_ in plan.buckets)
+            assert split.sizes.cells == cells
+            # both weight vectors as the row route gives them
+            sums = compression._split_adjoint(data.X, plan, cvecs, 1)
+            got = compression._table_fft(plan, sums, rule)
+            sums = compression._split_adjoint(data.X, rows, cvecs, 1)
+            want = compression._folded_fft(fold, sums, rule)
+            for w, ref in zip(got, want):
+                top = float(np.max(np.abs(ref)))
+                assert w.dtype == np.float64
+                assert float(np.max(np.abs(w - ref))) <= 1e-12 * top
 
     def test_empty_custom_set(self) -> None:
         data = _dataset(49, 10, 2)
@@ -1030,14 +1095,15 @@ class TestChooseRoute:
         assert plan["costs"]["general-fft"] > 3.0 * plan["costs"]["step-cross"]
 
     def test_split_priced_once_per_compress(self, monkeypatch) -> None:
-        # compress hands the split point it priced to the route: one
-        # pricing of a named family's split, and for a custom set one
-        # plan per split point to price plus the one it runs
-        calls = {"_family_split": 0, "_split_plan": 0}
+        # compress hands the split it priced to the route: a named
+        # family's splits are sized once, from its run tables, and the one
+        # the route expands into a plan is the object priced; a custom set
+        # takes one plan per split point to price, and runs the cheapest
+        calls = {"_cheapest_split": [], "_table_plan": [], "_split_plan": []}
         for name in calls:
             def counted(*args, _real=getattr(compression, name), _n=name):
-                calls[_n] += 1
-                return _real(*args)
+                calls[_n].append(_real(*args))
+                return calls[_n][-1]
 
             monkeypatch.setattr(compression, name, counted)
         data = _dataset(31, 40, 3)
@@ -1048,13 +1114,16 @@ class TestChooseRoute:
             IndexSet.cross(1.0, gamma, 30.0),
         ):
             assert compress(data, rule, spec).algorithm == "general-fft"
-            assert calls == {"_family_split": 1, "_split_plan": 1}
+            priced, = calls["_cheapest_split"]
+            plan, = calls["_table_plan"]
+            assert plan.sizes is priced.sizes and not calls["_split_plan"]
             compress(data, rule, spec, algorithm="general-fft")
-            assert calls == {"_family_split": 2, "_split_plan": 2}
-            calls.update(dict.fromkeys(calls, 0))
+            assert [len(v) for v in calls.values()] == [2, 2, 0]
+            for v in calls.values():
+                v.clear()
         custom = IndexSet.custom(_sparse_support(32, 3, 30), 1.0, gamma)
         assert compress(data, rule, custom).algorithm == "general-fft"
-        assert calls == {"_family_split": 0, "_split_plan": 3 + 1}
+        assert [len(v) for v in calls.values()] == [0, 0, 3]
 
     def test_cap_removes_general_fft(self) -> None:
         rule = LatticeRule(31, (1, 12))
@@ -1087,6 +1156,41 @@ class TestChooseRoute:
             plan = choose_route(1000, rule, spec)
             assert plan["route"] in plan["costs"]
 
+
+    def test_table_route_never_builds_rows(self, monkeypatch) -> None:
+        # general-FFT reads a named family's plan from its run tables:
+        # neither pricing nor the route builds a row of the set, the cap
+        # still refuses a lazy set above it before any work, and a
+        # materialised copy gets the very same weights.
+        walk = index_sets._walk
+
+        def count_only(runs, rows):
+            if rows:
+                raise AssertionError("a set's rows were built")
+            return walk(runs, rows)
+
+        data = _dataset(33, 60, 3)
+        rule = LatticeRule(31, (1, 12, 7))
+        gamma = (1.0, 0.5, 0.25)
+        specs = (
+            IndexSet.step_cross(1.0, gamma, 5, materialize=False),
+            IndexSet.cross(1.0, gamma, 30.0, materialize=False),
+            IndexSet.rectangle(1.0, gamma, 20.0, materialize=False),
+        )
+        full = [spec.materialized() for spec in specs]
+        monkeypatch.setattr(index_sets, "_walk", count_only)
+        for spec, rows in zip(specs, full):
+            for algorithm in ("auto", "general-fft"):
+                ws = compress(data, rule, spec, algorithm)
+                if algorithm == "auto":
+                    assert ws.algorithm == "general-fft"
+                ref = compress(data, rule, rows, "general-fft")
+                np.testing.assert_array_equal(ws.w_xz, ref.w_xz)
+                np.testing.assert_array_equal(ws.w_xyz, ref.w_xyz)
+            with pytest.raises(CapExceeded) as exc:
+                compress(data, rule, spec, "general-fft",
+                         cap=spec.cardinality() - 1)
+            assert exc.value.predicted == spec.cardinality()
 
 class TestWeightSet:
     def _weights(self) -> WeightSet:

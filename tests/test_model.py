@@ -212,9 +212,9 @@ class TestEvalModel:
         calls = []
         split_rows = model_mod._split_rows
 
-        def counted(freq, runs=None):
+        def counted(freq):
             calls.append(len(freq))
-            return split_rows(freq, runs)
+            return split_rows(freq)
 
         monkeypatch.setattr(model_mod, "_split_rows", counted)
         m = _random_model(9, 3, 4, 50)
@@ -777,12 +777,13 @@ class TestLossMatrix:
             assert model.frequencies is base.frequencies
             assert not model.theta.flags.writeable
         assert len(built) == 1
+        # a fresh model on a live model's own array shares its cache too
         fresh = [
             compressed_loss(TrigModel(base.frequencies, theta), ws, lam=0.1,
                             reg="ridge")
             for theta in steps
         ]
-        assert chained == fresh and len(built) == 1 + len(steps)
+        assert chained == fresh and len(built) == 1
         # validated and copied as by the constructor
         mine = steps[0].copy()
         moved = base.with_theta(mine)
@@ -793,6 +794,49 @@ class TestLossMatrix:
         with pytest.raises(ValueError, match="finite"):
             base.with_theta(np.full(base.size, np.nan))
 
+
+    def test_fresh_model_on_a_live_array_shares_the_cache(
+        self, monkeypatch
+    ) -> None:
+        # A model built from another model's own read-only frequency array
+        # takes that array and its cache: the loss matrix is built once
+        # for both.  A caller's writable array is copied and checked, so
+        # changing it after construction leaves the model as it was.
+        from latcompress import model as model_mod
+
+        built = []
+        loss_matrix = model_mod._loss_matrix
+
+        def counted(*args):
+            built.append(args[1])
+            return loss_matrix(*args)
+
+        monkeypatch.setattr(model_mod, "_loss_matrix", counted)
+        rule = LatticeRule(61, (1, 25))
+        ws = _weights(35, rule)
+        mine = _real_model(36, 2, 6, 30).frequencies.copy()
+        first = TrigModel(mine, np.ones(len(mine)))
+        assert first.frequencies is not mine and mine.flags.writeable
+        a = compressed_loss(first, ws)
+        second = TrigModel(first.frequencies, 2.0 * first.theta)
+        assert second.frequencies is first.frequencies
+        assert second._cache is first._cache
+        b = compressed_loss(second, ws)
+        assert len(built) == 1
+        assert abs(b.quadratic - 4.0 * a.quadratic) <= 1e-12 * abs(
+            b.quadratic
+        )
+        before = first.frequencies.copy()
+        mine[:] = 0
+        np.testing.assert_array_equal(first.frequencies, before)
+        assert compressed_loss(first, ws) == a and len(built) == 1
+        # a copy of the array is a new support, checked again
+        with pytest.raises(ValueError, match="theta has shape"):
+            TrigModel(first.frequencies, first.theta[:-1])
+        with pytest.raises(ValueError, match="duplicate"):
+            TrigModel(np.vstack([first.frequencies[:1]] * 2), [1.0, 1.0])
+        third = TrigModel(first.frequencies.copy(), first.theta)
+        assert third._cache is not first._cache
 
 class TestModelSquared:
     def test_hand_convolution(self) -> None:
