@@ -59,7 +59,6 @@ from .index_sets import (
     DEFAULT_CAP,
     CapExceeded,
     IndexSet,
-    _cost_group_steps,
     _last_group,
     _last_run,
     _prefixes,
@@ -215,7 +214,8 @@ def _check_dims(data_d: int, rule: LatticeRule, index_set: IndexSet) -> None:
 # the cosine and sine rows of its head and tail phases (made complex in
 # the same memory first) and of its widest scaled or product operand
 # (4 MiB, which keeps a block in a core's cache), the elements of the
-# temporaries that gather, multiply and split phase rows (256 KiB),
+# temporaries that gather, multiply and split phase rows (256 KiB) and
+# of the three angle buffers of _turn_phases where rows are shorter,
 # the elements of each phase block of the naive route, and the most
 # samples in a block of the kernel route.  The last is fixed, never
 # derived from the thread count, so the blocks and hence the bits of the
@@ -350,14 +350,16 @@ def _phase_table(
 
     A value's phase is the conjugate of its magnitude's, so only the
     distinct magnitudes ``|u|`` are made.  Directly, each costs a row of
-    cosines and a row of sines; with baby and giant steps
-    (:func:`_factoring`), a magnitude ``B q + r`` with ``B = 2^k`` and
-    ``0 <= r < B`` is the giant step ``B q``'s phase, computed directly,
-    times the baby step r's, and the babies come from the k directly
-    computed phases of ``2^j`` by doubling: ``e(2^j + r) = e(r)
-    e(2^j)``.  Each computed phase is within an ulp or two and a baby is
-    a product of at most k of them, so every phase is within a few tens
-    of ulp at any |u|.
+    cosines and a row of sines (:func:`_turn_phases`, from one row of
+    half-angle tangents); with baby and giant steps (:func:`_factoring`),
+    a magnitude ``B q + r`` with ``B = 2^k`` and ``0 <= r < B`` is the
+    giant step ``B q``'s phase, computed directly, times the baby step
+    r's, and the babies come from the k directly computed phases of
+    ``2^j`` by doubling: ``e(2^j + r) = e(r) e(2^j)``.  Each computed
+    phase is within a few ulp of its exactly reduced angle's (3.1 ulp of
+    1 at worst against mpmath near half turns, where the tangent meets
+    its pole) and a baby is a product of at most k of them, so every
+    phase is within a few tens of ulp at any |u|.
 
     :func:`_turn_phases` reduces angles exactly for |u| < 2^21.  Beyond
     that, u splits as ``uh 2^21 + ul`` with ``0 <= ul < 2^21``, and the
@@ -422,9 +424,12 @@ def _distinct(v: np.ndarray) -> np.ndarray:
 
 
 # The cost of a directly computed cosine and sine column, in products of
-# one phase column (about 50 ns against 3 ns a sample on the machine the
-# prices were fitted on), and the most doublings a baby step is made by.
-_TRIG_PRODUCTS = 16
+# one phase column: _TRIG_S against _PHASE_S, about 21 ns against 2.9 ns
+# a sample on the machine the prices were fitted on (a column of the
+# half-angle tangent took 7-12 ns an element in blocks of 400 to 11,000
+# samples there, a complex product of two rows 1-1.5 ns); and the most
+# doublings a baby step is made by.
+_TRIG_PRODUCTS = 7
 _DOUBLINGS = 10
 
 
@@ -473,26 +478,52 @@ def _turn_phases(
     x: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """``exp(2 pi i x v)`` for every integer v and x, value-major, into
-    ``out`` when given, by a cosine and a sine (cheaper than a complex
-    ``exp``) of the angle reduced by whole turns.  The reduction is
-    exact: ``x v`` itself is exact when every v is a power of two (a
-    scaling), and otherwise x splits as ``xh + xl`` with xh on a grid of
-    2^-32, so ``xh v`` is exact for |v| < 2^21 and loses its whole turns
-    without rounding, and the small ``xl v`` is added after.  Larger
-    values go through :func:`_phase_table`."""
-    if len(v) and v.min() > 0 and not np.any(v & (v - 1)):
-        t = np.outer(v, x)
-        t -= np.rint(t)
-    else:
-        xh = np.round(x * 2.0**32) * 2.0**-32
-        t = np.outer(v, xh)
-        t -= np.round(t)
-        t += np.outer(v, x - xh)
-    t *= _TWO_PI
+    ``out`` when given, from one tangent of the half angle: with the
+    angle reduced to t turns and ``tau = tan(pi t)``, ``cos 2 pi t = (1 -
+    tau^2) / (1 + tau^2)`` and ``sin 2 pi t = 2 tau / (1 + tau^2)``.
+    numpy's float64 tangent is vectorised where its cosine and sine may
+    run an element at a time, so one tangent and a few products cost
+    less than a cosine and a sine, which cost less than a complex
+    ``exp``.
+
+    The reduction is exact: ``x v`` itself is exact when every v is a
+    power of two (a scaling), and otherwise x splits as ``xh + xl`` with
+    xh on a grid of 2^-32, so ``xh v`` is exact for |v| < 2^21 and loses
+    its whole turns without rounding, and the small ``xl v`` (below
+    2^-12 turns) is added after.  So |t| <= 1/2 + 2^-12: tau is finite
+    (about 1.6e16 at the float nearest pi/2) and may cross the pole at a
+    half turn, where the identities still hold and keep their absolute
+    error; each phase is within a few ulp of the exactly reduced angle's.
+    Larger values go through :func:`_phase_table`.
+
+    Made a row at a time, or as many short rows as ``_GATHER`` elements
+    hold, in three buffers reused across the rows, so every pass runs in
+    cache."""
+    n = len(x)
     if out is None:
-        out = np.empty(t.shape, dtype=np.complex128)
-    np.cos(t, out=out.real)
-    np.sin(t, out=out.imag)
+        out = np.empty((len(v), n), dtype=np.complex128)
+    scaled = len(v) and v.min() > 0 and not np.any(v & (v - 1))
+    if not scaled:
+        xh = np.round(x * 2.0**32) * 2.0**-32
+        xl = x - xh
+    step = max(1, _GATHER // max(n, 1))
+    buf = np.empty((3, min(step, len(v)), n))
+    for i in range(0, len(v), step):
+        vi = v[i:i + step]
+        t, s, d = buf[:, :len(vi)]
+        np.multiply.outer(vi, x if scaled else xh, out=t)
+        t -= np.rint(t, out=s)
+        if not scaled:
+            t += np.multiply.outer(vi, xl, out=s)
+        t *= np.pi
+        np.tan(t, out=t)
+        np.multiply(t, t, out=s)
+        np.add(s, 1.0, out=d)
+        np.subtract(1.0, s, out=s)
+        rows = out[i:i + step]
+        np.divide(s, d, out=rows.real)
+        t += t
+        np.divide(t, d, out=rows.imag)
     return out
 
 
@@ -727,7 +758,7 @@ class _TableSplit(NamedTuple):
     sizes: _Sizes
 
 
-def _table_splits(runs) -> list[_TableSplit]:
+def _table_splits(index_set: IndexSet) -> list[_TableSplit]:
     """The splits of a named family after each coordinate h = 1, ..., d,
     without building a row of the set.
 
@@ -735,7 +766,8 @@ def _table_splits(runs) -> list[_TableSplit]:
     negation and folds onto its rows ``>=_lex 0``: the heads ``>_lex 0``
     with every tail, and the zero head with the tails ``>=_lex 0``.  The
     heads are the prefixes over the first h tables, grouped by
-    accumulated cost (:func:`_cost_group_steps`, one walk for every h);
+    accumulated cost (``IndexSet._groups``, the walk that also sizes
+    the set, one for every h);
     a cost group of n heads holds ``(n - [0 in group]) / 2`` heads
     ``>_lex 0``, and the zero head is in the first, of the least cost.
     The tails are the walk over the other tables, taken a run at a time
@@ -750,6 +782,7 @@ def _table_splits(runs) -> list[_TableSplit]:
     either side of any split (a value v > 0 is the row with v there and
     zeros elsewhere, a zero costing the identity in every family).
     """
+    runs = index_set._runs
     d = len(runs.ups)
     ident = np.full(1, float(runs.combine.identity))
     reach = [
@@ -758,7 +791,7 @@ def _table_splits(runs) -> list[_TableSplit]:
     ]
     mags = [(0, w, w + 1) for w in reach]
     splits = []
-    for h, (acc, heads) in enumerate(_cost_group_steps(runs, range(d)), 1):
+    for h, (acc, heads) in enumerate(index_set._groups, 1):
         # an empty run leaves cost groups of no prefix; they bucket nothing
         acc, heads = acc[heads > 0], heads[heads > 0].astype(np.float64)
         costs, count = _run_prefixes(runs, range(h, d))
@@ -780,9 +813,9 @@ def _table_splits(runs) -> list[_TableSplit]:
     return splits
 
 
-def _cheapest_split(runs) -> _TableSplit:
+def _cheapest_split(index_set: IndexSet) -> _TableSplit:
     """The split of a named family with the least price per sample."""
-    return min(_table_splits(runs), key=lambda s: _split_price(s.sizes))
+    return min(_table_splits(index_set), key=lambda s: _split_price(s.sizes))
 
 
 def _table_plan(split: _TableSplit) -> _SplitPlan:
@@ -1307,7 +1340,7 @@ def _general_fft_route(
     if index_set.frequencies is None and index_set.cardinality() > cap:
         raise CapExceeded(index_set.cardinality(), cap)
     if split is None:
-        split = _cheapest_split(index_set._runs)
+        split = _cheapest_split(index_set)
     plan = _table_plan(split)
     sums = _split_adjoint(data.X, plan, cvecs, threads)
     return _table_fft(plan, [acc / data.N for acc in sums], rule)
@@ -1570,13 +1603,18 @@ def weights_step_cross_pair(
 #   and added once per block of _block samples), _PHASE_S per coordinate
 #   of each head and tail phase and per product of phase columns an axis
 #   makes of baby and giant steps, and _TRIG_S per cosine and sine column
-#   an axis computes directly, fitted by nonnegative least squares in
+#   an axis computes directly (one half-angle tangent row and a few
+#   products, _turn_phases), fitted by nonnegative least squares in
 #   relative error to the split pass of paper-2d's set and its
 #   16,641-row model, cross-4d, stepcross-6d and a d=8, m=6 step cross
 #   (N = 1,000) at 19 split points, measured twice (38 cases, predictions
 #   0.76-1.27 times the measured seconds, the same case differing by up
 #   to 1.5 times between the two rounds; the three terms without
-#   _BLOCK_S fit 0.63-1.33; BENCH_table_plan.json);
+#   _BLOCK_S fit 0.63-1.33; BENCH_table_plan.json); _TRIG_S alone was
+#   refit on the same 38 cases with the other three held, after the
+#   cosine and sine became the tangent (predictions 0.79-1.26 times the
+#   measured seconds; the parent's cosine and sine refit in the same
+#   conditions gave 3.7e-8; BENCH_half_angle.json);
 #   kernel routes, per sample and node, where a pass is one DP product or
 #   sum over a block: stepcross-6d took 1.66 s (traced, median of seeds
 #   1-3) for N L = 10,000 x 127 with 113 array passes and 29 Dirichlet
@@ -1590,7 +1628,7 @@ def weights_step_cross_pair(
 _GEMM_S = 4.2e-10
 _BLOCK_S = 7.9e-9
 _PHASE_S = 2.9e-9
-_TRIG_S = 4.6e-8
+_TRIG_S = 2.1e-8
 _PASS_S = 9.0e-10
 _DIRICHLET_S = 4.3e-8
 
@@ -1616,8 +1654,9 @@ def choose_route(
     array passes (DP products and sums) and Dirichlet kernels of the plan
     it runs.  Every cost is exactly proportional to N, so a subsample
     takes the route the full data would.  The set is sized by
-    :meth:`IndexSet.cardinality`, which caches the count on it, and a
-    named family is never enumerated.
+    :meth:`IndexSet.cardinality`, which caches the count on it, from the
+    same walk of cost groups that sizes the splits, and a named family is
+    never enumerated.
 
     Returns:
         ``{"route": name, "costs": {route: predicted seconds}}`` over the
@@ -1641,7 +1680,7 @@ def _route_choice(
     if index_set.family == "custom":
         split = _split_rows(index_set.frequencies)
     elif not (index_set.frequencies is None and count > cap):
-        split = _cheapest_split(index_set._runs)
+        split = _cheapest_split(index_set)
     if split is not None:
         costs["general-fft"] = n_samples * _split_price(split.sizes)
     if index_set.family in _ROUTES:
@@ -1918,8 +1957,9 @@ def _compress(
     again."""
     _check_dims(data.d, rule, index_set)
     if index_set.frequencies is None:
-        # A copy of the lazy set: sizing it below caches the count here,
-        # not on the caller's object, and the result's descriptor reuses it.
+        # A copy of the lazy set: sizing it below caches the count and
+        # its walk here, not on the caller's object, and the result's
+        # descriptor reuses the count.
         index_set = index_set.descriptor()
     if algorithm == "auto" and priced is None:
         priced = _route_choice(data.N, rule, index_set, cap)

@@ -668,14 +668,23 @@ class IndexSet:
         )
 
     def cardinality(self) -> int:
-        """Exact cardinality, counted without materialising if needed."""
+        """Exact cardinality, counted without materialising if needed:
+        the prefixes over every coordinate, grouped by cost (the last
+        step of :attr:`_groups`)."""
         if self.count is None:
-            self.count = _walk(self._runs, rows=False)
+            self.count = int(self._groups[-1][1].sum())
         return self.count
 
     @cached_property
     def _runs(self) -> _Runs:
         return _family_runs(self.family, self.alpha, self.gamma, self.param)
+
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The walk's cost groups after each coordinate in turn
+        (:func:`_cost_group_steps`): the one walk that both sizes a named
+        family and prices every split of general-FFT's plan."""
+        return list(_cost_group_steps(self._runs, range(self.d)))
 
     @cached_property
     def _row_set(self) -> frozenset:

@@ -270,8 +270,8 @@ class TestCompressCommand:
         cheapest, table_plan = (compression._cheapest_split,
                                 compression._table_plan)
 
-        def price(runs):
-            priced.append(cheapest(runs))
+        def price(index_set):
+            priced.append(cheapest(index_set))
             return priced[-1]
 
         def expand(split):

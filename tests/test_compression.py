@@ -166,6 +166,23 @@ class TestFastAgainstNaive:
         fast = weights_general_fft(data, "responses", rule, spec)
         assert _gap(fast, naive) < 1e-13
 
+    def test_naive_shares_no_fast_phases(self, monkeypatch) -> None:
+        # the oracle makes its own phases: with the fast routes' phase
+        # builder broken it still runs, and agrees with them
+        data = _dataset(8, 40, 2)
+        rule = LatticeRule(31, (1, 12))
+        spec = IndexSet.cross(1.0, (1.0, 0.5), 12.0)
+        fast = weights_general_fft(data, "responses", rule, spec)
+
+        def broken(*args):
+            raise AssertionError("the oracle called _turn_phases")
+
+        monkeypatch.setattr(compression, "_turn_phases", broken)
+        with pytest.raises(AssertionError, match="oracle called"):
+            weights_general_fft(data, "responses", rule, spec)
+        ref = weights_naive(data, "responses", rule, spec)
+        assert _gap(fast, ref) < 1e-12
+
     @pytest.mark.parametrize("family, seed, n, d, L, g, param", FAST_CASES)
     def test_families(self, family, seed, n, d, L, g, param) -> None:
         data = _dataset(seed, n, d)
@@ -448,9 +465,13 @@ class TestPhases:
         (np.sort(np.random.default_rng(53).choice(
             np.arange(-100_000, 100_001), 1200, replace=False)), True),
         (np.array([-100_000, -3, 0, 7, 99_999]), False),
-        (np.arange(-100_000, 100_001, 997), True),
+        # 201 magnitudes, computed directly: 108 columns and 1,225
+        # products would cost more
+        (np.arange(-100_000, 100_001, 997), False),
         (np.array([-5, 5]), False),
         (np.array([100_000]), False),
+        # 605 magnitudes over the same range, factored
+        (np.arange(-100_000, 100_001, 331), True),
     ])
     def test_against_exact_angles(self, u, factored, monkeypatch) -> None:
         # Both forms, baby-step/giant-step factors and direct columns,
@@ -468,6 +489,35 @@ class TestPhases:
         got = compression._value_phases(self.X, u).T
         assert (sum(columns) < len(np.unique(np.abs(u)))) == factored
         assert float(np.max(np.abs(got - _exact_phases(self.X, u)))) < 1e-14
+
+    @pytest.mark.parametrize("v", [
+        1, 2, 4, 1024, 2**20,                  # scaled: x v is exact
+        3, 7, 999, 12_345, 2**21 - 3, 2**21 - 1, -1, -12_345, -(2**21 - 1),
+    ])
+    def test_turn_phases_at_half_turns(self, v) -> None:
+        # The half-angle tangent has its pole at a half turn.  Points
+        # whose x v lies within 1e-15 of one, and x = 0, 1/2 and 1 -
+        # 2^-53, stay within 1e-14 of the exactly reduced angle's phase,
+        # each of modulus 1 within 1e-15.  For general v the reduced
+        # angle t = (xh v - round(xh v)) + xl v passes 1/2 (xh on the
+        # grid of 2^-32, xl below 2^-33 in size), so tan crosses its pole.
+        av = abs(v)
+        near = []
+        for j in (0, 1, 2, 3, av - 1):
+            x0 = float(Fraction(2 * j + 1, 2 * av))
+            near += [np.nextafter(x0, -1.0), x0, np.nextafter(x0, 2.0)]
+        near = [x for x in near if 0.0 <= x < 1.0 and abs(
+            Fraction(x) * av % 1 - Fraction(1, 2)) <= 1e-15]
+        assert len(near) >= 6
+        x = np.array(near + [0.0, 0.5, 1.0 - 2.0**-53])
+        got = compression._turn_phases(x, np.array([v]))[0]
+        want = _exact_phases(x, np.array([v]))[:, 0]
+        assert float(np.max(np.abs(got - want))) < 1e-14
+        assert float(np.max(np.abs(np.abs(got) - 1.0))) < 1e-15
+        if av & (av - 1):
+            xh = np.round(x * 2.0**32) * 2.0**-32
+            t = xh * v - np.round(xh * v) + (x - xh) * v
+            assert float(np.max(np.abs(t))) > 0.5
 
     @pytest.mark.parametrize("u", [
         np.array([2**22 - 1]),
@@ -710,7 +760,7 @@ class TestSplit:
         fold = compression._fold(spec.frequencies)
         for h in range(1, spec.d + 1):
             rows = compression._split_plan(fold, h)
-            split = compression._table_splits(spec._runs)[h - 1]
+            split = compression._table_splits(spec)[h - 1]
             plan = compression._table_plan(split)
             assert split.sizes == rows.sizes == plan.sizes
             np.testing.assert_array_equal(plan.heads, rows.heads)
@@ -1124,6 +1174,32 @@ class TestChooseRoute:
         custom = IndexSet.custom(_sparse_support(32, 3, 30), 1.0, gamma)
         assert compress(data, rule, custom).algorithm == "general-fft"
         assert [len(v) for v in calls.values()] == [0, 0, 3]
+
+    def test_lazy_set_walked_once_per_compress(self, monkeypatch) -> None:
+        # the walk of cost groups that counts a lazy set also sizes its
+        # splits: one walk per compress, by either way to general-FFT
+        # (counted in any module that may hold the walk)
+        walks = []
+        steps = index_sets._cost_group_steps
+
+        def counted(*args):
+            walks.append(args)
+            return steps(*args)
+
+        for module in (index_sets, compression):
+            monkeypatch.setattr(module, "_cost_group_steps", counted,
+                                raising=False)
+        data = _dataset(31, 40, 3)
+        rule = LatticeRule(31, (1, 12, 7))
+        spec = IndexSet.step_cross(1.0, (1.0, 0.5, 0.25), 4,
+                                   materialize=False)
+        for algorithm in ("auto", "general-fft"):
+            ws = compress(data, rule, spec, algorithm=algorithm)
+            assert ws.algorithm == "general-fft"
+            assert len(walks) == 1, algorithm
+            walks.clear()
+        assert spec.count is None
+        assert ws.index_set.count == spec.cardinality()
 
     def test_cap_removes_general_fft(self) -> None:
         rule = LatticeRule(31, (1, 12))
