@@ -15,24 +15,25 @@ Every route folds the set's Fourier data of the samples onto the
 residues of ``k . g`` modulo L and finishes with one length-L FFT, as
 every sum over the nodes does: :func:`_classes` groups the rows by
 residue and :func:`_lattice_sum` sums each residue's run, then runs the
-FFT.  The
-routes sit in one table, ``_ROUTES``, with one calling convention:
-``(data, rule, index_set, cvecs, threads, cap)`` in, one weight vector
-per coefficient vector out.  ``naive`` sums directly and is the
-reference; ``general-fft`` serves any set by sum factorisation over a
-head/tail split of the coordinates, one real matrix product per bucket
-of heads and block of samples for every coefficient vector.  Both it and
-``eval_model``, which runs the plan the other way round, sum only over
-the representatives ``r >=_lex 0`` of the rows (``r = k`` or ``-k``),
-since the phases of r and -r are conjugates, and one pair cell serves a
-head's tails ``+-tau`` from the tail's cosines and sines.  A named
-family's plan is read from its run tables (:func:`_table_plan`), priced
-and run as one object, and its set is never enumerated; a custom set
-and a model's support fold their rows (:func:`_fold`,
-:func:`_split_plan`), the oracle of the table plan in the tests.
-``rectangle`` and ``step-cross`` run one
-Dirichlet-kernel DP over the set's run tables, grouping prefix products
-by accumulated cost, and never enumerate the set.  ``compress`` takes the route
+FFT.  The routes sit in one table, ``_ROUTES``, with one calling
+convention: ``(data, rule, index_set, cvecs, threads, cap)`` in, one
+weight vector per coefficient vector out.  ``naive`` sums directly and
+is the reference; ``general-fft`` serves any set by sum factorisation
+over a head/tail split of the coordinates, one real matrix product per
+bucket of heads and block of samples for every coefficient vector.  Both
+it and ``eval_model``, which runs the plan the other way round, sum only
+over the representatives ``r >=_lex 0`` of the rows (``r = k`` or
+``-k``), since the phases of r and -r are conjugates, and one pair cell
+serves a head's tails ``+-tau`` from the tail's cosines and sines.  A
+named family's plan is read from its run tables (:func:`_table_plan`),
+priced and run as one object, and its set is never enumerated; a custom
+set and a model's support fold their rows (:func:`_fold`,
+:func:`_split_plan`), the oracle of the table plan in the tests.  Either
+plan finishes in one lattice fold (:func:`_node_weights`), one complex
+FFT for both weight vectors where the set is closed under negation.
+``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP over the
+set's run tables, grouping prefix products by accumulated cost, and
+never enumerate the set.  ``compress`` takes the route
 :func:`choose_route` predicts to be cheapest, pricing each route from
 the plan it runs.  The ``weights_*`` functions are one-vector entries
 into the table; :func:`weights_lattice_data` specialises to data on a
@@ -569,12 +570,15 @@ class _Fold(NamedTuple):
     ``reps`` holds the distinct representatives, the zero row first when
     present (in lexicographic order when the rows were); ``rep[i]`` is the
     representative of row i and ``flip[i]`` tells whether row i is
-    ``-reps[rep[i]]``.
+    ``-reps[rep[i]]``.  ``closed``: every representative but the zero row
+    comes as often as its negation, so the weights are real.  ``reps`` is
+    None for a plan read from run tables (:func:`_table_plan`).
     """
 
-    reps: np.ndarray
+    reps: Optional[np.ndarray]
     rep: np.ndarray
     flip: np.ndarray
+    closed: bool
 
 
 def _below_zero(rows: np.ndarray) -> np.ndarray:
@@ -596,11 +600,14 @@ def _fold(freq: np.ndarray) -> _Fold:
         # row i is the negation of row n - 1 - i, the rows <_lex 0 first
         # (so sorted rows closed under negation): the second half are the
         # representatives, and no sort is needed
-        return _Fold(freq[half:], np.where(flip, n - 1 - i, i) - half, flip)
+        return _Fold(freq[half:], np.where(flip, n - 1 - i, i) - half, flip,
+                     True)
     key = freq.copy()
     np.negative(key, out=key, where=flip[:, None])
     reps, rep = _distinct_rows(key)
-    return _Fold(reps, rep, flip)
+    # closed: each representative but the zero row as often as -r
+    surplus = np.bincount(rep, np.where(flip, -1.0, 1.0), len(reps))
+    return _Fold(reps, rep, flip, not surplus[reps.any(axis=1)].any())
 
 
 class _Sizes(NamedTuple):
@@ -662,8 +669,8 @@ class _SplitPlan(NamedTuple):
     ``tau``.  ``axes`` holds the
     phase axes (:func:`_phase_axes`) of the heads and of the tails,
     ``sizes`` what the plan does per sample, and ``fold`` maps the set's
-    rows onto the representatives; it is None for a plan read from a
-    named family's run tables (:func:`_table_plan`), whose
+    rows onto the representatives, the indices of ``rows``; for a plan
+    read from a named family's run tables (:func:`_table_plan`) the
     representatives are its pair cells in bucket order.
     """
 
@@ -829,8 +836,9 @@ def _table_plan(split: _TableSplit) -> _SplitPlan:
     then ordered and bucketed as :func:`_split_plan` does on the rows, so
     the two plans agree exactly.  The representatives are the pair cells
     ``(a, tau)``, and ``(a, -tau)`` as well where a and tau are both
-    nonzero, in bucket order, the zero row first (``fold`` is None); the
-    set's rows are the representatives and their negations.
+    nonzero, in bucket order, the zero row first; the set's rows are the
+    representatives and their negations, and its fold says so without
+    building them (closed under negation).
     """
     runs, h, acc = split.runs, split.h, split.acc
     d = len(runs.ups)
@@ -853,9 +861,10 @@ def _table_plan(split: _TableSplit) -> _SplitPlan:
     buckets, s = [], 0
     for a0, a1 in zip(bounds, bounds[1:]):
         g = group[a0:a1]
-        used = last >= g.min()
-        n = int(np.count_nonzero(used))
-        tb = slice(0, n) if used[:n].all() else np.flatnonzero(used)
+        # the tails run by cumsum(pos)[last] descending, strictly rising
+        # with last (a cost group past the first holds a +- pair of heads,
+        # so pos >= 1 there): the tails with last >= g.min() are a prefix
+        tb = slice(0, int(np.count_nonzero(last >= g.min())))
         ii, jj = np.nonzero(last[tb][None, :] >= g[:, None])
         both = np.flatnonzero(heads[a0:a1].any(axis=1)[ii]
                               & nonzero_tail[tb][jj])
@@ -863,8 +872,11 @@ def _table_plan(split: _TableSplit) -> _SplitPlan:
         flip = np.arange(len(ii)) >= len(ii) - len(both)
         buckets.append((a0, a1, tb, ii, jj, flip, np.arange(s, s + len(ii))))
         s += len(ii)
+    # the rows: every representative, then each but the zero row negated
+    fold = _Fold(None, np.append(np.arange(s), np.arange(1, s)),
+                 np.arange(2 * s - 1) >= s, True)
     axes = _phase_axes(heads), _phase_axes(tails)
-    return _SplitPlan(heads, tails, tuple(buckets), axes, split.sizes, None)
+    return _SplitPlan(heads, tails, tuple(buckets), axes, split.sizes, fold)
 
 
 def _split_rows(freq: np.ndarray) -> _SplitPlan:
@@ -953,7 +965,7 @@ def _split_adjoint(
     """``S(r) = sum_n c_n exp(2 pi i r . x_n)`` for every representative
     r of the plan, one vector per real coefficient vector c, in the
     order of the buckets' ``rows``; the sums of the other rows are
-    ``S(-r) = conj S(r)`` (:func:`_folded_fft`, :func:`_table_fft`).
+    ``S(-r) = conj S(r)`` (:func:`_node_weights`).
 
     With ``e_a = exp(2 pi i a . x)`` and a tail tau's cosine and sine, a
     pair cell's sums ``X = sum_n c e_a cos`` and ``Y = sum_n c e_a sin``
@@ -1162,68 +1174,50 @@ def _lattice_sum(classes: _Classes, coef: np.ndarray) -> np.ndarray:
     return classes.L * np.fft.ifft(b)
 
 
-def _folded_fft(
-    fold: _Fold, sums: list[np.ndarray], rule: LatticeRule
-) -> list[np.ndarray]:
-    """``sum_k S(k) exp(-2 pi i k . z_l)`` at every node for each vector
-    of ``sums``, over the distinct rows k of a folded set, from the sums
-    ``S(r)`` of its representatives with ``S(-r) = conj S(r)``: a row r
-    takes S(r) to the residue of -r, a row -r takes conj S(r) to that of
-    r.  One residue classing serves every vector; with ``(S, conj S)``
-    as one vector, row i gathers its entry ``rep[i] + n flip[i]``."""
-    L, n = rule.L, len(fold.reps)
-    rho = _residues(fold.reps, rule)
-    src = fold.rep + n * fold.flip
-    classes = _classes(np.concatenate((-rho % L, rho)).take(src), L)
-    classes = classes._replace(order=src.take(classes.order))
-    return [_lattice_sum(classes, np.concatenate((s, s.conj()))) for s in sums]
-
-
-def _table_fft(
+def _node_weights(
     plan: _SplitPlan, sums: list[np.ndarray], rule: LatticeRule
 ) -> list[np.ndarray]:
-    """The real weight vectors ``sum_k S(k) exp(-2 pi i k . z_l)`` of a
-    plan read from the run tables (:func:`_table_plan`), from the sums
-    ``S(r)`` of its representatives: the set's rows are each
-    representative r, which takes S(r) to the residue of -r, and its
-    negation, which takes conj S(r) to that of r; the zero row, the
-    first representative, once.  A representative's residue is its
-    head's plus or minus its tail's.
+    """``sum_k S(k) exp(-2 pi i k . z_l)`` at every node for each vector
+    of ``sums``, over the rows k of the plan's set, from the sums
+    ``S(r)`` of its representatives with ``S(-r) = conj S(r)``: a row r
+    takes S(r) to the residue of -r, a row -r takes conj S(r) to that of
+    r.  A representative's residue is its head's plus or minus its
+    tail's; row i of the fold takes entry ``rep[i] + n flip[i]`` of
+    ``(S, conj S)``, and one residue classing serves every vector.
 
-    Both vectors of a pair are real, so they run as one: with ``2^e`` an
-    exact power of two that brings the second vector's sums to the
-    first's magnitude, ``S_1 + i 2^e S_2`` takes one gather, one
-    ``np.add.reduceat`` and one length-L inverse FFT
-    (:func:`_lattice_sum`), and the real part is the first vector, the
-    imaginary part divided by ``2^e`` the second, each within rounding
-    of its own size.
+    A set closed under negation has real weights, so two vectors run as
+    one: with ``2^e`` an exact power of two that brings the second
+    vector's sums to the first's magnitude, ``S_1 + i 2^e S_2`` takes one
+    gather, one ``np.add.reduceat`` and one length-L inverse FFT
+    (:func:`_lattice_sum`); the real part is the first vector and the
+    imaginary part over ``2^e`` the second, each within rounding of its
+    own size.  Any other set takes one FFT per vector.
     """
-    L, h = rule.L, plan.heads.shape[1]
+    L, h, n = rule.L, plan.heads.shape[1], len(sums[0])
     head = _residues(plan.heads, rule, slice(None, h))
     tail = _residues(plan.tails, rule, slice(h, None))
-    rho = np.empty(len(sums[0]), dtype=np.int64)
+    rho = np.empty(n, dtype=np.int64)
     for a0, a1, tb, ii, jj, flip, rows in plan.buckets:
         a, t = head[a0:a1][ii], tail[tb][jj]
         rho[rows] = np.where(flip, a - t, a + t) % L
-    classes = _classes(np.concatenate((-rho % L, rho[1:])), L)
+    src = plan.fold.rep + n * plan.fold.flip
+    classes = _classes(np.concatenate((-rho % L, rho)).take(src), L)
+    classes = classes._replace(order=src.take(classes.order))
+    if not plan.fold.closed:
+        return [_lattice_sum(classes, np.concatenate((s, s.conj())))
+                for s in sums]
     out = []
-    for i in range(0, len(sums), 2):
-        s1, *rest = sums[i:i + 2]
-        s2 = rest[0] if rest else np.zeros_like(s1)
+    # an odd vector out pairs with zeros
+    for s1, s2 in zip(sums[::2], sums[1::2] + [np.zeros_like(sums[0])]):
         top1, top2 = (float(np.max(np.abs(s.view(np.float64)), initial=0))
                       for s in (s1, s2))
         e = math.frexp(top1)[1] - math.frexp(top2)[1] if top1 and top2 else 0
         scale = math.ldexp(1.0, e)
-        coef = np.empty(2 * len(s1) - 1, dtype=np.complex128)
-        coef.real[:len(s1)] = s1.real - scale * s2.imag
-        coef.imag[:len(s1)] = s1.imag + scale * s2.real
-        coef.real[len(s1):] = s1.real[1:] + scale * s2.imag[1:]
-        coef.imag[len(s1):] = scale * s2.real[1:] - s1.imag[1:]
-        w = _lattice_sum(classes, coef)
-        out.append(np.ascontiguousarray(w.real))
-        if rest:
-            out.append(w.imag / scale)
-    return out
+        z = 1j * (scale * s2)
+        w = _lattice_sum(classes,
+                         np.concatenate((s1 + z, s1.conj() - z.conj())))
+        out += [np.ascontiguousarray(w.real), w.imag / scale]
+    return out[:len(sums)]
 
 
 # The weight routes: (data, rule, index_set, cvecs, threads, cap) in, one
@@ -1315,7 +1309,8 @@ def _general_fft_route(
     cap: int,
     split: Union[_TableSplit, _SplitPlan, None] = None,
 ) -> list[np.ndarray]:
-    """One adjoint transform pass shared by every coefficient vector.
+    """One adjoint transform pass shared by every coefficient vector,
+    then one lattice fold (:func:`_node_weights`), whatever the plan.
 
     phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n) by the cheapest
     head/tail split of the set (:func:`_split_adjoint`), blocked over n;
@@ -1323,27 +1318,22 @@ def _general_fft_route(
     :class:`_TableSplit` of a named family, the plan of a custom set).
     The coefficients are real, so phi_hat_{-k} = conj phi_hat_k: the pass
     sums only the representatives ``r >=_lex 0`` of the rows, about half
-    of them, and the lattice fold of the frequencies -k takes each
-    representative's sum for r and its conjugate for -r.  A named family's
-    plan is read from its run tables (:func:`_table_plan`) and folded by
-    :func:`_table_fft`, so its rows are never built; a lazy one above
+    of them, and the fold takes each one's sum for r and its conjugate
+    for -r.  A named family's plan is read from its run tables
+    (:func:`_table_plan`), so its rows are never built; a lazy one above
     ``cap`` rows is refused all the same, before any work.  A custom
-    set's plan comes from its rows (:func:`_split_rows`), folded by
-    :func:`_folded_fft`.
+    set's plan comes from its rows (:func:`_split_rows`).
     """
-    if index_set.family == "custom":
-        plan = split if split is not None else _split_rows(
-            index_set.frequencies
-        )
-        sums = _split_adjoint(data.X, plan, cvecs, threads)
-        return _folded_fft(plan.fold, [acc / data.N for acc in sums], rule)
     if index_set.frequencies is None and index_set.cardinality() > cap:
         raise CapExceeded(index_set.cardinality(), cap)
-    if split is None:
-        split = _cheapest_split(index_set)
-    plan = _table_plan(split)
+    if index_set.family == "custom":
+        plan = split if split is not None else _split_rows(
+            index_set.frequencies)
+    else:
+        plan = _table_plan(split if split is not None
+                           else _cheapest_split(index_set))
     sums = _split_adjoint(data.X, plan, cvecs, threads)
-    return _table_fft(plan, [acc / data.N for acc in sums], rule)
+    return _node_weights(plan, [acc / data.N for acc in sums], rule)
 
 
 class _SweepPlan(NamedTuple):
@@ -1544,7 +1534,8 @@ def weights_general_fft(
     >=_lex 0`` are summed and their negations take the conjugates, and a
     pair cell ``(a, tau)``, 4 real multiply-adds a sample, gives the sums
     of both ``(a, tau)`` and ``(a, -tau)``: about |K| / 4 pair cells on
-    crosses and step crosses.
+    crosses and step crosses.  The result is ``float64`` on a set closed
+    under negation, as every named family is, and complex otherwise.
     """
     return _run("general-fft", data, [c], rule, index_set, threads, cap)[0]
 
@@ -1935,9 +1926,9 @@ def compress(
         cap: cardinality cap applied when the set must be enumerated.
 
     Returns:
-        WeightSet with real vectors for the named symmetric families.
-        Custom sets keep complex vectors when their symmetrisation does
-        not cancel the imaginary parts.
+        WeightSet with real vectors for the named families and for
+        custom sets closed under negation; other custom sets keep
+        complex vectors when their imaginary parts do not cancel.
     """
     return _compress(data, rule, index_set, algorithm, threads, cap)
 

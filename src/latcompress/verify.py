@@ -68,12 +68,14 @@ def oracle_suite(
     """Fast weight algorithms against the direct-summation reference.
 
     Random instances cycle through the three named families plus custom
-    (possibly asymmetric) sets.  Every route :func:`choose_route` prices
-    for an instance, i.e. every route ``compress`` may choose for it, is
-    run through ``compress``, and both of its weight vectors, ``w_xz``
-    (coefficients one) and ``w_xyz`` (the responses), are checked.  With
-    ``inject_fault`` the first instance's first fast output is perturbed
-    by 1e-3 in one entry, which the comparison must catch and localise.
+    sets: random rows, possibly asymmetric, and in instance 7 the rows
+    with their negations, closed under negation.  Every route
+    :func:`choose_route` prices for an instance, i.e. every route
+    ``compress`` may choose for it, is run through ``compress``, and both
+    of its weight vectors, ``w_xz`` (coefficients one) and ``w_xyz`` (the
+    responses), are checked.  With ``inject_fault`` the first instance's
+    first fast output is perturbed by 1e-3 in one entry, which the
+    comparison must catch and localise.
     """
     rng = np.random.default_rng([int(seed), 101])
     failures: list[str] = []
@@ -97,6 +99,8 @@ def oracle_suite(
             spec = IndexSet.step_cross(alpha, gamma, 4)
         else:
             rows = rng.integers(-6, 7, size=(10, d))
+            if i == 7:
+                rows = np.unique(np.vstack((rows, -rows)), axis=0)
             spec = IndexSet.custom(rows, alpha, gamma)
         routes = choose_route(n, rule, spec)["costs"]
         refs = [weights_naive(data, c, rule, spec)

@@ -233,16 +233,24 @@ class TestFastAgainstNaive:
             for w, v in zip(pair, weights_step_cross_pair(data, rule, spec)):
                 np.testing.assert_array_equal(w, v)
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0**-60, 2.0**60])
-    def test_pair_from_one_fft(self, scale) -> None:
-        # A named family's two weight vectors come from one complex FFT of
-        # S_1 + i 2^e S_2: each matches its own one-vector pass to 1e-12
-        # of its largest weight, and the direct sums to 1e-9, also when
-        # the responses are 2^60 times smaller or larger than the ones.
+    @pytest.mark.parametrize("custom, scale", [
+        pytest.param(custom, scale, id=("custom-" if custom else "")
+                     + str(scale))
+        for custom in (False, True) for scale in (1.0, 2.0**-60, 2.0**60)
+    ])
+    def test_pair_from_one_fft(self, custom, scale) -> None:
+        # The two weight vectors of a set closed under negation, a named
+        # family or the same rows as a custom set, come from one complex
+        # FFT of S_1 + i 2^e S_2: each matches its own one-vector pass to
+        # 1e-12 of its largest weight, and the direct sums to 1e-9, also
+        # when the responses are 2^60 times smaller or larger than the
+        # ones.
         data = _dataset(7, 35, 2)
         data = Dataset(data.X, scale * data.Y)
         rule = LatticeRule(13, (1, 5))
         spec = IndexSet.step_cross(1.0, (1.0, 0.5), 4)
+        if custom:
+            spec = IndexSet.custom(spec.frequencies, spec.alpha, spec.gamma)
         run = compression._ROUTES["general-fft"]
         cvecs = [np.ones(data.N), data.Y]
         pair = run(data, rule, spec, cvecs, 1, index_sets.DEFAULT_CAP)
@@ -692,17 +700,39 @@ class TestSplit:
         node_ph = np.exp(-2j * np.pi * (generate_points(rule) @ freq.T))
         fold = compression._fold(freq)
         assert len(fold.reps) == len(freq) - (len(rows) - lone) // 2
+        assert not fold.closed
         cvecs = [np.ones(data.N), data.Y]
         for h in range(1, d + 1):
             plan = compression._split_plan(fold, h)
             sums = compression._split_adjoint(data.X, plan, cvecs, 1)
             # one fold shared by both vectors, and each vector's own
-            shared = compression._folded_fft(fold, sums, rule)
+            shared = compression._node_weights(plan, sums, rule)
             for c, s, got in zip(cvecs, sums, shared):
                 direct = c @ np.exp(2j * np.pi * (data.X @ freq.T))
                 assert _gap(got, node_ph @ direct) < 1e-12
-                alone = compression._folded_fft(fold, [s], rule)[0]
+                alone = compression._node_weights(plan, [s], rule)[0]
                 np.testing.assert_array_equal(alone, got)
+
+    @pytest.mark.parametrize("zero, missing", [
+        (True, False), (False, False), (True, True), (False, True),
+    ])
+    def test_fold_tells_closed_sets(self, zero, missing) -> None:
+        # A set is closed under negation when every representative but
+        # the zero row comes as often as its negation.  With no zero row
+        # and one negation missing, every representative comes unflipped
+        # and all but one flipped, the counts of a closed set with the
+        # zero row; it is not closed all the same.
+        half = np.array([[1, -2, 0], [0, 3, 1], [2, 0, -1], [0, 0, 4]])
+        freq = np.vstack([half, -half[int(missing):]])
+        if zero:
+            freq = np.vstack([freq, np.zeros((1, 3), dtype=np.int64)])
+        freq = freq[np.random.default_rng(53).permutation(len(freq))]
+        fold = compression._fold(freq)
+        assert len(fold.reps) == len(half) + zero
+        assert fold.closed is not missing
+        if zero != missing:
+            assert (np.count_nonzero(~fold.flip), np.count_nonzero(fold.flip)
+                    ) == (len(fold.reps), len(fold.reps) - 1)
 
     @pytest.mark.parametrize("d, freq", SPLIT_CASES[:5])
     def test_public_entries_match_triple_loop(self, d, freq) -> None:
@@ -789,9 +819,9 @@ class TestSplit:
             assert split.sizes.cells == cells
             # both weight vectors as the row route gives them
             sums = compression._split_adjoint(data.X, plan, cvecs, 1)
-            got = compression._table_fft(plan, sums, rule)
+            got = compression._node_weights(plan, sums, rule)
             sums = compression._split_adjoint(data.X, rows, cvecs, 1)
-            want = compression._folded_fft(fold, sums, rule)
+            want = compression._node_weights(rows, sums, rule)
             for w, ref in zip(got, want):
                 top = float(np.max(np.abs(ref)))
                 assert w.dtype == np.float64
