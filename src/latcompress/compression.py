@@ -424,13 +424,7 @@ def _distinct(v: np.ndarray) -> np.ndarray:
     return v[np.diff(v, prepend=v[:1] - 1) != 0]
 
 
-# The cost of a directly computed cosine and sine column, in products of
-# one phase column: _TRIG_S against _PHASE_S, about 21 ns against 2.9 ns
-# a sample on the machine the prices were fitted on (a column of the
-# half-angle tangent took 7-12 ns an element in blocks of 400 to 11,000
-# samples there, a complex product of two rows 1-1.5 ns); and the most
-# doublings a baby step is made by.
-_TRIG_PRODUCTS = 7
+# The most doublings a baby step is made by.
 _DOUBLINGS = 10
 
 
@@ -787,16 +781,12 @@ def _table_splits(index_set: IndexSet) -> list[_TableSplit]:
     and a bucket's union is its largest set.  Per coordinate the
     magnitudes are 0 to the reach of the last run it admits alone, on
     either side of any split (a value v > 0 is the row with v there and
-    zeros elsewhere, a zero costing the identity in every family).
+    zeros elsewhere, a zero costing the identity in every family): the
+    last run of its table (:class:`_Runs`).
     """
     runs = index_set._runs
     d = len(runs.ups)
-    ident = np.full(1, float(runs.combine.identity))
-    reach = [
-        int(ups[_last_run(runs, ident, c)[0]])
-        for ups, c in zip(runs.ups, runs.costs)
-    ]
-    mags = [(0, w, w + 1) for w in reach]
+    mags = [(0, int(ups[-1]), int(ups[-1]) + 1) for ups in runs.ups]
     splits = []
     for h, (acc, heads) in enumerate(index_set._groups, 1):
         # an empty run leaves cost groups of no prefix; they bucket nothing
@@ -1622,6 +1612,13 @@ _PHASE_S = 2.9e-9
 _TRIG_S = 2.1e-8
 _PASS_S = 9.0e-10
 _DIRICHLET_S = 4.3e-8
+
+# The cost of a directly computed cosine and sine column, in products of
+# one phase column (7 at the fitted prices: a column of the half-angle
+# tangent took 7-12 ns an element in blocks of 400 to 11,000 samples on
+# that machine, a complex product of two rows 1-1.5 ns).  Derived, so a
+# refit of either price moves it too.
+_TRIG_PRODUCTS = round(_TRIG_S / _PHASE_S)
 
 
 def choose_route(

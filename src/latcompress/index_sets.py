@@ -14,13 +14,16 @@ with a budget: the cross multiplies the profile factors against nu, the
 step cross adds the smallest dyadic levels against m, and the rectangle's
 costs are all zero, so only its half-widths bound it.  A family is
 therefore one table of runs per coordinate (the largest |k_j| of each run
-and its cost), and one walk over those tables counts a set, emits its
-rows in lexicographic order, or tests a single frequency; over a range
-of the coordinates it gives the heads and tails of general-FFT's split
-plan, which is built without a row of the set.  Every budget
-comparison goes through one predicate with a relative slack of 1e-12, so
-counting, enumeration and membership can never disagree about a
-frequency sitting exactly on a level line.
+and its cost), and walks over those tables do the rest.  A set is counted
+in one place, :meth:`IndexSet.cardinality`, from its prefixes grouped by
+accumulated cost, without a row; its rows are built in one place,
+:func:`_capped_rows`, in lexicographic order and only after the count
+has passed the cap.  The same walks over a range of the coordinates give
+the heads and tails of general-FFT's split plan, which is built without
+a row of the set, and a single frequency is tested against the tables
+directly.  Every budget comparison goes through one predicate with a
+relative slack of 1e-12, so counting, enumeration and membership can
+never disagree about a frequency sitting exactly on a level line.
 """
 
 from __future__ import annotations
@@ -185,7 +188,8 @@ class _Runs(NamedTuple):
     all at cost ``costs[j][r]``, and costs never decrease along a table.
     A frequency belongs to the set when its costs, accumulated from left
     to right by ``combine`` from the ufunc's identity, stay within
-    ``budget`` after every coordinate (:func:`_admits`).
+    ``budget`` after every coordinate (:func:`_admits`).  Each table
+    ends at the last run its coordinate admits on its own.
     """
 
     ups: tuple[np.ndarray, ...]
@@ -260,18 +264,11 @@ def _last_run(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return last
 
 
-def _cost_groups(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes over the coordinates ``coords``, accumulated from the
-    identity and grouped by cost: the sorted costs and the exact
-    Python-int number of prefixes at each.  No row is ever held."""
-    groups = np.full(1, float(runs.combine.identity)), np.ones(1, dtype=object)
-    for groups in _cost_group_steps(runs, coords):
-        pass
-    return groups
-
-
 def _cost_group_steps(runs: _Runs, coords: range):
-    """:func:`_cost_groups` after each coordinate of ``coords`` in turn."""
+    """The prefixes over the coordinates ``coords``, accumulated from the
+    identity and grouped by cost, after each coordinate in turn: the
+    sorted costs and the exact Python-int number of prefixes at each.
+    No row is ever held."""
     acc = np.full(1, float(runs.combine.identity))
     out = np.ones(1, dtype=object)
     for j in coords:
@@ -286,16 +283,6 @@ def _cost_group_steps(runs: _Runs, coords: range):
         np.add.at(grouped, group, np.repeat(out, n) * sizes[run])
         out = grouped
         yield acc, out
-
-
-def _walk(runs: _Runs, rows: bool):
-    """Count a set, or with ``rows`` return its (M, d) rows in
-    lexicographic order (:func:`_prefixes` over every coordinate).  The
-    count is taken over the prefixes grouped by accumulated cost
-    (:func:`_cost_groups`), so no row is built for it."""
-    if not rows:
-        return int(_cost_groups(runs, range(len(runs.ups)))[1].sum())
-    return _prefixes(runs, range(len(runs.ups)))[0]
 
 
 def _prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
@@ -384,10 +371,12 @@ def _last_group(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
 
 
 def _capped_rows(runs: _Runs, count: int, cap: int) -> np.ndarray:
-    """The rows of a set of ``count`` rows, refused above ``cap``."""
+    """The (M, d) rows of a set of ``count`` rows in lexicographic order
+    (:func:`_prefixes` over every coordinate), refused above ``cap``
+    before any row is built: the one row build of a named family."""
     if count > cap:
         raise CapExceeded(count, cap)
-    return _walk(runs, rows=True)
+    return _prefixes(runs, range(len(runs.ups)))[0]
 
 
 def _enumerate(
@@ -399,8 +388,8 @@ def _enumerate(
 ) -> np.ndarray:
     """Rows of a named family, counted first so the cap binds before any
     row is built."""
-    runs = _family_runs(family, alpha, gamma, param)
-    return _capped_rows(runs, _walk(runs, rows=False), cap)
+    spec = IndexSet(family, alpha, gamma, param)
+    return _capped_rows(spec._runs, spec.cardinality(), cap)
 
 
 def enumerate_cross(
@@ -478,9 +467,10 @@ def enumerate_step_cross(
     """Union of dyadic rectangles over all shapes ``||t||_1 = m``.
 
     A frequency belongs when the smallest dyadic levels holding its
-    coordinates sum to at most m.  The run-table walk emits the rows in
+    coordinates sum to at most m.  The run tables give the rows in
     lexicographic order directly; the cap check uses the exact
-    cardinality, counted by the same walk before any row is built.
+    cardinality (:meth:`IndexSet.cardinality`), counted from the same
+    tables before any row is built.
 
     Examples:
         >>> enumerate_step_cross(1.0, (1.0,), 2).ravel().tolist()
@@ -670,7 +660,9 @@ class IndexSet:
     def cardinality(self) -> int:
         """Exact cardinality, counted without materialising if needed:
         the prefixes over every coordinate, grouped by cost (the last
-        step of :attr:`_groups`)."""
+        step of :attr:`_groups`).  The one count of a named family: the
+        ``enumerate_*`` functions and :meth:`materialized` check the cap
+        against it before :func:`_capped_rows` builds a row."""
         if self.count is None:
             self.count = int(self._groups[-1][1].sum())
         return self.count

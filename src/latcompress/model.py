@@ -41,6 +41,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .compression import (
+    _IMAG_TOL,
     Dataset,
     WeightSet,
     _classes,
@@ -69,8 +70,6 @@ __all__ = [
 ]
 
 REGULARIZERS = ("none", "best_subset", "lasso", "ridge", "elastic")
-
-_IMAG_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -124,11 +123,7 @@ class TrigModel:
         support, as an optimiser makes, builds those once.  ``theta`` is
         validated and copied as by the constructor.
         """
-        model = object.__new__(type(self))
-        model.frequencies = self.frequencies
-        model.theta = _own_theta(theta, self.size)
-        model._cache = _support(self)
-        return model
+        return type(self)(self.frequencies, theta)
 
     @property
     def d(self) -> int:

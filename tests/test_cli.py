@@ -305,14 +305,13 @@ class TestCompressCommand:
         # the command prices and runs general-FFT on a lazy named set from
         # its run tables alone: no row of the set is built
         path, _ = dataset_file
-        walk = index_sets._walk
 
-        def count_only(runs, rows):
-            if rows:
-                raise AssertionError("a set's rows were built")
-            return walk(runs, rows)
+        def refuse(*args):
+            raise AssertionError("a set's rows were built")
 
-        monkeypatch.setattr(index_sets, "_walk", count_only)
+        for module in (index_sets, compression):
+            monkeypatch.setattr(module, "_capped_rows", refuse,
+                                raising=False)
         for family in (["step-cross", "--order", "3"],
                        ["cross", "--level", "8"]):
             out = str(tmp_path / f"{family[0]}.json")
@@ -434,6 +433,56 @@ class TestVerifyCommand:
         assert not report["passed"]
         assert all("w_xyz at node 0" in f for f in report["failures"])
         assert len(report["failures"]) == report["checks"] // 2
+
+
+    def test_all_suites_pass(self, tmp_path) -> None:
+        out = str(tmp_path / "all.json")
+        assert main(["verify", "--suite", "all", "--out", out]) == 0
+        obj = json.load(open(out))
+        assert obj["passed"] is True
+        suites = obj["suites"]
+        assert [s["name"] for s in suites] == [
+            "oracle-equivalence", "set-inclusions", "aliasing-identity",
+            "loss-gap-envelope",
+        ]
+        assert [s["checks"] for s in suites] == [36, 127, 10, 2]
+        assert all(s["passed"] and not s["failures"] for s in suites)
+
+    def test_threads_reach_the_envelope_suite(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        seen = []
+        compress = verify.compress
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "compress", spy)
+        out = str(tmp_path / "env.json")
+        assert main([
+            "verify", "--suite", "envelope", "--threads", "2", "--out", out,
+        ]) == 0
+        assert seen and set(seen) == {2}
+
+
+class TestMainErrors:
+    def test_bad_input_exits_2(self, monkeypatch, capsys) -> None:
+        def bad(*args, **kwargs):
+            raise ValueError("no such thing")
+
+        monkeypatch.setattr(cli, "run_all", bad)
+        assert main(["verify"]) == 2
+        assert "no such thing" in capsys.readouterr().err
+
+    def test_assertion_error_propagates(self, monkeypatch) -> None:
+        # an AssertionError is a fault of the program, never bad input
+        def broken(*args, **kwargs):
+            raise AssertionError("internal invariant")
+
+        monkeypatch.setattr(cli, "run_all", broken)
+        with pytest.raises(AssertionError, match="internal invariant"):
+            main(["verify"])
 
 
 class TestCoprimeGenerator:

@@ -415,13 +415,14 @@ class TestExactCounts:
     ) -> None:
         gamma = (1.0, 0.5)
         count = len(enumerate(1.0, gamma, param))
-        walk = index_sets._walk
+        prefixes = index_sets._prefixes
 
-        def count_only(runs, rows):
-            assert not rows, "rows built before the cap check"
-            return walk(runs, rows)
+        def partial_only(runs, coords):
+            assert len(coords) < len(runs.ups), \
+                "rows built before the cap check"
+            return prefixes(runs, coords)
 
-        monkeypatch.setattr(index_sets, "_walk", count_only)
+        monkeypatch.setattr(index_sets, "_prefixes", partial_only)
         with pytest.raises(CapExceeded) as exc:
             enumerate(1.0, gamma, param, cap=count - 1)
         assert (exc.value.predicted, exc.value.cap) == (count, count - 1)

@@ -326,6 +326,28 @@ class TestLossReport:
         assert approx.residual is None
         assert "residual" not in approx.to_json()
 
+    def test_model_not_real_on_the_samples(self) -> None:
+        # Coefficients not closed under conjugation: the quadratic term is
+        # mean |f|^2, the cross term mean Re f y, and the residual mean
+        # |f - y|^2, each against sums taken from eval_model directly.
+        model = TrigModel(np.array([[-1, 0], [1, 2], [0, 1]]),
+                          np.array([1.0 + 0.5j, 0.25 - 1.0j, 0.75 + 0j]))
+        rng = np.random.default_rng(60)
+        X = rng.random((200, 2))
+        data = Dataset(X, rng.standard_normal(200))
+        f = eval_model(model, X)
+        assert np.max(np.abs(f.imag)) > 0.1
+        rep = exact_loss(model, data)
+        quad = np.mean(f.real ** 2 + f.imag ** 2)
+        assert rep.quadratic == pytest.approx(quad, rel=1e-12)
+        assert rep.cross == pytest.approx(np.mean(f.real * data.Y),
+                                          rel=1e-12)
+        r = f - data.Y
+        assert rep.residual == pytest.approx(
+            np.mean(r.real ** 2 + r.imag ** 2), rel=1e-12
+        )
+        assert rep.value == pytest.approx(rep.residual, rel=1e-12)
+
 
 def _sole_class_member(spec: IndexSet, rule: LatticeRule, rows) -> bool:
     # Each row must be the only index-set element in its residue class
@@ -855,24 +877,30 @@ class TestModelSquared:
         f2 = eval_model(sq, pts)
         np.testing.assert_allclose(f2, f * f, atol=1e-10)
 
-    def test_dense_and_sparse_agree(self) -> None:
-        # Frequencies spread wide enough that the convolution grid is
-        # refused, forcing the hashed route; compare against the dense
-        # result of the recentred model, which shares the coefficients.
+    def test_dense_and_sparse_agree(self, monkeypatch) -> None:
+        # One row moved by 10^6 stretches the bounding box to about 5e7
+        # convolution cells, past the dense grid's 2^23, so the hashed
+        # route must run (the dense one is made to refuse); its result is
+        # the pairwise convolution of the coefficients, summed per row.
+        from latcompress import model as model_mod
+
+        def refuse(*args):
+            raise AssertionError("the dense route ran")
+
         rng = np.random.default_rng(37)
-        base = np.unique(rng.integers(-6, 7, size=(30, 2)), axis=0)
-        theta = rng.standard_normal(len(base)) + 1j * rng.standard_normal(
-            len(base)
+        freq = np.unique(rng.integers(-6, 7, size=(30, 2)), axis=0)
+        freq[-1] += np.array([10**6, 0])
+        theta = rng.standard_normal(len(freq)) + 1j * rng.standard_normal(
+            len(freq)
         )
-        near = TrigModel(base, theta)
-        far = TrigModel(base + np.array([[10**6, 0]]), theta)
-        sq_near = model_squared(near)
-        sq_far = model_squared(far)
-        np.testing.assert_array_equal(
-            sq_far.frequencies - np.array([[2 * 10**6, 0]]),
-            sq_near.frequencies,
-        )
-        np.testing.assert_allclose(sq_far.theta, sq_near.theta, atol=1e-10)
+        monkeypatch.setattr(model_mod, "_dense_square", refuse)
+        sq = model_squared(TrigModel(freq, theta))
+        sums = (freq[:, None, :] + freq[None, :, :]).reshape(-1, 2)
+        rows, at = np.unique(sums, axis=0, return_inverse=True)
+        coef = np.zeros(len(rows), dtype=np.complex128)
+        np.add.at(coef, at.ravel(), np.outer(theta, theta).ravel())
+        np.testing.assert_array_equal(sq.frequencies, rows)
+        np.testing.assert_allclose(sq.theta, coef, rtol=0, atol=1e-12)
 
     def test_cap(self) -> None:
         m = _random_model(38, 2, 5, 30)
