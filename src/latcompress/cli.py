@@ -289,6 +289,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.inject_fault and args.suite not in ("all", "oracle"):
+        raise ValueError(
+            f"--inject-fault perturbs the oracle suite; "
+            f"--suite {args.suite} would run without it"
+        )
     if args.suite == "all":
         results = run_all(
             args.seed, inject_fault=args.inject_fault,
@@ -456,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(SUITES))
     p.add_argument("--inject-fault", action="store_true",
-                   help="perturb one weight to prove the oracle catches it")
+                   help="perturb one weight to prove the oracle catches it "
+                        "(oracle and all only)")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("bench", help="time step-cross weight builds")

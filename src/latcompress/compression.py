@@ -31,9 +31,10 @@ set and a model's support fold their rows (:func:`_fold`,
 :func:`_split_plan`), the oracle of the table plan in the tests.  Either
 plan finishes in one lattice fold (:func:`_node_weights`), one complex
 FFT for both weight vectors where the set is closed under negation.
-``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP over the
-set's run tables, grouping prefix products by accumulated cost, and
-never enumerate the set.  ``compress`` takes the route
+``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP laid out
+by the links of the walk that counts the set (``IndexSet._groups``),
+which also size every split general-FFT is priced by, and never
+enumerate the set.  ``compress`` takes the route
 :func:`choose_route` predicts to be cheapest, pricing each route from
 the plan it runs.  The ``weights_*`` functions are one-vector entries
 into the table; :func:`weights_lattice_data` specialises to data on a
@@ -61,10 +62,8 @@ from .index_sets import (
     CapExceeded,
     IndexSet,
     _last_group,
-    _last_run,
     _prefixes,
     _row_costs,
-    _run_prefixes,
 )
 from .lattice import LatticeRule, generate_points
 
@@ -767,34 +766,33 @@ def _table_splits(index_set: IndexSet) -> list[_TableSplit]:
     negation and folds onto its rows ``>=_lex 0``: the heads ``>_lex 0``
     with every tail, and the zero head with the tails ``>=_lex 0``.  The
     heads are the prefixes over the first h tables, grouped by
-    accumulated cost (``IndexSet._groups``, the walk that also sizes
-    the set, one for every h);
-    a cost group of n heads holds ``(n - [0 in group]) / 2`` heads
-    ``>_lex 0``, and the zero head is in the first, of the least cost.
-    The tails are the walk over the other tables, taken a run at a time
-    (:func:`_run_prefixes`), and a head admits a tail when the walk
-    would, its cost combined with the tail's in the walk's order
-    (:func:`_last_group`): so the sizes are those of the expanded plan,
-    also on a level line.  A head of cost a pairs with the t tails its
-    cost admits, both signs of each, so with ``(t + 1) / 2`` tails tau
-    (the zero tail is its own negation); the tail sets nest as a grows,
-    and a bucket's union is its largest set.  Per coordinate the
-    magnitudes are 0 to the reach of the last run it admits alone, on
-    either side of any split (a value v > 0 is the row with v there and
-    zeros elsewhere, a zero costing the identity in every family): the
-    last run of its table (:class:`_Runs`).
+    accumulated cost: the groups of the walk that also sizes the set
+    (``IndexSet._groups``) after coordinate h.  A cost group of n heads
+    holds ``(n - [0 in group]) / 2`` heads ``>_lex 0``, and the zero head
+    is in the first, of the least cost.  The tails a group admits, both
+    signs, follow the walk's links back from the last coordinate, where
+    each group admits the one empty tail: a link from group g through a
+    run of s values into a group admitting t tails gives g ``s t`` of
+    them.  So the sizes are those of the expanded plan, also on a level
+    line.  A head of cost a pairs with the t tails its cost admits, so
+    with ``(t + 1) / 2`` tails tau (the zero tail is its own negation);
+    the tail sets nest as a grows, and a bucket's union is its largest
+    set.  Per coordinate the magnitudes are 0 to the reach of the last
+    run it admits alone, on either side of any split (a value v > 0 is
+    the row with v there and zeros elsewhere, a zero costing the identity
+    in every family): the last run of its table (:class:`_Runs`).
     """
-    runs = index_set._runs
-    d = len(runs.ups)
+    runs, steps = index_set._runs, index_set._groups
     mags = [(0, int(ups[-1]), int(ups[-1]) + 1) for ups in runs.ups]
+    reach = [np.ones(len(steps[-1][0]))]
+    for j in range(len(steps) - 1, 0, -1):
+        _, _, prev, run, group = steps[j]
+        size = np.diff(2 * runs.ups[j] + 1, prepend=0)[run]
+        reach.insert(0, np.bincount(prev, size * reach[0][group],
+                                    len(steps[j - 1][0])))
     splits = []
-    for h, (acc, heads) in enumerate(index_set._groups, 1):
-        # an empty run leaves cost groups of no prefix; they bucket nothing
-        acc, heads = acc[heads > 0], heads[heads > 0].astype(np.float64)
-        costs, count = _run_prefixes(runs, range(h, d))
-        last = _last_group(runs, acc, costs)
-        # per cost group, the tails of both signs it admits
-        reach = np.cumsum(np.bincount(last, count, len(acc))[::-1])[::-1]
+    for h, ((acc, heads, *_), reach) in enumerate(zip(steps, reach), 1):
+        heads = heads.astype(np.float64)
         pos = (heads - (np.arange(len(acc)) == 0)) / 2.0
         taus = (reach + 1.0) / 2.0
         # per head its tails tau, the zero head last
@@ -1350,35 +1348,37 @@ class _SweepPlan(NamedTuple):
 
 
 def _sweep_plan(index_set: IndexSet) -> _SweepPlan:
-    """The DP of a rectangle (one run of cost 0, budget 0) or a step cross.
+    """The DP of a rectangle (one run of cost 0, budget 0) or a step cross,
+    laid out by the links of its cost-group walk (``IndexSet._groups``).
 
     A run ``r`` of coordinate j sums ``exp(2 pi i k_j x)`` over its
     annulus ``ups[r - 1] < |k_j| <= ups[r]``: the kernel of order
     ``ups[r]`` less that of ``ups[r - 1]`` (run 0: the full kernel).  An
-    empty run contributes exactly zero and is skipped.  Each prefix group
-    takes the runs its accumulated cost admits; on the last coordinate
-    those form a prefix of the table, whose annuli add up to the full
-    kernel of the last one.
+    empty run contributes exactly zero and has no link.  Each link
+    multiplies its prefix group by its run's annulus and sums the product
+    into its cost group; on the last coordinate the runs a group links to
+    form a prefix of the table less its empty runs, whose annuli add up to
+    the full kernel of the largest, summed into a single group.
     """
     runs = index_set._runs
     d = len(runs.ups)
-    acc = np.full(1, float(runs.combine.identity))
     coords, kernels = [], []
     passes, held, groups = d + 2, 0, 0
-    for j, (ups, costs) in enumerate(zip(runs.ups, runs.costs)):
-        ups = ups.tolist()
-        terms = []
-        for g, (a, last) in enumerate(zip(acc, _last_run(runs, acc, costs))):
-            if j == d - 1:
-                terms.append((g, (ups[last], None), 0.0))
-                continue
-            for r in range(last + 1):
-                if r == 0 or ups[r] > ups[r - 1]:
-                    low = ups[r - 1] if r else None
-                    terms.append((g, (ups[r], low), runs.combine(a, costs[r])))
-        acc = np.array(sorted({c for *_, c in terms}))
+    for j, (acc, _, prev, run, group) in enumerate(index_set._groups):
+        ups = runs.ups[j].tolist()
+        links = zip(prev.tolist(), run.tolist(), group.tolist())
+        if j == d - 1:
+            # runs ascend within a group, so its last link holds its
+            # largest run; every group sums into one
+            top = {g: r for g, r, _ in links}
+            terms = [(g, (ups[r], None), 0) for g, r in top.items()]
+            acc = acc[:1]
+        else:
+            terms = [(g, (ups[r], ups[r - 1] if r else None), c)
+                     for g, r, c in links]
         sums = tuple(
-            tuple((g, f) for g, f, c in terms if c == cost) for cost in acc
+            tuple((g, f) for g, f, c in terms if c == k)
+            for k in range(len(acc))
         )
         factors = tuple(dict.fromkeys(f for _, f, _ in terms))
         orders = tuple(

@@ -14,16 +14,19 @@ with a budget: the cross multiplies the profile factors against nu, the
 step cross adds the smallest dyadic levels against m, and the rectangle's
 costs are all zero, so only its half-widths bound it.  A family is
 therefore one table of runs per coordinate (the largest |k_j| of each run
-and its cost), and walks over those tables do the rest.  A set is counted
-in one place, :meth:`IndexSet.cardinality`, from its prefixes grouped by
-accumulated cost, without a row; its rows are built in one place,
-:func:`_capped_rows`, in lexicographic order and only after the count
-has passed the cap.  The same walks over a range of the coordinates give
-the heads and tails of general-FFT's split plan, which is built without
-a row of the set, and a single frequency is tested against the tables
-directly.  Every budget comparison goes through one predicate with a
-relative slack of 1e-12, so counting, enumeration and membership can
-never disagree about a frequency sitting exactly on a level line.
+and its cost), and walks over those tables do the rest.  One walk,
+:func:`_cost_group_steps`, groups a set's prefixes by accumulated cost
+after each coordinate, without a row, and links each group to the
+nonempty runs it admits and the groups they lead to.  It counts the set
+(:meth:`IndexSet.cardinality`, the one count), and its links price
+general-FFT's splits and lay out the kernel route's DP.  The rows are
+built in one place, :func:`_capped_rows`, in lexicographic order and
+only after the count has passed the cap; the same prefix expansion over
+a range of the coordinates gives the heads and tails of a split plan,
+and a single frequency is tested against the tables directly.  Every
+budget comparison goes through one predicate with a relative slack of
+1e-12, so counting, enumeration and membership can never disagree about
+a frequency sitting exactly on a level line.
 """
 
 from __future__ import annotations
@@ -267,22 +270,27 @@ def _last_run(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
 def _cost_group_steps(runs: _Runs, coords: range):
     """The prefixes over the coordinates ``coords``, accumulated from the
     identity and grouped by cost, after each coordinate in turn: the
-    sorted costs and the exact Python-int number of prefixes at each.
-    No row is ever held."""
+    sorted costs, the exact Python-int number of prefixes at each, and
+    the links ``(prev, run, group)`` into them: group ``prev[i]`` of the
+    coordinate before admits its nonempty run ``run[i]`` into
+    ``group[i]`` (an empty run holds no row).  No row is ever held."""
     acc = np.full(1, float(runs.combine.identity))
     out = np.ones(1, dtype=object)
     for j in coords:
         ups, costs = runs.ups[j], runs.costs[j]
+        sizes = np.diff(2 * ups + 1, prepend=0).astype(object)
         n = _last_run(runs, acc, costs) + 1
         run = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        prev = np.repeat(np.arange(len(acc)), n)
+        keep = sizes[run] > 0
+        prev, run = prev[keep], run[keep]
         acc, group = np.unique(
-            runs.combine(np.repeat(acc, n), costs[run]), return_inverse=True
+            runs.combine(acc[prev], costs[run]), return_inverse=True
         )
-        sizes = np.diff(2 * ups + 1, prepend=0).astype(object)
         grouped = np.zeros(len(acc), dtype=object)
-        np.add.at(grouped, group, np.repeat(out, n) * sizes[run])
+        np.add.at(grouped, group, out[prev] * sizes[run])
         out = grouped
-        yield acc, out
+        yield acc, out, prev, run, group
 
 
 def _prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
@@ -307,29 +315,6 @@ def _prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
         run = np.searchsorted(ups, np.abs(kj))
         acc = runs.combine(np.repeat(acc, n), costs[run])
     return out, acc
-
-
-def _run_prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes over the coordinates ``coords`` taken a run, not a
-    value, at a time: per prefix of runs the cost of each of its runs, in
-    order, and the number of rows it stands for (empty runs left out).
-    Admitted from the identity by the walk's own predicate, so they are
-    the runs of :func:`_prefixes`' rows, without building any row."""
-    acc = np.full(1, float(runs.combine.identity))
-    out = np.zeros((1, 0))
-    count = np.ones(1)
-    for j in coords:
-        ups, costs = runs.ups[j], runs.costs[j]
-        n = _last_run(runs, acc, costs) + 1
-        run = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        size = np.diff(2 * ups + 1, prepend=0)[run].astype(np.float64)
-        keep = size > 0
-        run = run[keep]
-        prev = np.repeat(np.arange(len(acc)), n)[keep]
-        out = np.column_stack((out[prev], costs[run]))
-        count = count[prev] * size[keep]
-        acc = runs.combine(acc[prev], costs[run])
-    return out, count
 
 
 def _row_costs(runs: _Runs, rows: np.ndarray, coords: range) -> np.ndarray:
@@ -672,10 +657,11 @@ class IndexSet:
         return _family_runs(self.family, self.alpha, self.gamma, self.param)
 
     @cached_property
-    def _groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The walk's cost groups after each coordinate in turn
-        (:func:`_cost_group_steps`): the one walk that both sizes a named
-        family and prices every split of general-FFT's plan."""
+    def _groups(self) -> list[tuple[np.ndarray, ...]]:
+        """The walk's cost groups after each coordinate in turn and the
+        links into them (:func:`_cost_group_steps`): the one walk that
+        sizes a named family, prices every split of general-FFT's plan
+        and lays out the kernel route's DP."""
         return list(_cost_group_steps(self._runs, range(self.d)))
 
     @cached_property
@@ -746,11 +732,13 @@ class IndexSet:
             )
         param = obj["param"]
         param = int(param) if family == "step-cross" else float(param)
+        out = cls(family, float(obj["alpha"]), gamma, param)
         count = obj.get("count")
-        out = cls(
-            family, float(obj["alpha"]), gamma, param, None,
-            None if count is None else int(count),
-        )
+        if count is not None and int(count) != out.cardinality():
+            raise ValueError(
+                f"stored count {count} disagrees with the "
+                f"{out.cardinality()} rows of its family"
+            )
         return out.materialized(cap) if materialize else out
 
     def __eq__(self, other) -> bool:

@@ -581,6 +581,10 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
     s_xz, s_xyz = weights._node_spectra()
     e = c.loss
     if e is None or e.spectrum is not s_xz or e.rule is not rule:
+        if model.d != rule.d:
+            raise ValueError(
+                f"model has {model.d} coordinates, the weights' rule {rule.d}"
+            )
         e = c.loss = _loss_matrix(c.freq, rule, s_xz, s_xyz)
     if e.W is not None:
         v = model.theta.view(np.float64)

@@ -403,6 +403,20 @@ class TestVerifyCommand:
         failures = obj["suites"][0]["failures"]
         assert failures and "node" in failures[0]
 
+    @pytest.mark.parametrize("suite", ["aliasing", "inclusion", "envelope"])
+    def test_inject_fault_refused_where_ignored(
+        self, suite, tmp_path, capsys
+    ) -> None:
+        # Only the oracle suite perturbs a weight; any other suite would
+        # pass unperturbed, so the flag is refused as bad input, before a
+        # suite runs or a report is written.
+        out = tmp_path / "v.json"
+        rc = main(["verify", "--suite", suite, "--inject-fault",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--inject-fault" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_checks_both_vectors(
         self, tmp_path, monkeypatch
     ) -> None:

@@ -132,6 +132,47 @@ FAST_CASES = [
 ]
 
 
+def _sweep_plan_oracle(spec: IndexSet) -> tuple:
+    """The kernel route's DP plan built group by group, the oracle of
+    ``_sweep_plan``: each prefix group searches the last run its cost
+    admits (``_last_run``) and takes every nonempty run up to it, and the
+    next coordinate's groups are the distinct accumulated costs, in
+    ascending order; on the last coordinate a group takes the full kernel
+    of its last run."""
+    runs = spec._runs
+    d = len(runs.ups)
+    acc = np.full(1, float(runs.combine.identity))
+    coords, kernels = [], []
+    passes, held, groups = d + 2, 0, 0
+    for j, (ups, costs) in enumerate(zip(runs.ups, runs.costs)):
+        ups = ups.tolist()
+        last = index_sets._last_run(runs, acc, costs)
+        terms = []
+        for g, (a, top) in enumerate(zip(acc, last)):
+            if j == d - 1:
+                terms.append((g, (ups[top], None), 0.0))
+                continue
+            for r in range(top + 1):
+                if r == 0 or ups[r] > ups[r - 1]:
+                    low = ups[r - 1] if r else None
+                    terms.append((g, (ups[r], low), runs.combine(a, costs[r])))
+        acc = np.array(sorted({c for *_, c in terms}))
+        sums = tuple(
+            tuple((g, f) for g, f, c in terms if c == cost) for cost in acc
+        )
+        factors = tuple(dict.fromkeys(f for _, f, _ in terms))
+        orders = tuple(
+            dict.fromkeys(n for f in factors for n in f if n is not None)
+        )
+        annuli = sum(low is not None for _, low in factors)
+        coords.append((orders, factors, sums))
+        kernels.extend((j, n) for n in orders)
+        passes += annuli + (len(terms) if j else 0) + len(terms) - len(sums)
+        held = max(held, groups + len(sums) + len(orders) + annuli + 4)
+        groups = len(sums)
+    return tuple(coords), tuple(kernels), passes, held
+
+
 class TestFastAgainstNaive:
     def test_naive_reduces_angles_exactly(self) -> None:
         # Frequencies past 2^21, and one past 2^42: the oracle's angles
@@ -328,6 +369,37 @@ class TestFastAgainstNaive:
             assert float(np.max(np.abs(w - ref))) < 1e-12 * float(
                 np.max(np.abs(ref))
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plan_matches_group_by_group_oracle(self, seed) -> None:
+        # The DP plan read from the walk's links against the plan built
+        # group by group (:func:`_sweep_plan_oracle`), exactly: kernels,
+        # factors, the terms summed into each group, passes and held
+        # arrays, on seeded rectangles and step crosses, many with empty
+        # runs (half-widths repeated across dyadic levels).
+        rng = np.random.default_rng([seed, 1352])
+        specs, empty = [], 0
+        for i in range(24):
+            d = int(rng.integers(1, 5))
+            alpha = float(rng.uniform(0.3, 2.0))
+            gamma = tuple(sorted(rng.uniform(0.05, 1.0, d), reverse=True))
+            if i % 2:
+                spec = IndexSet.rectangle(alpha, gamma,
+                                          float(rng.uniform(1.0, 40.0)),
+                                          materialize=False)
+            else:
+                spec = IndexSet.step_cross(alpha, gamma,
+                                           int(rng.integers(0, 9 - d)),
+                                           materialize=False)
+            empty += any((np.diff(u) == 0).any() for u in spec._runs.ups)
+            specs.append(spec)
+        if seed == 0:
+            specs.append(IndexSet.step_cross(1.0, ProductWeights.ones(8), 6,
+                                             materialize=False))
+        assert empty >= 3
+        for spec in specs:
+            plan = compression._sweep_plan(spec)
+            assert tuple(plan) == _sweep_plan_oracle(spec)
 
     def test_family_guards(self) -> None:
         data = _dataset(8, 10, 2)
@@ -1173,6 +1245,29 @@ class TestChooseRoute:
         assert spec.cardinality() == 9_413_361
         assert plan["route"] == "step-cross"
         assert plan["costs"]["general-fft"] > 3.0 * plan["costs"]["step-cross"]
+
+    def test_pricing_reads_only_the_walk(self, monkeypatch) -> None:
+        # Pricing a lazy named set reads the links of its one cost-group
+        # walk: it builds no prefix of values, takes the costs of no row
+        # and replays no tail from a head's cost group.  The prices are
+        # those the unpatched code gives a fresh copy of the set.
+        rule = LatticeRule(127, (1, 35, 57, 19))
+        gamma = (1.0, 0.5, 0.25, 0.2)
+        specs = (
+            ("step-cross", 6), ("cross", 40.0), ("rectangle", 20.0),
+        )
+        want = [choose_route(1000, rule, IndexSet(f, 1.0, gamma, p))
+                for f, p in specs]
+
+        def refuse(*args):
+            raise AssertionError("pricing left the walk")
+
+        for name in ("_last_group", "_row_costs", "_prefixes"):
+            for module in (index_sets, compression):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for (family, param), ref in zip(specs, want):
+            spec = IndexSet(family, 1.0, gamma, param)
+            assert choose_route(1000, rule, spec) == ref
 
     def test_split_priced_once_per_compress(self, monkeypatch) -> None:
         # compress hands the split it priced to the route: a named

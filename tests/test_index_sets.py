@@ -564,6 +564,19 @@ class TestIndexSet:
         assert lazy.count == spec.count
         assert lazy.materialized() == spec
 
+    def test_json_stored_count_checked(self) -> None:
+        # A named set's stored count is checked against its family's own
+        # count, as a materialised set's is against its rows: a tampered
+        # count would pass the cap for a set of 25 rows.
+        obj = IndexSet.step_cross(1.0, (1.0, 0.5), 4, materialize=False
+                                  ).to_json()
+        obj["count"] = 3
+        for materialize in (False, True):
+            with pytest.raises(ValueError, match="stored count 3"):
+                IndexSet.from_json(obj, materialize=materialize)
+        obj["count"] = 25
+        assert IndexSet.from_json(obj, materialize=False).count == 25
+
     def test_json_round_trip_custom(self) -> None:
         spec = IndexSet.custom([(3, -1), (0, 0)], 1.5, (1.0, 1.0))
         back = IndexSet.from_json(spec.to_json())

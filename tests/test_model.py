@@ -409,6 +409,18 @@ class TestCompressedLoss:
         with pytest.raises(ValueError, match="not the one"):
             compressed_loss(m, ws, rule=LatticeRule(61, (1, 24)))
 
+    def test_dimension_mismatch_rejected(self) -> None:
+        # a model of another d than the weights' rule, on the matrix path
+        # and on the node path (a support too large for the matrix)
+        data, rule, spec, ws = self._setup(35)
+        for m in (
+            TrigModel(np.array([[0, 0, 0]]), np.array([1.0 + 0j])),
+            TrigModel(np.array([[0]]), np.array([1.0 + 0j])),
+            _real_model(36, 3, 6, 300),
+        ):
+            with pytest.raises(ValueError, match=f"model has {m.d} coord"):
+                compressed_loss(m, ws)
+
     def test_complex_weights_rejected(self) -> None:
         rng = np.random.default_rng(33)
         data = Dataset(rng.random((20, 2)), rng.standard_normal(20))
