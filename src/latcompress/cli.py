@@ -76,6 +76,8 @@ def _load_dataset_binary(path: str) -> Dataset:
         body = fh.read(8 * n * (d + 1))
         if len(body) != 8 * n * (d + 1):
             raise ValueError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the payload")
     rows = np.frombuffer(body, dtype="<f8").reshape(n, d + 1)
     return Dataset(rows[:, :d].copy(), rows[:, d].copy())
 

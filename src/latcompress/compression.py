@@ -62,8 +62,7 @@ from .index_sets import (
     CapExceeded,
     IndexSet,
     _last_group,
-    _prefixes,
-    _row_costs,
+    _rows,
 )
 from .lattice import LatticeRule, generate_points
 
@@ -748,13 +747,13 @@ def _split_price(sizes: _Sizes) -> float:
 class _TableSplit(NamedTuple):
     """A named family's split after coordinate h, sized from its run
     tables alone: the price of the split and the plan
-    :func:`_table_plan` expands, one object.  ``acc`` holds the
-    accumulated costs of the heads, ascending (their cost groups), and
-    ``sizes`` what the expanded plan does per sample."""
+    :func:`_table_plan` expands, one object.  ``steps`` is the set's
+    cost-group walk (``IndexSet._groups``), whose links the plan reads,
+    and ``sizes`` what the expanded plan does per sample."""
 
     runs: object
     h: int
-    acc: np.ndarray
+    steps: list
     sizes: _Sizes
 
 
@@ -791,9 +790,9 @@ def _table_splits(index_set: IndexSet) -> list[_TableSplit]:
         reach.insert(0, np.bincount(prev, size * reach[0][group],
                                     len(steps[j - 1][0])))
     splits = []
-    for h, ((acc, heads, *_), reach) in enumerate(zip(steps, reach), 1):
+    for h, ((_, heads, *_), reach) in enumerate(zip(steps, reach), 1):
         heads = heads.astype(np.float64)
-        pos = (heads - (np.arange(len(acc)) == 0)) / 2.0
+        pos = (heads - (np.arange(len(heads)) == 0)) / 2.0
         taus = (reach + 1.0) / 2.0
         # per head its tails tau, the zero head last
         per_head = np.append(taus[pos > 0], taus[0])
@@ -804,7 +803,7 @@ def _table_splits(index_set: IndexSet) -> list[_TableSplit]:
         sizes = _sizes(float(n.sum()), float(taus[0]), h, mags,
                        float(held @ union),
                        float(np.minimum(held, union).max()))
-        splits.append(_TableSplit(runs, h, acc, sizes))
+        splits.append(_TableSplit(runs, h, steps, sizes))
     return splits
 
 
@@ -817,31 +816,32 @@ def _table_plan(split: _TableSplit) -> _SplitPlan:
     """The plan of a named family's split, read from its run tables: no
     row of the set is built, folded or sorted.
 
-    The heads are the walk over the first h tables and the tails tau the
-    walk over the others, each the rows ``>=_lex 0`` of its walk, in
-    lexicographic order (:func:`_prefixes`).  A head's cost group admits
-    the tails the walk would (:func:`_last_group`).  Heads and tails are
-    then ordered and bucketed as :func:`_split_plan` does on the rows, so
-    the two plans agree exactly.  The representatives are the pair cells
-    ``(a, tau)``, and ``(a, -tau)`` as well where a and tau are both
-    nonzero, in bucket order, the zero row first; the set's rows are the
-    representatives and their negations, and its fold says so without
-    building them (closed under negation).
+    The heads, each with its cost group, are the rows over the first h
+    tables and the tails tau those over the rest, each the rows ``>=_lex
+    0`` that the walk's links give (:func:`_rows`); the same links give
+    each tail the last head group that admits it (:func:`_last_group`).
+    Heads and tails are then ordered and bucketed as :func:`_split_plan`
+    does on the rows, so the two plans agree exactly.  The
+    representatives are the pair cells ``(a, tau)``, and ``(a, -tau)``
+    as well where a and tau are both nonzero, in bucket order, the zero
+    row first; the set's rows are the representatives and their
+    negations, and its fold says so without building them (closed under
+    negation).
     """
-    runs, h, acc = split.runs, split.h, split.acc
-    d = len(runs.ups)
-    heads, cost = _prefixes(runs, range(h))
+    runs, h, steps = split.runs, split.h, split.steps
+    groups = len(steps[h - 1][1])
+    heads, group = _rows(runs, steps, range(h))
     half = len(heads) // 2
-    heads, group = heads[half:], np.searchsorted(acc, cost[half:])
-    tails = _prefixes(runs, range(h, d))[0]
+    heads, group = heads[half:], group[half:]
+    tails = _rows(runs, steps, range(h, len(steps)))[0]
     tails = tails[len(tails) // 2:]
-    last = _last_group(runs, acc, _row_costs(runs, tails, range(h, d)))
+    last = _last_group(runs, steps, tails, h)
     # tails by the heads they pair with, most first: the zero head and
     # the heads >_lex 0 of every cost group that admits them
-    pos = np.bincount(group[1:], minlength=len(acc))
+    pos = np.bincount(group[1:], minlength=groups)
     seq = np.argsort(-np.cumsum(pos)[last], kind="stable")
     tails, last = tails[seq], last[seq]
-    admitted = np.cumsum(np.bincount(last, minlength=len(acc))[::-1])[::-1]
+    admitted = np.cumsum(np.bincount(last, minlength=groups)[::-1])[::-1]
     order, starts = _buckets(admitted[group])
     heads, group = heads[order], group[order]
     bounds = starts.tolist() + [len(heads)]
@@ -1364,7 +1364,7 @@ def _sweep_plan(index_set: IndexSet) -> _SweepPlan:
     d = len(runs.ups)
     coords, kernels = [], []
     passes, held, groups = d + 2, 0, 0
-    for j, (acc, _, prev, run, group) in enumerate(index_set._groups):
+    for j, (_, counts, prev, run, group) in enumerate(index_set._groups):
         ups = runs.ups[j].tolist()
         links = zip(prev.tolist(), run.tolist(), group.tolist())
         if j == d - 1:
@@ -1372,13 +1372,13 @@ def _sweep_plan(index_set: IndexSet) -> _SweepPlan:
             # largest run; every group sums into one
             top = {g: r for g, r, _ in links}
             terms = [(g, (ups[r], None), 0) for g, r in top.items()]
-            acc = acc[:1]
+            counts = counts[:1]
         else:
             terms = [(g, (ups[r], ups[r - 1] if r else None), c)
                      for g, r, c in links]
         sums = tuple(
             tuple((g, f) for g, f, c in terms if c == k)
-            for k in range(len(acc))
+            for k in range(len(counts))
         )
         factors = tuple(dict.fromkeys(f for _, f, _ in terms))
         orders = tuple(
@@ -1471,7 +1471,10 @@ def _run(
     **extra,
 ) -> list[np.ndarray]:
     """One weight vector per coefficient choice in ``cs``, by the table
-    route ``algorithm``, which must be able to serve the set."""
+    route ``algorithm``, which must be able to serve the set, with
+    ``threads`` a positive integer."""
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be a positive integer: {threads!r}")
     _check_dims(data.d, rule, index_set)
     route = _ROUTES.get(algorithm)
     if route is None:
@@ -1891,6 +1894,8 @@ class WeightSet:
                 body = fh.read(2 * 8 * L)
                 if len(body) != 2 * 8 * L:
                     raise ValueError(f"{data_path}: truncated payload")
+                if fh.read(1):
+                    raise ValueError(f"{data_path}: bytes after the payload")
             both = np.frombuffer(body, dtype="<f8").astype(np.float64)
             w1, w2 = both[:L], both[L:]
         else:

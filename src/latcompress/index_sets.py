@@ -14,19 +14,18 @@ with a budget: the cross multiplies the profile factors against nu, the
 step cross adds the smallest dyadic levels against m, and the rectangle's
 costs are all zero, so only its half-widths bound it.  A family is
 therefore one table of runs per coordinate (the largest |k_j| of each run
-and its cost), and walks over those tables do the rest.  One walk,
-:func:`_cost_group_steps`, groups a set's prefixes by accumulated cost
-after each coordinate, without a row, and links each group to the
-nonempty runs it admits and the groups they lead to.  It counts the set
-(:meth:`IndexSet.cardinality`, the one count), and its links price
-general-FFT's splits and lay out the kernel route's DP.  The rows are
-built in one place, :func:`_capped_rows`, in lexicographic order and
-only after the count has passed the cap; the same prefix expansion over
-a range of the coordinates gives the heads and tails of a split plan,
-and a single frequency is tested against the tables directly.  Every
-budget comparison goes through one predicate with a relative slack of
-1e-12, so counting, enumeration and membership can never disagree about
-a frequency sitting exactly on a level line.
+and its cost).  One walk, :func:`_cost_group_steps`, groups a set's
+prefixes by accumulated cost after each coordinate, without a row, and
+links each group to the nonempty runs it admits and the groups they
+lead to.  It counts the set (:meth:`IndexSet.cardinality`), and its
+links alone say which rows the set admits: they give the rows and a
+split plan's heads and tails (:func:`_rows`), each tail's last
+admitting group (:func:`_last_group`), the split prices and the kernel
+route's DP.  The rows are built in one place, :func:`_capped_rows`,
+only after the count has passed the cap.  Only the walk and the scalar
+:meth:`IndexSet.contains` test a cost against the budget, through one
+predicate with a relative slack of 1e-12, so counting, enumeration and
+membership never disagree about a frequency on a level line.
 """
 
 from __future__ import annotations
@@ -245,7 +244,8 @@ def _family_runs(
 
 def _admits(runs: _Runs, acc, cost):
     """Whether a prefix of accumulated cost ``acc`` may take a run of
-    ``cost``: the one predicate enumeration, counting and membership share.
+    ``cost``: the one predicate of the walk (:func:`_last_run`), whose
+    links count and enumerate a set, and of :meth:`IndexSet.contains`.
     """
     return _within(runs.combine(acc, cost), runs.budget)
 
@@ -293,75 +293,58 @@ def _cost_group_steps(runs: _Runs, coords: range):
         yield acc, out, prev, run, group
 
 
-def _prefixes(runs: _Runs, coords: range) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes over the coordinates ``coords``, expanded one
-    coordinate at a time from the identity, in lexicographic order, and
-    the accumulated cost of each.
-
-    Each prefix admits ``|k_j| <= h``, with h the reach of its last
-    admitted run; it is repeated and extended by ``-h..h``, which keeps
-    lexicographic row order.  The rows are closed under negation, so
-    those ``>=_lex 0`` are the second half, the zero row first.
-    """
-    acc = np.full(1, float(runs.combine.identity))
+def _rows(runs: _Runs, steps: Sequence, coords: range):
+    """The rows over ``coords`` that the zeros before them admit, in
+    lexicographic order, and the cost group of each after its last
+    coordinate, read from the links ``steps`` of the walk over every
+    coordinate (:func:`_cost_group_steps`).  The zeros, costing the
+    identity in every family, sit in the first group.  A row in group g
+    takes ``-h..h``, h the reach of the last run g links to, and moves
+    to the group its run links to.  The rows are closed under negation,
+    so those ``>=_lex 0`` are the second half, the zero row first."""
     out = np.zeros((1, 0), dtype=np.int64)
+    at = np.zeros(1, dtype=np.intp)
     for j in coords:
-        ups, costs = runs.ups[j], runs.costs[j]
-        last = _last_run(runs, acc, costs)
-        h = np.where(last >= 0, ups[last], -1)
+        ups, (_, _, prev, run, group) = runs.ups[j], steps[j]
+        # the links run by group, then by run: a sorted key, whose last
+        # link of each group holds its last run
+        h = ups[run[np.flatnonzero(np.diff(prev, append=-1))]][at]
         n = 2 * h + 1
         kj = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n + h, n)
         out = np.column_stack((np.repeat(out, n, axis=0), kj))
-        run = np.searchsorted(ups, np.abs(kj))
-        acc = runs.combine(np.repeat(acc, n), costs[run])
-    return out, acc
+        key = np.repeat(at, n) * len(ups) + np.searchsorted(ups, np.abs(kj))
+        at = group[np.searchsorted(prev * len(ups) + run, key)]
+    return out, at
 
 
-def _row_costs(runs: _Runs, rows: np.ndarray, coords: range) -> np.ndarray:
-    """The cost of each coordinate of ``rows``, whose columns are the
-    coordinates ``coords``."""
-    out = np.empty(rows.shape)
-    for i, j in enumerate(coords):
-        run = np.searchsorted(runs.ups[j], np.abs(rows[:, i]))
-        out[:, i] = runs.costs[j][run]
-    return out
-
-
-def _last_group(runs: _Runs, acc: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """For each row of per-coordinate ``costs``, the index of the last of
-    the ascending accumulated costs ``acc`` whose prefixes admit it,
-    -1 for none.
-
-    A prefix of cost a admits a continuation when the walk's predicate
-    (:func:`_admits`) holds at each of its coordinates, the costs
-    combined from a in the walk's own left-to-right order, so the answer
-    is the walk's, also for a frequency on a level line.  Costs only grow
-    along a walk, so the admitting prefixes are those up to some cost; a
-    binary search finds it.
-    """
-    last = np.full(len(costs), -1)
-    step = 1 << len(acc).bit_length() >> 1
-    while step:
-        cand = last + step
-        ok = cand < len(acc)
-        a = acc[cand[ok]]
-        fit = np.ones(len(a), dtype=bool)
-        for cost in costs[ok].T:
-            fit &= _admits(runs, a, cost)
-            a = runs.combine(a, cost)
-        ok[ok] = fit
-        last[ok] = cand[ok]
-        step >>= 1
+def _last_group(runs: _Runs, steps: Sequence, tails: np.ndarray, h: int):
+    """The last cost group after coordinate h - 1 that admits each of the
+    ``tails`` (rows over the coordinates from h on), -1 for none: a
+    backward pass over the walk's links ``steps``.  Every last group
+    admits the empty tail.  Groups ascend in cost, and through one run
+    the groups a link leaves and reaches ascend together, so the last
+    group admitting ``(k_j, rest)`` is the last whose link through k_j's
+    run reaches a group no later than the last admitting ``rest``."""
+    last = np.full(len(tails), len(steps[-1][1]) - 1)
+    for j in range(len(steps) - 1, h - 1, -1):
+        _, counts, prev, run, group = steps[j]
+        key = run * len(counts) + group
+        by = np.argsort(key, kind="stable")
+        key, prev, run = key[by], prev[by], run[by]
+        r = np.searchsorted(runs.ups[j], np.abs(tails[:, j - h]))
+        at = np.searchsorted(key, r * len(counts) + last, side="right") - 1
+        last = np.where((at >= 0) & (run[at] == r), prev[at], -1)
     return last
 
 
-def _capped_rows(runs: _Runs, count: int, cap: int) -> np.ndarray:
-    """The (M, d) rows of a set of ``count`` rows in lexicographic order
-    (:func:`_prefixes` over every coordinate), refused above ``cap``
-    before any row is built: the one row build of a named family."""
+def _capped_rows(spec: IndexSet, cap: int) -> np.ndarray:
+    """The (M, d) rows of a named family in lexicographic order
+    (:func:`_rows` over every coordinate), refused above ``cap`` before
+    any row is built: the one row build of a named family."""
+    count = spec.cardinality()
     if count > cap:
         raise CapExceeded(count, cap)
-    return _prefixes(runs, range(len(runs.ups)))[0]
+    return _rows(spec._runs, spec._groups, range(spec.d))[0]
 
 
 def _enumerate(
@@ -373,8 +356,7 @@ def _enumerate(
 ) -> np.ndarray:
     """Rows of a named family, counted first so the cap binds before any
     row is built."""
-    spec = IndexSet(family, alpha, gamma, param)
-    return _capped_rows(spec._runs, spec.cardinality(), cap)
+    return _capped_rows(IndexSet(family, alpha, gamma, param), cap)
 
 
 def enumerate_cross(
@@ -636,10 +618,9 @@ class IndexSet:
         """This set with frequencies enumerated (no-op when present)."""
         if self.frequencies is not None:
             return self
-        count = self.cardinality()
-        freq = _capped_rows(self._runs, count, cap)
+        freq = _capped_rows(self, cap)
         return IndexSet(
-            self.family, self.alpha, self.gamma, self.param, freq, count
+            self.family, self.alpha, self.gamma, self.param, freq, self.count
         )
 
     def cardinality(self) -> int:
@@ -660,8 +641,9 @@ class IndexSet:
     def _groups(self) -> list[tuple[np.ndarray, ...]]:
         """The walk's cost groups after each coordinate in turn and the
         links into them (:func:`_cost_group_steps`): the one walk that
-        sizes a named family, prices every split of general-FFT's plan
-        and lays out the kernel route's DP."""
+        sizes a named family, gives its rows and the heads and tails of
+        general-FFT's plan, prices every split of it and lays out the
+        kernel route's DP."""
         return list(_cost_group_steps(self._runs, range(self.d)))
 
     @cached_property

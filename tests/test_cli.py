@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ class TestDatasetIO:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_dataset(path)
+
+    def test_binary_trailing_bytes(self, tmp_path) -> None:
+        # a header whose row count is too small leaves rows after the
+        # payload: refused, not dropped
+        rng = np.random.default_rng(43)
+        data = Dataset(rng.random((10, 2)), rng.standard_normal(10))
+        path = str(tmp_path / "d.bin")
+        save_dataset(data, path)
+        raw = bytearray(open(path, "rb").read())
+        raw[4:8] = struct.pack("<I", 9)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match="bytes after"):
             load_dataset(path)
 
     def test_csv_with_header(self, tmp_path) -> None:
@@ -481,6 +495,24 @@ class TestVerifyCommand:
 
 
 class TestMainErrors:
+    @pytest.mark.parametrize("command", ["compress", "verify", "bench"])
+    def test_threads_below_one_exit_2(
+        self, command, dataset_file, tmp_path, capsys
+    ) -> None:
+        path, _ = dataset_file
+        out = str(tmp_path / "out.json")
+        argv = {
+            "compress": [
+                "compress", "--data", path, "--generator", "1,12",
+                "--modulus", "31", "--family", "cross", "--alpha", "1.0",
+                "--gamma", "one", "--level", "8",
+            ],
+            "verify": ["verify", "--suite", "oracle"],
+            "bench": ["bench"],
+        }[command]
+        assert main(argv + ["--threads", "0", "--out", out]) == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_bad_input_exits_2(self, monkeypatch, capsys) -> None:
         def bad(*args, **kwargs):
             raise ValueError("no such thing")

@@ -1042,6 +1042,42 @@ class TestThreads:
                 np.testing.assert_array_equal(a.w_xyz, b.w_xyz)
 
 
+    @pytest.mark.parametrize("threads", [0, -1, 2.5])
+    def test_threads_must_be_positive_integer(self, threads,
+                                              monkeypatch) -> None:
+        # every entry runs through one check, which refuses the value
+        # before a pool is started or a block is summed
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(compression, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(compression, "_sum_blocks", refuse)
+        data = _dataset(17, 20, 2)
+        rule = LatticeRule(31, (1, 12))
+        gamma = (1.0, 0.5)
+        calls = [
+            lambda: compress(data, rule, IndexSet.cross(1.0, gamma, 8.0),
+                             threads=threads),
+            lambda: compress(data, rule, IndexSet.cross(1.0, gamma, 8.0),
+                             "general-fft", threads),
+            lambda: weights_general_fft(
+                data, "ones", rule, IndexSet.cross(1.0, gamma, 8.0),
+                threads=threads),
+            lambda: weights_rectangle(
+                data, "ones", rule, IndexSet.rectangle(1.0, gamma, 8.0),
+                threads=threads),
+            lambda: weights_step_cross(
+                data, "ones", rule, IndexSet.step_cross(1.0, gamma, 3),
+                threads=threads),
+            lambda: weights_step_cross_pair(
+                data, rule, IndexSet.step_cross(1.0, gamma, 3),
+                threads=threads),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="positive integer"):
+                call()
+
+
 class TestLatticeData:
     def test_residues_exact_past_int64(self) -> None:
         # max |k_j| sum g passes 2^63 here, though |k_j| < 2^42: the
@@ -1248,9 +1284,9 @@ class TestChooseRoute:
 
     def test_pricing_reads_only_the_walk(self, monkeypatch) -> None:
         # Pricing a lazy named set reads the links of its one cost-group
-        # walk: it builds no prefix of values, takes the costs of no row
-        # and replays no tail from a head's cost group.  The prices are
-        # those the unpatched code gives a fresh copy of the set.
+        # walk: it builds no row of values and seeks no tail's admitting
+        # head group.  The prices are those the unpatched code gives a
+        # fresh copy of the set.
         rule = LatticeRule(127, (1, 35, 57, 19))
         gamma = (1.0, 0.5, 0.25, 0.2)
         specs = (
@@ -1262,9 +1298,9 @@ class TestChooseRoute:
         def refuse(*args):
             raise AssertionError("pricing left the walk")
 
-        for name in ("_last_group", "_row_costs", "_prefixes"):
+        for name in ("_rows", "_last_group"):
             for module in (index_sets, compression):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+                monkeypatch.setattr(module, name, refuse, raising=True)
         for (family, param), ref in zip(specs, want):
             spec = IndexSet(family, 1.0, gamma, param)
             assert choose_route(1000, rule, spec) == ref
@@ -1452,6 +1488,16 @@ class TestWeightSet:
         body[:4] = b"LCW1"
         side.write_bytes(bytes(body[:-8]))
         with pytest.raises(ValueError, match="truncated"):
+            WeightSet.load(path)
+
+    def test_sidecar_trailing_bytes(self, tmp_path) -> None:
+        # a sidecar longer than its header says is refused, not cut short
+        ws = self._weights()
+        path = str(tmp_path / "w.json")
+        ws.save(path, sidecar=True)
+        side = tmp_path / "w.json.w64"
+        side.write_bytes(side.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="bytes after"):
             WeightSet.load(path)
 
     def test_shape_and_dtype_validation(self) -> None:

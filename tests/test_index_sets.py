@@ -415,14 +415,14 @@ class TestExactCounts:
     ) -> None:
         gamma = (1.0, 0.5)
         count = len(enumerate(1.0, gamma, param))
-        prefixes = index_sets._prefixes
+        rows = index_sets._rows
 
-        def partial_only(runs, coords):
+        def partial_only(runs, steps, coords):
             assert len(coords) < len(runs.ups), \
                 "rows built before the cap check"
-            return prefixes(runs, coords)
+            return rows(runs, steps, coords)
 
-        monkeypatch.setattr(index_sets, "_prefixes", partial_only)
+        monkeypatch.setattr(index_sets, "_rows", partial_only)
         with pytest.raises(CapExceeded) as exc:
             enumerate(1.0, gamma, param, cap=count - 1)
         assert (exc.value.predicted, exc.value.cap) == (count, count - 1)
