@@ -358,10 +358,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argument that must be an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer: {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for anything randomised")
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=_positive_int, default=1,
                      help="worker threads (results are identical)")
     sub.add_argument("--cap-frequencies", type=int, default=DEFAULT_CAP,
                      help="largest index-set cardinality tolerated")

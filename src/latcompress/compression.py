@@ -24,11 +24,13 @@ bucket of heads and block of samples for every coefficient vector.  Both
 it and ``eval_model``, which runs the plan the other way round, sum only
 over the representatives ``r >=_lex 0`` of the rows (``r = k`` or
 ``-k``), since the phases of r and -r are conjugates, and one pair cell
-serves a head's tails ``+-tau`` from the tail's cosines and sines.  A
-named family's plan is read from its run tables (:func:`_table_plan`),
-priced and run as one object, and its set is never enumerated; a custom
-set and a model's support fold their rows (:func:`_fold`,
-:func:`_split_plan`), the oracle of the table plan in the tests.  Either
+serves a head's tails ``+-tau`` from the tail's cosines and sines; a
+side's phases are multiplied once per distinct prefix of its
+coordinates (:func:`_side`).  A named family's plan is read from its
+run tables (:func:`_table_plan`), priced and run as one object, and
+its set is never enumerated; a custom set and a model's support fold
+their rows (:func:`_fold`, :func:`_split_plan`), the oracle of the table
+plan in the tests.  Either
 plan finishes in one lattice fold (:func:`_node_weights`), one complex
 FFT for both weight vectors where the set is closed under negation.
 ``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP laid out
@@ -263,48 +265,98 @@ def _sum_blocks(n_rows: int, block: int, fn, threads: int) -> list:
     return acc
 
 
-def _phase_axes(freq: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per coordinate, the distinct values of the frequency column and
-    the gather that maps them back onto the rows."""
-    return [
-        np.unique(freq[:, j], return_inverse=True)
-        for j in range(freq.shape[1])
-    ]
+class _Level(NamedTuple):
+    """One level of a side's prefixes (:func:`_side`): per distinct prefix
+    over the side's coordinates 0, ..., j, its prefix over 0, ..., j - 1
+    in the level before (None on level 0) and the row of its coordinate
+    j's value in axis j's phase table."""
+
+    parent: Optional[np.ndarray]
+    row: np.ndarray
 
 
-def _phase_matrix(X: np.ndarray, axes, out: np.ndarray) -> np.ndarray:
-    """Phases ``exp(2 pi i k . x)``, value-major: one row per frequency
-    row described by :func:`_phase_axes`, holding that frequency's phase
-    at every point of X; with no axes (width 0) the single frequency,
-    whose phase is 1.  Made complex in ``out`` and returned as its planes
-    (:func:`_split_planes`), in the same memory.
+class _Side(NamedTuple):
+    """How the phases of one side of a split, its heads or its tails, are
+    made per block, none of it depending on the points: the recipe of
+    each of its phase tables (:func:`_recipe`) and, for a side of two
+    coordinates or more, its prefix levels (:class:`_Level`), level j
+    holding the distinct prefixes over coordinates 0, ..., j and the last
+    level the side's rows.  A side of one coordinate has the one recipe
+    of its column, a side of width 0 none."""
 
-    Built per coordinate from the distinct frequency values
-    (:func:`_phase_table`), so the cosines and sines are at most ``rows *
-    sum_j |unique(|k_j|)|`` rather than ``rows * |K| * d``, and about
-    ``rows * sum_j log2(span_j)`` on ranges; the rest is gathers and
-    products of whole rows, the last of them made as the rows are split.
+    recipes: tuple
+    levels: Optional[tuple] = None
+
+
+def _side(rows: np.ndarray) -> _Side:
+    """The table recipes and prefix levels of a side's rows."""
+    if rows.shape[1] < 2:
+        return _Side(tuple(_recipe(col) for col in rows.T))
+    axes = [np.unique(col, return_inverse=True) for col in rows.T]
+    recipes = tuple(_recipe(u) for u, _ in axes)
+    # of: each row's prefix in the level before
+    levels, of = [_Level(None, recipes[0].index)], axes[0][1]
+    for (u, inv), recipe in zip(axes[1:-1], recipes[1:-1]):
+        pairs, of = np.unique(of * len(u) + inv, return_inverse=True)
+        parent, value = np.divmod(pairs, len(u))
+        levels.append(_Level(parent, recipe.index[value]))
+    levels.append(_Level(of, recipes[-1].index[axes[-1][1]]))
+    return _Side(recipes, tuple(levels))
+
+
+class _Sides:
+    """The head and the tail side of a plan (:func:`_side`), each made on
+    its first use and kept, so a plan is priced without them and a plan
+    that runs makes them once, however many blocks and passes run it."""
+
+    def __init__(self, heads: np.ndarray, tails: np.ndarray) -> None:
+        self.rows = heads, tails
+        self.made = [None, None]
+
+    def __getitem__(self, i: int) -> _Side:
+        if self.made[i] is None:
+            self.made[i] = _side(self.rows[i])
+        return self.made[i]
+
+
+def _phase_matrix(X: np.ndarray, side: _Side, out: np.ndarray) -> np.ndarray:
+    """Phases ``exp(2 pi i k . x)``, value-major: one row per row of the
+    side (:func:`_side`), holding that row's phase at every point of X;
+    with no coordinates (width 0) the single row, whose phase is 1.  Made
+    in ``out`` and returned as its planes (:func:`_split_planes`), in the
+    same memory.
+
+    Built per coordinate from the distinct frequency values, so the
+    cosines and sines are at most ``rows * sum_j |unique(|k_j|)|`` rather
+    than ``rows * |K| * d``, and about ``rows * sum_j log2(span_j)`` on
+    ranges.  A side of one coordinate gathers its rows from its table
+    (:func:`_value_phases`), or makes the table in ``out`` when it is the
+    rows' phases in order.  A wider side is made level by level over its
+    prefixes: each middle level is the rows of the level before times
+    axis j's rows, and the side's rows, the last level, are its parents'
+    rows times the last axis' rows, multiplied in as they are split.
+    Rows that share their first coordinates share those factors, so each
+    distinct prefix is multiplied once; every phase is the product of the
+    same factors in the same order as row by row.
     """
-    if not axes:
+    if not side.recipes:
         out[:] = 1.0
         return _split_planes(out)
-    (u, inv), *rest = axes
-    # a column of distinct values (a side of one coordinate) needs no
-    # gather: its phases are made in frequency order
-    if len(u) == len(inv):
-        _value_phases(X[:, 0], u[inv], out)
-    else:
-        table, index = _phase_table(X[:, 0], u)
-        table.take(index[inv], axis=0, out=out, mode="clip")
-    if not rest:
+    if side.levels is None:
+        _value_phases(X[:, 0], side.recipes[0], out)
         return _split_planes(out)
-    for j, (u, inv) in enumerate(rest, 1):
-        table = None  # the last axis' table goes before this one is made
-        table, index = _phase_table(X[:, j], u)
-        # the last axis' factor is multiplied in as the rows are split
-        if j < len(rest):
-            _times_rows(out, table, index[inv])
-    return _split_planes(out, table, index[inv])
+    # each axis' table is made when its level is
+    tables = (_phase_table(X[:, j], r)[0] for j, r in enumerate(side.recipes))
+    prev, (first, *middle, last) = next(tables), side.levels
+    # level 0's prefixes are rows of axis 0's table
+    parents = first.row.take(side.levels[1].parent)
+    for level, after in zip(middle, middle[1:] + [last]):
+        rows = np.empty((len(level.row), len(X)), dtype=np.complex128)
+        prev.take(parents, axis=0, out=rows, mode="clip")
+        _times_rows(rows, next(tables), level.row)
+        prev, parents = rows, after.parent
+    prev.take(parents, axis=0, out=out, mode="clip")
+    return _split_planes(out, next(tables), last.row)
 
 
 def _times_rows(out: np.ndarray, a: np.ndarray, rows: np.ndarray) -> None:
@@ -321,31 +373,83 @@ _EXACT_TURNS = 1 << 21
 _PHASE_BOUND = 1 << 42
 
 
+class _Recipe(NamedTuple):
+    """How :func:`_phase_table` makes the phases of the integers u, none
+    of it depending on the points: the magnitudes it tables (``vals``,
+    every one up to the largest when the babies are the table), the k of
+    its baby steps ``2^k`` or -1 to compute them directly
+    (:func:`_factoring`), whether the babies are the table, whether some
+    value is negative (the table then holds the magnitudes' conjugates
+    first), the row of each value in the table, and whether the table is
+    u's phases in order.  Past 2^21 u splits, and ``split`` holds the
+    recipes of its high and low parts."""
+
+    vals: np.ndarray
+    k: int
+    babies: bool
+    signed: bool
+    index: np.ndarray
+    ordered: bool
+    split: Optional[tuple] = None
+
+
+def _recipe(u: np.ndarray) -> _Recipe:
+    """The recipe of the phase table of the integers u; ``ValueError``
+    past ``_PHASE_BOUND``."""
+    if not len(u):
+        return _Recipe(u, -1, False, False, np.arange(0), True)
+    lo, hi = int(u.min()), int(u.max())
+    if max(-lo, hi) >= _EXACT_TURNS:
+        if max(-lo, hi) >= _PHASE_BOUND:
+            raise ValueError(
+                f"frequency {hi if hi >= -lo else lo} beyond the phase "
+                f"bound 2^42: its phases would lose precision"
+            )
+        uh, ul = np.divmod(u, _EXACT_TURNS)
+        return _Recipe(u, -1, False, False, np.arange(len(u)), True,
+                       (_recipe(uh), _recipe(ul)))
+    mag = np.abs(u)
+    vals = _distinct(mag)
+    k = _factoring(int(vals[0]), int(vals[-1]), len(vals))[0]
+    babies = bool(k >= 0 and vals[-1] < 1 << k)
+    if babies:
+        # the babies are the phases of every magnitude up to the largest
+        vals = np.arange(int(vals[-1]) + 1)
+    index = np.searchsorted(vals, mag)
+    if lo < 0:
+        index += (u >= 0) * len(vals)
+    rows = 2 * len(vals) if lo < 0 else len(vals)
+    return _Recipe(vals, k, babies, lo < 0, index,
+                   np.array_equal(index, np.arange(rows)))
+
+
 def _value_phases(
-    x: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
+    x: np.ndarray, u, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """``exp(2 pi i x u)``, value-major: one row per value of the integers
-    u and one column per x, into ``out`` when given; made by
-    :func:`_phase_table`."""
-    table, index = _phase_table(x, u, out)
+    u (or of a :class:`_Recipe`'s) and one column per x, into ``out``
+    when given; made by :func:`_phase_table`."""
+    recipe = u if isinstance(u, _Recipe) else _recipe(u)
+    table, index = _phase_table(x, recipe, out)
     if table is out:
         return out
     if out is not None:
         return table.take(index, axis=0, out=out, mode="clip")
-    if np.array_equal(index, np.arange(len(table))):
+    if recipe.ordered:
         return table
     return table.take(index, axis=0)
 
 
 def _phase_table(
-    x: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
+    x: np.ndarray, recipe: _Recipe, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """A value-major table of phases at every x and the row of each value
-    of the integers u in it: ``exp(2 pi i x u) = table[index]``, one
-    contiguous row of the points' phases per tabled value, so doubling,
-    giant times baby steps and conjugates are products and copies of
-    whole rows.  When u's phases are the table itself, it is made in
-    ``out``, if given.
+    of the integers u in it, made as u's recipe says (:func:`_recipe`):
+    ``exp(2 pi i x u) = table[index]``, one contiguous row of the points'
+    phases per tabled value, so doubling, giant times baby steps and
+    conjugates are products and copies of whole rows.  When the table is
+    u's phases in order and has no conjugates, it is made in ``out``, if
+    given.
 
     A value's phase is the conjugate of its magnitude's, so only the
     distinct magnitudes ``|u|`` are made.  Directly, each costs a row of
@@ -365,41 +469,26 @@ def _phase_table(
     phase is that of ``ul`` at x times that of ``uh`` at ``y = frac(x
     2^21)`` (exact: x 2^21 is a power-of-two scaling and loses only whole
     turns), again within a few tens of ulp.  Up to ``_PHASE_BOUND`` one
-    split suffices; larger values raise ``ValueError``.
+    split suffices; the recipe refuses larger values.
     """
-    if not len(u):
-        return _turn_phases(x, u, out), np.arange(0)
-    lo, hi = int(u.min()), int(u.max())
-    if max(-lo, hi) >= _EXACT_TURNS:
-        if max(-lo, hi) >= _PHASE_BOUND:
-            raise ValueError(
-                f"frequency {hi if hi >= -lo else lo} beyond the phase "
-                f"bound 2^42: its phases would lose precision"
-            )
-        uh, ul = np.divmod(u, _EXACT_TURNS)
+    if recipe.split is not None:
+        high, low = recipe.split
         y = x * float(_EXACT_TURNS)
         y -= np.floor(y)
-        out = _value_phases(y, uh, out)
-        out *= _value_phases(x, ul)
-        return out, np.arange(len(u))
-    mag = np.abs(u)
-    vals = _distinct(mag)
-    k = _factoring(int(vals[0]), int(vals[-1]), len(vals))[0]
-    babies = k >= 0 and vals[-1] < 1 << k
-    if babies:
-        # the babies are the phases of every magnitude up to the largest
-        vals = np.arange(int(vals[-1]) + 1)
-    n = len(vals)
+        out = _value_phases(y, high, out)
+        out *= _value_phases(x, low)
+        return out, recipe.index
+    vals, k, n = recipe.vals, recipe.k, len(recipe.vals)
     # the table of the magnitudes' phases, after their conjugates when
     # some values are negative, made in place when it is u's phases
-    if lo < 0:
+    if recipe.signed:
         table = np.empty((2 * n, len(x)), dtype=np.complex128)
-    elif out is not None and np.array_equal(u, vals):
+    elif out is not None and recipe.ordered:
         table = out
     else:
         table = np.empty((n, len(x)), dtype=np.complex128)
     half = table[len(table) - n:]
-    if babies:
+    if recipe.babies:
         _baby_table(x, n, half)
     elif k < 0:
         _turn_phases(x, vals, half)
@@ -408,11 +497,9 @@ def _phase_table(
         giants = _turn_phases(x, np.arange(q[0], q[-1] + 1) << k)
         giants.take(q - q[0], axis=0, out=half, mode="clip")
         _times_rows(half, _baby_table(x, 1 << k), r)
-    index = np.searchsorted(vals, mag)
-    if lo < 0:
+    if recipe.signed:
         np.conjugate(half, out=table[:n])
-        index += (u >= 0) * n
-    return table, index
+    return table, recipe.index
 
 
 def _distinct(v: np.ndarray) -> np.ndarray:
@@ -658,18 +745,18 @@ class _SplitPlan(NamedTuple):
     ``[0, n)`` when they are a prefix of ``tails``), and representative
     ``rows[r]`` is pair cell ``(ii[r], jj[r])`` of the bucket's ``(a1 -
     a0) x |tb|`` block, with tail ``-tau`` where ``flip[r]``, else
-    ``tau``.  ``axes`` holds the
-    phase axes (:func:`_phase_axes`) of the heads and of the tails,
-    ``sizes`` what the plan does per sample, and ``fold`` maps the set's
-    rows onto the representatives, the indices of ``rows``; for a plan
-    read from a named family's run tables (:func:`_table_plan`) the
-    representatives are its pair cells in bucket order.
+    ``tau``.  ``sides`` holds how the phases of the heads and of the
+    tails are made (:class:`_Sides`), ``sizes`` what the plan does per
+    sample, and ``fold`` maps the set's rows onto the representatives,
+    the indices of ``rows``; for a plan read from a named family's run
+    tables (:func:`_table_plan`) the representatives are its pair cells
+    in bucket order.
     """
 
     heads: np.ndarray
     tails: np.ndarray
     buckets: tuple
-    axes: tuple
+    sides: _Sides
     sizes: _Sizes
     fold: _Fold
 
@@ -726,13 +813,13 @@ def _split_plan(fold: _Fold, h: int) -> _SplitPlan:
         buckets.append((a0, a1, tb, row_col[rows] - a0, jj, flip[rows], rows))
         s = e
     heads = heads[order]
-    axes = _phase_axes(heads), _phase_axes(tails)
     mags = []
-    for u, _ in axes[0] + axes[1]:
-        v = _distinct(np.abs(u))
+    for col in list(heads.T) + list(tails.T):
+        v = _distinct(np.abs(col))
         mags.append((int(v[0]), int(v[-1]), len(v)) if len(v) else (0, 0, 0))
     sizes = _sizes(len(heads), len(tails), h, mags, cells, widest)
-    return _SplitPlan(heads, tails, tuple(buckets), axes, sizes, fold)
+    return _SplitPlan(heads, tails, tuple(buckets), _Sides(heads, tails),
+                      sizes, fold)
 
 
 def _split_price(sizes: _Sizes) -> float:
@@ -863,8 +950,8 @@ def _table_plan(split: _TableSplit) -> _SplitPlan:
     # the rows: every representative, then each but the zero row negated
     fold = _Fold(None, np.append(np.arange(s), np.arange(1, s)),
                  np.arange(2 * s - 1) >= s, True)
-    axes = _phase_axes(heads), _phase_axes(tails)
-    return _SplitPlan(heads, tails, tuple(buckets), axes, split.sizes, fold)
+    return _SplitPlan(heads, tails, tuple(buckets), _Sides(heads, tails),
+                      split.sizes, fold)
 
 
 def _split_rows(freq: np.ndarray) -> _SplitPlan:
@@ -891,6 +978,7 @@ def _split_phases(plan: _SplitPlan, rows: int, stack: int = 1):
     """
     h = plan.heads.shape[1]
     widths = len(plan.heads), len(plan.tails)
+    sides = plan.sides[0], plan.sides[1]  # made here, before any thread
     block = max(1, min(rows, _block(plan.sizes, stack)))
     local = threading.local()
 
@@ -902,7 +990,7 @@ def _split_phases(plan: _SplitPlan, rows: int, stack: int = 1):
             bufs[i] = np.empty(2 * widths[i] * block)
         flat = bufs[i][:2 * widths[i] * len(X)]
         z = flat.view(np.complex128).reshape(widths[i], len(X))
-        return _phase_matrix(X, plan.axes[i], z)
+        return _phase_matrix(X, sides[i], z)
 
     def phases(Xb: np.ndarray):
         return side(0, Xb[:, :h]), side(1, Xb[:, h:])
@@ -1321,7 +1409,9 @@ def _general_fft_route(
         plan = _table_plan(split if split is not None
                            else _cheapest_split(index_set))
     sums = _split_adjoint(data.X, plan, cvecs, threads)
-    return _node_weights(plan, [acc / data.N for acc in sums], rule)
+    for acc in sums:
+        acc /= data.N  # in place: the undivided sums are not held beside
+    return _node_weights(plan, sums, rule)
 
 
 class _SweepPlan(NamedTuple):

@@ -282,9 +282,10 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
     contiguous row of the points' phases per frequency value, per
     coordinate from baby-step/giant-step factors of its distinct
     frequency values (doubling, giant times baby steps and conjugates
-    are products and copies of whole rows), and split into a cosine row
-    and a sine row each: ``rows * (|heads| + |tails|)`` phases.  Per
-    bucket of heads, one real matrix product of the bucket's
+    are products and copies of whole rows), a side of several
+    coordinates level by level over its distinct prefixes, and split
+    into a cosine row and a sine row each: ``rows * (|heads| + |tails|)``
+    phases.  Per bucket of heads, one real matrix product of the bucket's
     coefficients with the wider side's cosine and sine rows gives the
     narrower side's rows, and each point's row-wise products with its
     cosines and sines on the narrower side, summed, add the bucket's
@@ -294,8 +295,9 @@ def eval_model(model: TrigModel, x) -> np.ndarray:
     2 for a model whose coefficients are real and equal on k and -k,
     which weighs cosines by cosines and sines by sines alone.
     Rows need not be sorted, nor the support closed under negation.  The
-    plan is made on the first call and kept on the model.  Points outside
-    [0, 1) are reduced by their floor first, which is exact, so the
+    plan, with everything its phases need that does not depend on the
+    points, is made on the first call and kept on the model.  Points
+    outside [0, 1) are reduced by their floor first, which is exact, so the
     phases are as accurate there as inside.
 
     Args:

@@ -495,10 +495,15 @@ class TestVerifyCommand:
 
 
 class TestMainErrors:
-    @pytest.mark.parametrize("command", ["compress", "verify", "bench"])
+    @pytest.mark.parametrize(
+        "command", ["compress", "verify", "bench", "cbc", "aliasing"]
+    )
     def test_threads_below_one_exit_2(
         self, command, dataset_file, tmp_path, capsys
     ) -> None:
+        # the parser refuses the value for every subcommand, also where
+        # the command never reaches a weight route (cbc, the aliasing
+        # suite), before any work is done
         path, _ = dataset_file
         out = str(tmp_path / "out.json")
         argv = {
@@ -509,9 +514,17 @@ class TestMainErrors:
             ],
             "verify": ["verify", "--suite", "oracle"],
             "bench": ["bench"],
+            "cbc": ["cbc", "--modulus", "31", "--dim", "2", "--alpha", "1.0",
+                    "--gamma", "one"],
+            "aliasing": ["verify", "--suite", "aliasing"],
         }[command]
-        assert main(argv + ["--threads", "0", "--out", out]) == 2
-        assert "positive integer" in capsys.readouterr().err
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", bad, "--out", out])
+            assert exc.value.code == 2
+            assert "--threads: must be a positive integer" in (
+                capsys.readouterr().err)
+        assert not (tmp_path / "out.json").exists()
 
     def test_bad_input_exits_2(self, monkeypatch, capsys) -> None:
         def bad(*args, **kwargs):

@@ -637,7 +637,8 @@ class TestPhases:
         # exactly reduced angle.  Its planes, split in chunks of two rows,
         # are the real and imaginary parts of the table, or of its product
         # with gathered rows, to the bit.
-        table, index = compression._phase_table(self.X, u)
+        table, index = compression._phase_table(
+            self.X, compression._recipe(u))
         assert table.flags.c_contiguous
         assert table.shape[1] == len(self.X)
         got = table[index]
