@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -420,23 +421,55 @@ def _scan_standard(p: np.ndarray, tbl: np.ndarray, L: int) -> int:
     return best_z
 
 
-def _scan_fast(p: np.ndarray, tbl: np.ndarray, L: int) -> int:
-    # Reorder the score map by powers of a primitive root; the scores then
-    # form a circular convolution of length L - 1, evaluated with one FFT.
-    rho = primitive_root(L)
+def _root_powers(L: int) -> np.ndarray:
+    """``rho^c mod L`` for c = 0, ..., L - 2, with rho the primitive root
+    of the prime L: every nonzero residue once.  Built by doubling, each
+    step the known powers times ``rho^m`` for the m already made; the
+    products stay below ``L^2``, exact in int64 while ``L^2 < 2^63``."""
     n = L - 1
     pows = np.empty(n, dtype=np.int64)
     pows[0] = 1
-    for c in range(1, n):
-        pows[c] = (pows[c - 1] * rho) % L
-    psi = tbl[pows]
-    u = p[pows[(-np.arange(n)) % n]]
-    conv = np.fft.ifft(np.fft.fft(u) * np.fft.fft(psi)).real
+    step, m = primitive_root(L), 1
+    while m < n:
+        k = min(m, n - m)
+        pows[m:m + k] = pows[:k] * step % L
+        step, m = step * step % L, m + k
+    return pows
+
+
+class _RootOrder(NamedTuple):
+    """What the fast scan reads from L and the kernel table alone, made
+    once per construction: the primitive root's powers ``pows``, the
+    gather ``back`` of the scores' multipliers ``p`` in the convolution's
+    order (``pows`` at ``-c mod (L - 1)``) and the real FFT ``psi_hat``
+    of ``psi = tbl[pows]``."""
+
+    pows: np.ndarray
+    back: np.ndarray
+    psi_hat: np.ndarray
+
+
+def _root_order(tbl: np.ndarray, L: int) -> _RootOrder:
+    pows = _root_powers(L)
+    n = L - 1
+    return _RootOrder(
+        pows, pows[(-np.arange(n)) % n], np.fft.rfft(tbl[pows])
+    )
+
+
+def _scan_fast(
+    p: np.ndarray, tbl: np.ndarray, L: int, order: _RootOrder
+) -> int:
+    # Reorder the score map by powers of a primitive root; the scores then
+    # form a circular convolution of length L - 1 of two real sequences,
+    # evaluated with one real FFT each way (Nuyens & Cools, Math. Comp.
+    # 75, 2006).
+    conv = np.fft.irfft(np.fft.rfft(p[order.back]) * order.psi_hat, L - 1)
     approx = p[0] * tbl[0] + conv
     scale = float(np.sum(np.abs(p)) * np.max(np.abs(tbl)))
     window = _CBC_WINDOW * (1.0 + scale)
     cutoff = float(approx.min()) + window
-    candidates = np.sort(pows[approx <= cutoff])
+    candidates = np.sort(order.pows[approx <= cutoff])
     best_z = int(candidates[0])
     best = _candidate_score(p, tbl, best_z, L)
     for z in candidates[1:]:
@@ -466,8 +499,10 @@ def cbc_construct(
     the same lattice up to a swap or a sign of coordinates, so the same
     worst-case error; at ``L = 509``, ``alpha = 0.62`` they include
     ``(1, 209)`` and ``(1, 151)``, since ``209 * 151 = 1 (mod 509)``.  The
-    plain scan costs ``O(L^2)`` per component, the fast scan
-    ``O(L log L)`` via a primitive-root reordering and one FFT, and both
+    plain scan costs ``O(L^2)`` per component.  The fast scan reorders
+    the residues by the powers of a primitive root, made once per
+    construction with the real FFT of the reordered kernel table, and
+    then costs ``O(L log L)`` per component: one real FFT each way.  Both
     return the same vector bit for bit: the FFT pass only shortlists
     candidates inside a tiny score window, and everything in the window
     is re-scored, smallest first, with the exact dot product the plain
@@ -505,8 +540,12 @@ def cbc_construct(
     ell = np.arange(L, dtype=np.int64)
     g = [1]
     p = 1.0 + gamma[0] * tbl
+    order = _root_order(tbl, L) if fast and d > 1 else None
     for j in range(1, d):
-        z = _scan_fast(p, tbl, L) if fast else _scan_standard(p, tbl, L)
+        if fast:
+            z = _scan_fast(p, tbl, L, order)
+        else:
+            z = _scan_standard(p, tbl, L)
         g.append(z)
         p = p * (1.0 + gamma[j] * tbl[(ell * z) % L])
     return LatticeRule(L, tuple(g))

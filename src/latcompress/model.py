@@ -22,11 +22,14 @@ coefficients, so for a support and a weight set one real matrix ``W``
 model's departure from realness: a loss costs one product with ``W``,
 O(M (M + |U|)) for the residue classes U the support occupies, with
 ``W`` capped at 2^17 entries.  Supports too large for ``W`` take the
-node values instead: the coefficients summed per residue class, then
-one length-L inverse FFT, O(M + L log L).  A model caches what depends
-on its support alone (the split plan of :func:`eval_model`, the residue
-classes) and ``W`` of the last weights it met; :meth:`TrigModel.with_theta`
-hands that cache on, and so does a model built from a live model's own
+class sums ``b`` themselves, and no node value: the realness check and
+the cross term read b, and the quadratic term, b's autoconvolution
+against ``S_xz``, is one real FFT of b at a fast length against a kernel
+made once per support and weight set (:func:`_loss_kernel`), O(M + L
+log L).  A model caches what depends on its support alone (the split
+plan of :func:`eval_model`, the residue classes) and ``W`` or the
+kernel of the last weights it met; :meth:`TrigModel.with_theta` hands
+that cache on, and so does a model built from a live model's own
 frequency array.
 """
 
@@ -44,6 +47,7 @@ from .compression import (
     _IMAG_TOL,
     Dataset,
     WeightSet,
+    _Classes,
     _classes,
     _distinct,
     _lattice_sum,
@@ -211,16 +215,20 @@ def _own_theta(theta, size: int) -> np.ndarray:
 class _LossMatrix(NamedTuple):
     """The loss of a support against one weight set as one real matrix
     (:func:`_loss_matrix`), keyed by the identity of the spectrum and
-    the rule it was built from.  ``W`` is None for a support too large
-    for it.  ``h_weights`` turns the squares of the realness part into
-    ``sum |h|^2``: 1/2 on the rows of a pair of classes r and -r, which
-    hold 2 Re h_r and 2 Im h_r and stand for both classes, 1 on a class
-    r = -r."""
+    the rule it was built from.  ``h_weights`` turns the squares of the
+    realness part into ``sum |h|^2``: 1/2 on the rows of a pair of
+    classes r and -r, which hold 2 Re h_r and 2 Im h_r and stand for
+    both classes, 1 on a class r = -r.  ``W`` and ``h_weights`` are None
+    for a support too large for W, whose loss runs on its class sums
+    instead: ``neg`` is the class ``-r mod L`` of each class r and ``U``
+    the kernel of :func:`_loss_kernel`, None with a W."""
 
     spectrum: np.ndarray
     rule: LatticeRule
     W: Optional[np.ndarray]
     h_weights: Optional[np.ndarray]
+    neg: Optional[np.ndarray] = None
+    U: Optional[np.ndarray] = None
 
 
 class _SupportCache:
@@ -256,14 +264,19 @@ def _support(model: TrigModel) -> _SupportCache:
     return c
 
 
-def _node_values(model: TrigModel, rule: LatticeRule) -> np.ndarray:
-    """``sum_k theta_k exp(2 pi i k . z_l)`` at every node ``z_l``
-    (:func:`_lattice_sum`), with the rows' residue classes kept on the
-    model for the last rule; O(M + L log L)."""
+def _node_classes(model: TrigModel, rule: LatticeRule) -> _Classes:
+    """The rows' residue classes on ``rule``, kept on the model for the
+    last rule."""
     c = _support(model)
     if c.nodes is None or c.nodes[0] != rule:
         c.nodes = (rule, _classes(_residues(c.freq, rule), rule.L))
-    return _lattice_sum(c.nodes[1], model.theta)
+    return c.nodes[1]
+
+
+def _node_values(model: TrigModel, rule: LatticeRule) -> np.ndarray:
+    """``sum_k theta_k exp(2 pi i k . z_l)`` at every node ``z_l``
+    (:func:`_lattice_sum`); O(M + L log L)."""
+    return _lattice_sum(_node_classes(model, rule), model.theta)
 
 
 def eval_model(model: TrigModel, x) -> np.ndarray:
@@ -531,9 +544,11 @@ def compressed_loss(
     Cost O(M (M + |U|)) per call for a model of M coefficients whose
     residues occupy the classes U: one product with a matrix of at most
     2^17 entries, built once per support and :class:`WeightSet` (O(d M +
-    M^2)) from one O(L log L) spectrum per weight set; O(M + L log L) on
-    the nodes for supports too large for that matrix.  It never touches
-    the original samples.
+    M^2)) from one O(L log L) spectrum per weight set.  A support too
+    large for that matrix costs O(M + L log L): its coefficients summed
+    per residue class, then one real FFT of those sums at a length of
+    at most 4L against a kernel made once per support and weight set.
+    It never touches the original samples.
 
     Args:
         model: model under evaluation; must be real on the nodes.
@@ -556,11 +571,12 @@ def compressed_loss(
 
 
 # Entries up to which a support's loss runs as a product with its matrix
-# W (:func:`_loss_matrix`) rather than on the node values: 2^17, so W
+# W (:func:`_loss_matrix`) rather than on its class sums: 2^17, so W
 # holds at most 1 MiB.  With W near that size (149 rows on about as many
-# classes) a call took 21-27 us, against 68-80 us on the nodes at L = 509
-# and 1021 and 0.4-0.9 ms at L = 4099 and 8191 (2-core host); at 1.9
-# times the size it took 43-66 us against 58-80 us at L = 509 and 1021.
+# classes) a call took 20-21 us, against 23-34 us on the class sums at L
+# = 509 and 1021 and 0.18-0.27 ms at L = 4099 and 8191 (2-core host, one
+# BLAS thread); at 1.9 times the size it took 50-77 us against 24-33 us
+# at L = 509 and 1021.
 _MATRIX_ENTRIES = 1 << 17
 
 
@@ -573,10 +589,11 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
     nodes lies between ``sqrt(sum |h|^2)`` (Parseval) and ``sum |h|``.
     When ``sum (|Re h| + |Im h|)``, at least the second, is at most the
     realness tolerance, the real part of the model has the coefficients
-    ``b - h`` and both terms come from one product with the support's
-    loss matrix; when ``sqrt(sum |h|^2)`` exceeds it the model is not
-    real.  Otherwise, and when the support is too large for the matrix,
-    the model is evaluated on the nodes.
+    ``b' = b - h`` and both terms come from them: from one product with
+    the support's loss matrix, or, for a support too large for the
+    matrix, from ``b'`` itself (:func:`_loss_kernel`), with no node
+    value made.  When ``sqrt(sum |h|^2)`` exceeds the tolerance the model
+    is not real.  Otherwise the model is evaluated on the nodes.
     """
     rule = weights.rule
     c = _support(model)
@@ -588,6 +605,7 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
                 f"model has {model.d} coordinates, the weights' rule {rule.d}"
             )
         e = c.loss = _loss_matrix(c.freq, rule, s_xz, s_xyz)
+    L = rule.L
     if e.W is not None:
         v = model.theta.view(np.float64)
         y = e.W.dot(v)
@@ -596,11 +614,34 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
             return float(v.dot(y[1:len(v) + 1])), float(y[0])
         if math.sqrt(float((h * h) @ e.h_weights)) > _IMAG_TOL:
             raise _not_real()
+    else:
+        cl = _node_classes(model, rule)
+        sums = np.add.reduceat(model.theta.take(cl.order), cl.starts)
+        if len(sums) == L:
+            b = sums
+        else:
+            b = np.zeros(L, dtype=np.complex128)
+            b[cl.occupied] = sums
+        # conj b_{-r}, then 2 h and 2 b': the bounds and the terms take
+        # the factors of 2, which are exact
+        bn = b[e.neg]
+        np.conjugate(bn, out=bn)
+        h2 = b - bn
+        if np.abs(h2.view(np.float64)).sum() <= 2.0 * _IMAG_TOL:
+            b += bn
+            crs = float(b.dot(s_xyz).real) / (2 * L)
+            x = b[:L // 2 + 1]
+            P = len(e.U)
+            if L % 2 == 0 and P > L:
+                x[-1] *= 0.5  # the class L/2 stands at L/2 and at -L/2
+            B = np.fft.hfft(x, P)
+            return float((B * B).dot(e.U)), crs
+        if math.sqrt(float(np.vdot(h2, h2).real)) > 2.0 * _IMAG_TOL:
+            raise _not_real()
     f = _node_values(model, rule)
     if float(np.max(np.abs(f.imag))) > _IMAG_TOL:
         raise _not_real()
     fr = f.real
-    L = rule.L
     quad = float((fr * fr) @ weights.w_xz / L)
     crs = float(fr @ weights.w_xyz / L)
     return quad, crs
@@ -637,12 +678,12 @@ def _loss_matrix(
     # n >= 1: a support of more than 255 rows does not fit, and needs no
     # residues here
     if (2 * M + 2) * 2 * M > _MATRIX_ENTRIES:
-        return _LossMatrix(s_xz, rule, None, None)
+        return _LossMatrix(s_xz, rule, None, None, *_loss_kernel(L, s_xz))
     r = _residues(freq, rule)
     u = _distinct(np.concatenate([r, -r % L]))
     n = len(u)
     if (2 * M + n + 1) * 2 * M > _MATRIX_ENTRIES:
-        return _LossMatrix(s_xz, rule, None, None)
+        return _LossMatrix(s_xz, rule, None, None, *_loss_kernel(L, s_xz))
     W = np.zeros((2 * M + n + 1, 2 * M))
     W[0] = s_xyz[r].conj().view(np.float64) / L
     plus = s_xz[np.add.outer(r, r) % L]
@@ -668,6 +709,46 @@ def _loss_matrix(
     E[a, j, 1] = half[a]
     E[b, j, 1] += half[b]
     return _LossMatrix(s_xz, rule, W, np.where(first | second, 0.5, 1.0))
+
+
+def _loss_kernel(L: int, s_xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The negation index ``-r mod L`` of the classes r and the real
+    kernel U that gives the quadratic term from the class sums ``b`` of
+    a real model, with no node value made.
+
+    That term is ``sum_{r,s} b_r b_s S_xz[(r + s) mod L] / L``: the
+    autoconvolution c of b, ``c_m = sum_{r+s=m} b_r b_s``, summed
+    against ``T[m] = S_xz[m mod L]``.  By Parseval, with ``B`` the
+    length-P FFT of b, that sum is ``sum_k B_k^2 ifft_P(T)_k / L``.
+    When L has no prime factor above 7, P = L and the convolution is
+    cyclic, T = S_xz.  Otherwise numpy would take a length-L FFT by
+    Bluestein's algorithm, at the cost of two FFTs of length 2L - 1 or
+    more, and P is the smallest power of two of at least 2L - 1: b is
+    laid out over the residues ``-L/2 <= r <= L/2`` (a class L/2 half at
+    each end), so c spans ``-L <= m <= L`` and none of it wraps, with T
+    zero beyond.  A real model has ``b_{-r} = conj b_r``, and
+    ``S_xz[-m] = conj S_xz[m]`` for real weights, so both B and
+    ``ifft_P(T)`` are real and B is one ``hfft`` of the classes ``0 <=
+    r <= L/2``.  U holds ``ifft_P(T) / (4 L)``, as :func:`_data_terms`
+    transforms ``2 b``.  So a loss costs one fast real FFT of length P =
+    O(L); U is made once per support and weight set.
+    """
+    if _smooth(L):
+        P, T = L, s_xz
+    else:
+        P = 1 << (2 * L - 2).bit_length()
+        T = np.zeros(P, dtype=np.complex128)
+        T[:L + 1] = s_xz[np.arange(L + 1) % L]
+        T[P - L:] = T[L:0:-1].conj()
+    return (-np.arange(L)) % L, np.fft.ifft(T).real / (4 * L)
+
+
+def _smooth(n: int) -> bool:
+    """Whether ``n`` has no prime factor above 7."""
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 def _not_real() -> ValueError:

@@ -11,13 +11,14 @@ from latcompress.lattice import (
     LatticeRule,
     ProductWeights,
     _phi_table,
+    _root_powers,
     bound_constant_C,
     cbc_construct,
     generate_points,
     phi_alpha,
     worst_case_error,
 )
-from latcompress.special import zeta
+from latcompress.special import primitive_root, zeta
 
 # Frozen references for the non-integer kernel path, computed at 30
 # digits as 2 Re Li_{2 alpha}(e^{2 pi i x}).
@@ -338,6 +339,38 @@ class TestCBC:
             for tau in (0.25, 0.5):
                 c = bound_constant_C(alpha, tau, gamma)
                 assert e <= c * L ** (tau - alpha) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.3])
+    def test_fast_matches_standard_wider(self, alpha: float) -> None:
+        # a Bernoulli table at alpha = 2 and a Hurwitz-zeta table at 1.3,
+        # over five components of a larger modulus
+        gamma = ProductWeights.polynomial(2.0, 5)
+        fast = cbc_construct(1021, 5, alpha, gamma, fast=True)
+        slow = cbc_construct(1021, 5, alpha, gamma, fast=False)
+        assert fast == slow
+
+    @pytest.mark.parametrize("L", [2, 3, 127, 509, 8191])
+    def test_root_powers(self, L: int) -> None:
+        rho = primitive_root(L)
+        pows = _root_powers(L)
+        assert pows.tolist() == [pow(rho, c, L) for c in range(L - 1)]
+        np.testing.assert_array_equal(np.sort(pows), np.arange(1, L))
+
+    def test_root_order_made_once(self, monkeypatch) -> None:
+        from latcompress import lattice
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return primitive_root(p)
+
+        monkeypatch.setattr(lattice, "primitive_root", counted)
+        cbc_construct(127, 6, 1.0, ProductWeights.ones(6))
+        assert calls == [127]
+        cbc_construct(127, 1, 1.0, ProductWeights.ones(1))
+        cbc_construct(127, 3, 1.0, ProductWeights.ones(3), fast=False)
+        assert calls == [127]
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError):

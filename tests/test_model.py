@@ -872,6 +872,96 @@ class TestLossMatrix:
         third = TrigModel(first.frequencies.copy(), first.theta)
         assert third._cache is not first._cache
 
+def _closed_model(rows, seed: int) -> TrigModel:
+    """A one-coordinate model on ``rows`` (closed under negation) with
+    theta_{-k} = conj theta_k."""
+    rows = np.asarray(sorted(set(rows)))
+    assert set((-rows).tolist()) == set(rows.tolist())
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    z *= (1.0 + np.abs(rows)) ** -1.0
+    neg = np.searchsorted(rows, -rows)
+    return TrigModel(rows[:, None], 0.5 * (z + z[neg].conj()))
+
+
+def _class_sum_cases():
+    """(L, P, rows, occupied classes) of supports past the W cap."""
+    cases = []
+    for L, P in [(127, 256), (509, 1024), (8191, 16384), (1018, 2048),
+                 (64, 64), (1000, 1000), (1024, 1024)]:
+        top = L // 2 + 100  # every class, some by several rows
+        cases.append((L, P, range(-top, top + 1), L))
+        few = [r + L * j for r in (0, 1, -1, 3, -3) for j in range(-30, 31)]
+        cases.append((L, P, few, 5))
+        if L % 2 == 0:
+            # the class L / 2, with -(L/2 + L j) = L/2 + L (-j - 1)
+            half = [L // 2 + L * j for j in range(-40, 40)]
+            cases.append((L, P, few + half, 6))
+    return cases
+
+
+class TestClassSumLoss:
+    """The loss of a support too large for W, read from its class sums:
+    the quadratic term by one length-P FFT against a kernel made once
+    per support and weight set, no node value made."""
+
+    @pytest.mark.parametrize("L, P, rows, n", _class_sum_cases())
+    def test_matches_node_terms(self, L, P, rows, n) -> None:
+        ws = _weights(L + 3, LatticeRule(L, (1,)))
+        model = _closed_model(rows, L)
+        report = compressed_loss(model, ws, lam=0.1, reg="ridge")
+        _assert_node_terms(report, model, ws)
+        e = model._cache.loss
+        assert e.W is None and len(e.U) == P
+        assert len(model._cache.nodes[1].occupied) == n
+
+    def test_no_node_values(self, monkeypatch) -> None:
+        from latcompress import model as model_mod
+
+        def no_nodes(*args):
+            raise AssertionError("the class sums should have decided")
+
+        ws = _weights(40, LatticeRule(509, (1, 205)))
+        real = _real_model(41, 2, 60, 1500)
+        quad, crs = _node_terms(real, ws)
+        monkeypatch.setattr(model_mod, "_node_values", no_nodes)
+        monkeypatch.setattr(model_mod, "_lattice_sum", no_nodes)
+        report = compressed_loss(real, ws)
+        assert real._cache.loss.W is None
+        scale = abs(quad) + abs(crs)
+        assert abs(report.quadratic - quad) <= 1e-12 * scale
+        assert abs(report.cross - crs) <= 1e-12 * scale
+        # sqrt(sum |h|^2) > 1e-9 raises on the class sums too
+        off = real.with_theta(real.theta + 1e-6j)
+        with pytest.raises(ValueError, match="real-valued"):
+            compressed_loss(off, ws)
+
+    def test_kernel_made_once_per_weight_set(self, monkeypatch) -> None:
+        from latcompress import model as model_mod
+
+        made = []
+        loss_kernel = model_mod._loss_kernel
+
+        def counted(L, s_xz):
+            made.append(L)
+            return loss_kernel(L, s_xz)
+
+        monkeypatch.setattr(model_mod, "_loss_kernel", counted)
+        rule = LatticeRule(509, (1, 205))
+        ws1, ws2 = _weights(42, rule), _weights(43, rule)
+        model = _real_model(44, 2, 60, 1500)
+        a1 = compressed_loss(model, ws1)
+        U1 = model._cache.loss.U
+        for theta in (model.theta, 2.0 * model.theta):
+            compressed_loss(model.with_theta(theta), ws1)
+        assert compressed_loss(model, ws1) == a1
+        assert made == [509] and model._cache.loss.U is U1
+        a2 = compressed_loss(model, ws2)
+        assert made == [509, 509] and model._cache.loss.U is not U1
+        _assert_node_terms(a1, model, ws1)
+        _assert_node_terms(a2, model, ws2)
+
+
 class TestModelSquared:
     def test_hand_convolution(self) -> None:
         # (2 e^{-2 pi i x} + 3 e^{2 pi i x})^2 has coefficients 4, 12, 9
