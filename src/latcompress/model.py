@@ -212,30 +212,38 @@ def _own_theta(theta, size: int) -> np.ndarray:
     return theta
 
 
-class _LossMatrix(NamedTuple):
-    """The loss of a support against one weight set as one real matrix
-    (:func:`_loss_matrix`), keyed by the identity of the spectrum and
-    the rule it was built from.  ``h_weights`` turns the squares of the
+class _LossEntry(NamedTuple):
+    """The loss of a support against one weight set (:func:`_loss_entry`),
+    told apart by the identity of the vectors ``w_xz`` and ``w_xyz`` and
+    the ``rule`` it was built from.  ``real_sq`` bounds the squared
+    2-norm of the realness part under which the model is real
+    (:func:`_data_terms`).  ``W`` is the loss matrix
+    (:func:`_loss_matrix`) and ``h_weights`` turns the squares of its
     realness part into ``sum |h|^2``: 1/2 on the rows of a pair of
-    classes r and -r, which hold 2 Re h_r and 2 Im h_r and stand for
-    both classes, 1 on a class r = -r.  ``W`` and ``h_weights`` are None
-    for a support too large for W, whose loss runs on its class sums
-    instead: ``neg`` is the class ``-r mod L`` of each class r and ``U``
-    the kernel of :func:`_loss_kernel`, None with a W."""
+    classes r and -r, which hold 2 Re h_r and 2 Im h_r and stand for both
+    classes, 1 on a class r = -r.  Both are None for a support too large
+    for W, whose loss runs on its class sums instead: ``classes`` groups
+    its rows by residue, ``neg`` is the class ``-r mod L`` of each class
+    r, ``U`` the kernel of :func:`_loss_kernel` and ``s_xyz`` the cross
+    term's spectrum; these four are None with a W."""
 
-    spectrum: np.ndarray
+    w_xz: np.ndarray
+    w_xyz: np.ndarray
     rule: LatticeRule
-    W: Optional[np.ndarray]
-    h_weights: Optional[np.ndarray]
+    real_sq: float
+    W: Optional[np.ndarray] = None
+    h_weights: Optional[np.ndarray] = None
+    classes: Optional[_Classes] = None
     neg: Optional[np.ndarray] = None
     U: Optional[np.ndarray] = None
+    s_xyz: Optional[np.ndarray] = None
 
 
 class _SupportCache:
     """What the evaluations of one model reuse, all derived from its
     frequency array ``freq``: the split plan of :func:`eval_model`, the
     residue classes on the last rule (``(rule, classes)``,
-    :func:`_node_values`) and the loss matrix of the last weights."""
+    :func:`_node_values`) and the loss entry of the last weights."""
 
     __slots__ = ("freq", "plan", "nodes", "loss", "__weakref__")
 
@@ -373,12 +381,25 @@ def regularizer(
         >>> regularizer("lasso", [0.0, 3.0, -4.0])
         7.0
     """
-    # no copy of a complex128 array; array methods rather than the numpy
-    # wrappers (np.sum, np.real), and the common kinds first: on a short
-    # vector each numpy call costs more than the arithmetic
     th = np.asarray(theta, dtype=np.complex128)
     if th.ndim != 1:
         raise ValueError(f"theta must be a vector, got shape {th.shape}")
+    return _penalty(kind, np.ascontiguousarray(th), tikhonov, mix)
+
+
+def _penalty(
+    kind: str,
+    th: np.ndarray,
+    tikhonov: Optional[np.ndarray],
+    mix: Optional[float],
+) -> float:
+    """:func:`regularizer` of a contiguous complex vector ``th``, with
+    every check of the other arguments.  :func:`regularizer` calls it
+    once it has its vector, and both losses call it on the model's own
+    coefficients, so the three agree bitwise."""
+    # array methods and ufuncs rather than the numpy wrappers (np.sum,
+    # np.vdot), and the common kinds first: on a short vector each numpy
+    # call costs more than the arithmetic
     if kind not in REGULARIZERS:
         raise ValueError(
             f"unknown regularizer {kind!r}, expected one of {REGULARIZERS}"
@@ -395,27 +416,32 @@ def regularizer(
                     f"tikhonov matrix {t.shape} cannot act on theta of "
                     f"length {th.shape[0]}"
                 )
-            th = t @ th
-        return _squared_norm(th)
+            th = (t @ th).astype(np.complex128, copy=False)
+        v = th.view(np.float64)
+        return float(v.dot(v))
     if kind == "elastic":
         if mix is None:
             raise ValueError("elastic penalty needs a mixing parameter")
         mix = float(mix)
         if not 0.0 <= mix <= 1.0:
             raise ValueError(f"mixing parameter {mix!r} outside [0, 1]")
-        return mix * float(np.abs(th).sum()) + (1.0 - mix) * _squared_norm(
-            th
-        )
+        a = np.abs(th)
+        return mix * float(np.add.reduce(a)) + (1.0 - mix) * float(a.dot(a))
     if kind == "none":
         return 0.0
     if kind == "lasso":
-        return float(np.abs(th).sum())
+        return float(np.add.reduce(np.abs(th)))
     return float(np.count_nonzero(th))
 
 
-def _squared_norm(v: np.ndarray) -> float:
-    """``sum |v_i|^2`` of a complex vector."""
-    return float(np.vdot(v, v).real)
+def _penalty_weight(lam) -> float:
+    """``lam`` as a float, checked to be finite and non-negative."""
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(
+            f"penalty weight lam must be finite and non-negative, got {lam!r}"
+        )
+    return lam
 
 
 @dataclass(frozen=True)
@@ -514,8 +540,9 @@ def exact_loss(
     correct digits than ``residual`` (on paper-2d's reference model the
     quadratic and cross terms are about 1.08 and the residual 3.3e-7).
     """
+    lam = _penalty_weight(lam)
     f = eval_model(model, data.X)
-    pen = regularizer(reg, model.theta, tikhonov=tikhonov, mix=mix)
+    pen = _penalty(reg, model.theta, tikhonov, mix)
     if float(np.max(np.abs(f.imag))) <= _IMAG_TOL:
         fr = f.real
         quad = float(np.mean(fr * fr))
@@ -526,7 +553,7 @@ def exact_loss(
         crs = float(np.mean(f.real * data.Y))
         r = np.abs(f - data.Y)
     return LossReport.assemble(
-        quad, crs, data.mean_y2, pen, float(lam), float(np.mean(r * r))
+        quad, crs, data.mean_y2, pen, lam, float(np.mean(r * r))
     )
 
 
@@ -550,33 +577,43 @@ def compressed_loss(
     at most 4L against a kernel made once per support and weight set.
     It never touches the original samples.
 
+    On a support that fits the matrix, a call past the first does four
+    things beside its argument checks: the product of the matrix with
+    the coefficients, one dot product that shows the model real (the
+    1-norm and 2-norm tests, and the node values, only for a model that
+    it leaves in doubt), one dot product for the quadratic term, and
+    the penalty from the model's coefficients.  The support keeps the
+    matrix or kernel of the last weight set it met, with the checks that
+    the weights are real and of the model's dimension; it is built again
+    for another weight set, or when the weight set's vectors or rule are
+    reassigned.
+
     Args:
         model: model under evaluation; must be real on the nodes.
         weights: compressed data (real vectors required).
         rule: optional cross-check; must equal the rule stored in the
             weights when given.
+        lam: penalty weight, finite and non-negative.
+        reg, tikhonov, mix: the penalty, as for :func:`regularizer`.
     """
-    if rule is not None and rule != weights.rule:
+    if rule is not None and rule is not weights.rule and rule != weights.rule:
         raise ValueError(
             "the supplied rule is not the one the weights were built on"
         )
-    if not weights.is_real:
-        raise ValueError(
-            "compressed loss needs real weight vectors; rebuild with a "
-            "symmetric index set"
-        )
+    lam = _penalty_weight(lam)
     quad, crs = _data_terms(model, weights)
-    pen = regularizer(reg, model.theta, tikhonov=tikhonov, mix=mix)
-    return LossReport._of(quad, crs, float(weights.mean_y2), pen, float(lam))
+    pen = _penalty(reg, model.theta, tikhonov, mix)
+    return LossReport._of(quad, crs, float(weights.mean_y2), pen, lam)
 
 
 # Entries up to which a support's loss runs as a product with its matrix
 # W (:func:`_loss_matrix`) rather than on its class sums: 2^17, so W
-# holds at most 1 MiB.  With W near that size (149 rows on about as many
-# classes) a call took 20-21 us, against 23-34 us on the class sums at L
-# = 509 and 1021 and 0.18-0.27 ms at L = 4099 and 8191 (2-core host, one
-# BLAS thread); at 1.9 times the size it took 50-77 us against 24-33 us
-# at L = 509 and 1021.
+# holds at most 1 MiB.  With W near that size (147 rows on as many
+# classes, 129,948 entries) a call took 17-18 us, against 23-30 us on the
+# class sums at L = 509 and 1021 and 158-178 us at L = 4099 and 8191; at
+# 1.9 times the size (201 rows) it took 44 us against 22-31 us at L =
+# 509 and 1021 (medians of three, 2-core host, one BLAS thread).  So the
+# cap stays where W still wins at every L; ``test_size_rule`` pins it.
 _MATRIX_ENTRIES = 1 << 17
 
 
@@ -594,28 +631,38 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
     matrix, from ``b'`` itself (:func:`_loss_kernel`), with no node
     value made.  When ``sqrt(sum |h|^2)`` exceeds the tolerance the model
     is not real.  Otherwise the model is evaluated on the nodes.
+
+    The 1-norm is rarely summed: by Cauchy-Schwarz it is at most
+    ``sqrt(n s)`` for the n real numbers of the realness part and their
+    sum of squares s, one dot product, so ``n s`` at most half the
+    squared tolerance (``real_sq``) shows a model real.  Only a model
+    that this leaves in doubt takes the 1-norm, the 2-norm and the nodes,
+    in that order, so every model takes the branch it took with the
+    1-norm alone; the half covers the rounding of both sums.
     """
-    rule = weights.rule
     c = _support(model)
-    s_xz, s_xyz = weights._node_spectra()
     e = c.loss
-    if e is None or e.spectrum is not s_xz or e.rule is not rule:
-        if model.d != rule.d:
-            raise ValueError(
-                f"model has {model.d} coordinates, the weights' rule {rule.d}"
-            )
-        e = c.loss = _loss_matrix(c.freq, rule, s_xz, s_xyz)
-    L = rule.L
+    if (e is None or e.w_xz is not weights.w_xz
+            or e.w_xyz is not weights.w_xyz or e.rule is not weights.rule):
+        e = c.loss = _loss_entry(model, weights)
     if e.W is not None:
         v = model.theta.view(np.float64)
         y = e.W.dot(v)
-        h = y[len(v) + 1:]
-        if np.abs(h).sum() <= _IMAG_TOL:
-            return float(v.dot(y[1:len(v) + 1])), float(y[0])
+        n = len(v) + 1
+        h = y[n:]
+        if h.dot(h) <= e.real_sq or np.abs(h).sum() <= _IMAG_TOL:
+            return float(v.dot(y[1:n])), float(y[0])
         if math.sqrt(float((h * h) @ e.h_weights)) > _IMAG_TOL:
             raise _not_real()
     else:
-        cl = _node_classes(model, rule)
+        # Regrouping the coefficients by class (the take and the reduceat)
+        # is about half of a call at 16,641 rows on 509 classes: 26-31 us.
+        # Measured against it at that size (one BLAS thread), and slower:
+        # bincount over the interleaved float view (52-60 us), a scipy CSR
+        # matrix-vector product (34 us), and a take padded to the largest
+        # class with a sum over rows (53 us).
+        L = e.rule.L
+        cl = e.classes
         sums = np.add.reduceat(model.theta.take(cl.order), cl.starts)
         if len(sums) == L:
             b = sums
@@ -627,9 +674,10 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
         bn = b[e.neg]
         np.conjugate(bn, out=bn)
         h2 = b - bn
-        if np.abs(h2.view(np.float64)).sum() <= 2.0 * _IMAG_TOL:
+        x = h2.view(np.float64)
+        if x.dot(x) <= e.real_sq or np.abs(x).sum() <= 2.0 * _IMAG_TOL:
             b += bn
-            crs = float(b.dot(s_xyz).real) / (2 * L)
+            crs = float(b.dot(e.s_xyz).real) / (2 * L)
             x = b[:L // 2 + 1]
             P = len(e.U)
             if L % 2 == 0 and P > L:
@@ -638,13 +686,46 @@ def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
             return float((B * B).dot(e.U)), crs
         if math.sqrt(float(np.vdot(h2, h2).real)) > 2.0 * _IMAG_TOL:
             raise _not_real()
+    rule = weights.rule
     f = _node_values(model, rule)
     if float(np.max(np.abs(f.imag))) > _IMAG_TOL:
         raise _not_real()
     fr = f.real
-    quad = float((fr * fr) @ weights.w_xz / L)
-    crs = float(fr @ weights.w_xyz / L)
+    quad = float((fr * fr) @ weights.w_xz / rule.L)
+    crs = float(fr @ weights.w_xyz / rule.L)
     return quad, crs
+
+
+def _loss_entry(model: TrigModel, weights: WeightSet) -> _LossEntry:
+    """The loss entry of the model's support and ``weights``, after the
+    checks that the weights are real and share the model's dimension."""
+    if not weights.is_real:
+        raise ValueError(
+            "compressed loss needs real weight vectors; rebuild with a "
+            "symmetric index set"
+        )
+    rule = weights.rule
+    if model.d != rule.d:
+        raise ValueError(
+            f"model has {model.d} coordinates, the weights' rule {rule.d}"
+        )
+    s_xz, s_xyz = weights._node_spectra()
+    key = (weights.w_xz, weights.w_xyz, rule)
+    matrix = _loss_matrix(_support(model).freq, rule, s_xz, s_xyz)
+    if matrix is not None:
+        W, h_weights = matrix
+        # n reals in the realness part, against the tolerance
+        return _LossEntry(*key, 0.5 * _IMAG_TOL**2 / len(h_weights), W,
+                          h_weights)
+    L = rule.L
+    # 2 L reals in 2 h, against twice the tolerance
+    return _LossEntry(
+        *key, 0.5 * (2.0 * _IMAG_TOL) ** 2 / (2 * L),
+        classes=_node_classes(model, rule),
+        neg=(-np.arange(L)) % L,
+        U=_loss_kernel(L, s_xz),
+        s_xyz=s_xyz,
+    )
 
 
 def _loss_matrix(
@@ -652,7 +733,7 @@ def _loss_matrix(
     rule: LatticeRule,
     s_xz: np.ndarray,
     s_xyz: np.ndarray,
-) -> _LossMatrix:
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The compressed loss on the support ``freq`` as one real matrix W
     acting on ``v = theta.view(float64)``, the coefficients' real and
     imaginary parts interleaved.
@@ -671,19 +752,19 @@ def _loss_matrix(
     that part is ``sum_u (|Re h_u| + |Im h_u|)`` over all the classes.
     W has ``(2 M + n + 1) 2 M`` entries for n classes, and is left out
     (None) beyond ``_MATRIX_ENTRIES``; O(M d + M^2) to build, as n <= 2
-    M.
+    M.  Returns W and ``h_weights`` (:class:`_LossEntry`).
     """
     L = rule.L
     M = len(freq)
     # n >= 1: a support of more than 255 rows does not fit, and needs no
     # residues here
     if (2 * M + 2) * 2 * M > _MATRIX_ENTRIES:
-        return _LossMatrix(s_xz, rule, None, None, *_loss_kernel(L, s_xz))
+        return None
     r = _residues(freq, rule)
     u = _distinct(np.concatenate([r, -r % L]))
     n = len(u)
     if (2 * M + n + 1) * 2 * M > _MATRIX_ENTRIES:
-        return _LossMatrix(s_xz, rule, None, None, *_loss_kernel(L, s_xz))
+        return None
     W = np.zeros((2 * M + n + 1, 2 * M))
     W[0] = s_xyz[r].conj().view(np.float64) / L
     plus = s_xz[np.add.outer(r, r) % L]
@@ -708,13 +789,12 @@ def _loss_matrix(
     E[b, j, 0] -= first[b]
     E[a, j, 1] = half[a]
     E[b, j, 1] += half[b]
-    return _LossMatrix(s_xz, rule, W, np.where(first | second, 0.5, 1.0))
+    return W, np.where(first | second, 0.5, 1.0)
 
 
-def _loss_kernel(L: int, s_xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The negation index ``-r mod L`` of the classes r and the real
-    kernel U that gives the quadratic term from the class sums ``b`` of
-    a real model, with no node value made.
+def _loss_kernel(L: int, s_xz: np.ndarray) -> np.ndarray:
+    """The real kernel U that gives the quadratic term from the class
+    sums ``b`` of a real model, with no node value made.
 
     That term is ``sum_{r,s} b_r b_s S_xz[(r + s) mod L] / L``: the
     autoconvolution c of b, ``c_m = sum_{r+s=m} b_r b_s``, summed
@@ -740,7 +820,7 @@ def _loss_kernel(L: int, s_xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         T = np.zeros(P, dtype=np.complex128)
         T[:L + 1] = s_xz[np.arange(L + 1) % L]
         T[P - L:] = T[L:0:-1].conj()
-    return (-np.arange(L)) % L, np.fft.ifft(T).real / (4 * L)
+    return np.fft.ifft(T).real / (4 * L)
 
 
 def _smooth(n: int) -> bool:

@@ -76,6 +76,12 @@ def oracle_suite(
     responses), are checked.  With ``inject_fault`` the first instance's
     first fast output is perturbed by 1e-3 in one entry, which the
     comparison must catch and localise.
+
+    Three compressed losses are then checked against the node oracle
+    (:func:`_loss_checks`): one on the loss matrix, one past its size on
+    the class sums, and one whose realness only its node values decide.
+    They count among the suite's checks, and ``loss`` reports their
+    number and largest residual apart.
     """
     rng = np.random.default_rng([int(seed), 101])
     failures: list[str] = []
@@ -122,7 +128,82 @@ def oracle_suite(
                         f"d={d}): {name} at node {node} deviates by "
                         f"{gap:.3e} relative"
                     )
-    return _result("oracle-equivalence", checks, worst, failures)
+    loss_checks, loss_worst = _loss_checks(seed, failures)
+    out = _result(
+        "oracle-equivalence", checks + loss_checks, max(worst, loss_worst),
+        failures,
+    )
+    out["loss"] = {"checks": loss_checks, "max_residual": loss_worst}
+    return out
+
+
+def _node_terms(model: TrigModel, ws) -> tuple[float, float]:
+    """The compressed loss's quadratic and cross terms from the model's
+    values on the nodes: coefficients summed per residue by bincount,
+    one inverse FFT, then the two weighted sums of the real part.
+    Raises ValueError, as the loss does, on a model not real on the
+    nodes (an imaginary part above 1e-9)."""
+    L = ws.rule.L
+    r = (model.frequencies @ np.asarray(ws.rule.g, dtype=np.int64)) % L
+    b = np.bincount(r, model.theta.real, L) + 1j * np.bincount(
+        r, model.theta.imag, L
+    )
+    f = L * np.fft.ifft(b)
+    if float(np.max(np.abs(f.imag))) > 1e-9:
+        raise ValueError("model is not real-valued on the nodes")
+    fr = f.real
+    return float((fr * fr) @ ws.w_xz / L), float(fr @ ws.w_xyz / L)
+
+
+def _real_model(seed, d: int, reach: int, m: int) -> TrigModel:
+    """A random support closed under negation, theta_{-k} = conj
+    theta_k, so the model is real everywhere; ``seed`` is an int or a
+    numpy Generator, which draws it."""
+    rng = np.random.default_rng(seed)
+    half = rng.integers(-reach, reach + 1, size=(m, d))
+    rows = np.unique(np.vstack((half, -half)), axis=0)
+    # rows are sorted, so the order that sorts -rows finds each -k
+    neg = np.lexsort(tuple((-rows).T[::-1]))
+    z = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    return TrigModel(rows, 0.5 * (z + z[neg].conj()))
+
+
+def _loss_checks(seed: int, failures: list[str]) -> tuple[int, float]:
+    """``compressed_loss`` against :func:`_node_terms` on three models,
+    with their penalty-free terms: a real model small enough for the
+    loss matrix (L = 61); a real model of more than 255 rows on L = 509,
+    past the matrix's size, whose loss runs on its class sums; and a
+    model whose realness part has a 2-norm within the tolerance and a
+    1-norm beyond it, so its node values decide."""
+    rng = np.random.default_rng([int(seed), 103])
+    eps = 9e-10 * (1 + 1j) / math.sqrt(2)
+    between = TrigModel(
+        np.array([[0, 0], [1, 0], [-1, 0]]),
+        np.array([0.5, 0.3 + 0.2j + eps, 0.3 - 0.2j]),
+    )
+    cases = (
+        ("loss matrix", LatticeRule(61, (1, 25)), _real_model(rng, 2, 6, 30)),
+        ("class sums", LatticeRule(509, (1, 205)),
+         _real_model(rng, 2, 20, 500)),
+        ("node values", LatticeRule(61, (1, 25)), between),
+    )
+    worst = 0.0
+    for name, rule, model in cases:
+        data = _random_dataset(rng, 200, 2)
+        ws = compress(data, rule, IndexSet.cross(1.0, (1.0, 1.0), 40.0))
+        rep = compressed_loss(model, ws)
+        gap = _relative_gap(
+            np.array([rep.quadratic, rep.cross]),
+            np.array(_node_terms(model, ws)),
+        )
+        worst = max(worst, gap)
+        if gap > 1e-9:
+            failures.append(
+                f"compressed loss on the {name} (L={rule.L}, "
+                f"{model.size} rows) deviates from the node values by "
+                f"{gap:.3e} relative"
+            )
+    return len(cases), worst
 
 
 def inclusion_suite(seed: int = 0) -> dict:

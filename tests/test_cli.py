@@ -396,6 +396,32 @@ class TestEvalCommand:
         assert rep["exact"]["value"] == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_lam_exits_2(
+        self, lam, dataset_file, tmp_path, capsys
+    ) -> None:
+        path, data = dataset_file
+        wout = str(tmp_path / "w.json")
+        main([
+            "compress", "--data", path, "--generator", "1,12",
+            "--modulus", "31", "--family", "cross", "--alpha", "1.0",
+            "--gamma", "one", "--level", "8", "--out", wout,
+        ])
+        from latcompress.model import TrigModel
+
+        mpath = str(tmp_path / "m.json")
+        TrigModel(np.array([[0, 0]]), np.array([1.5 + 0j])).save(mpath)
+        capsys.readouterr()
+        out = tmp_path / "loss.json"
+        rc = main([
+            "eval", "--model", mpath, "--weights", wout, "--data", path,
+            "--reg", "ridge", "--lam", lam, "--out", str(out),
+        ])
+        assert rc == 2
+        assert "lam" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, tmp_path) -> None:
         out = str(tmp_path / "v.json")
@@ -447,7 +473,8 @@ class TestVerifyCommand:
             reports.append(json.load(open(out)))
         assert reports[0] == reports[1]
         suite = reports[0]["suites"][0]
-        assert suite["passed"] and suite["checks"] % 2 == 0
+        weight_checks = suite["checks"] - suite["loss"]["checks"]
+        assert suite["passed"] and weight_checks % 2 == 0
         compress = verify.compress
 
         def faulty(*args, **kwargs):
@@ -460,8 +487,48 @@ class TestVerifyCommand:
         report = verify.oracle_suite(instances=2)
         assert not report["passed"]
         assert all("w_xyz at node 0" in f for f in report["failures"])
-        assert len(report["failures"]) == report["checks"] // 2
+        weight_checks = report["checks"] - report["loss"]["checks"]
+        assert len(report["failures"]) == weight_checks // 2
 
+
+    def test_oracle_checks_the_loss(self, monkeypatch) -> None:
+        # three compressed losses against the node values: one on the
+        # loss matrix, one on the class sums, one decided by the nodes;
+        # a loss off by 1e-6 is caught and named
+        from latcompress import model as model_mod
+
+        paths, nodes = [], []
+        loss_matrix = model_mod._loss_matrix
+        node_values = model_mod._node_values
+
+        def matrix(*args):
+            matrix = loss_matrix(*args)
+            paths.append(matrix is not None)
+            return matrix
+
+        def values(*args):
+            nodes.append(args[1].L)
+            return node_values(*args)
+
+        monkeypatch.setattr(model_mod, "_loss_matrix", matrix)
+        monkeypatch.setattr(model_mod, "_node_values", values)
+        failures = []
+        checks, worst = verify._loss_checks(0, failures)
+        assert (checks, failures) == (3, [])
+        assert worst <= 1e-12
+        assert paths == [True, False, True] and nodes == [61]
+        compressed = verify.compressed_loss
+
+        def off(model, ws):
+            rep = compressed(model, ws)
+            return rep.assemble(rep.quadratic + 1e-6, rep.cross,
+                                rep.constant, rep.reg, rep.lam)
+
+        monkeypatch.setattr(verify, "compressed_loss", off)
+        report = verify.oracle_suite(instances=1)
+        assert not report["passed"] and report["loss"]["checks"] == 3
+        assert len(report["failures"]) == 3
+        assert all("compressed loss on the" in f for f in report["failures"])
 
     def test_all_suites_pass(self, tmp_path) -> None:
         out = str(tmp_path / "all.json")
@@ -473,7 +540,8 @@ class TestVerifyCommand:
             "oracle-equivalence", "set-inclusions", "aliasing-identity",
             "loss-gap-envelope",
         ]
-        assert [s["checks"] for s in suites] == [36, 127, 10, 2]
+        assert [s["checks"] for s in suites] == [39, 127, 10, 2]
+        assert suites[0]["loss"]["checks"] == 3
         assert all(s["passed"] and not s["failures"] for s in suites)
 
     def test_threads_reach_the_envelope_suite(

@@ -22,6 +22,8 @@ from latcompress.model import (
     regularizer,
     wiener_norm,
 )
+# the node oracle, shared with ``verify --suite oracle``
+from latcompress.verify import _node_terms, _real_model
 
 
 def _random_model(seed: int, d: int, reach: int, m: int) -> TrigModel:
@@ -402,6 +404,35 @@ class TestCompressedLoss:
         assert abs(a.value - b.value) <= 1e-10
         assert a.reg == b.reg == 2.25
 
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf])
+    def test_penalty_weight_checked(self, lam) -> None:
+        # a negative weight would reward the penalty, and nan or inf
+        # would pass into the value; both losses refuse them
+        data, rule, spec, ws = self._setup(31)
+        m = TrigModel(np.array([[0, 0]]), np.array([1.5 + 0j]))
+        for loss, source in ((compressed_loss, ws), (exact_loss, data)):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                loss(m, source, lam=lam, reg="ridge")
+            assert loss(m, source, lam=0.0, reg="ridge").lam == 0.0
+
+    def test_penalty_agrees_bitwise(self) -> None:
+        # the losses and regularizer compute the penalty by one helper
+        data, rule, spec, ws = self._setup(31)
+        m = _real_model(36, 2, 6, 30)
+        t = np.random.default_rng(37).standard_normal((4, m.size))
+        for reg, kw in (("none", {}), ("best_subset", {}), ("lasso", {}),
+                        ("ridge", {}), ("ridge", {"tikhonov": t}),
+                        ("elastic", {"mix": 0.3})):
+            want = regularizer(reg, list(m.theta), **kw)
+            assert compressed_loss(m, ws, lam=0.5, reg=reg, **kw).reg == want
+            assert exact_loss(m, data, lam=0.5, reg=reg, **kw).reg == want
+        with pytest.raises(ValueError, match="outside"):
+            compressed_loss(m, ws, reg="elastic", mix=1.5)
+        with pytest.raises(ValueError, match="tikhonov"):
+            compressed_loss(m, ws, reg="lasso", tikhonov=t)
+        with pytest.raises(ValueError, match="unknown regularizer"):
+            exact_loss(m, data, reg="l7")
+
     def test_rule_cross_check(self) -> None:
         data, rule, spec, ws = self._setup(32)
         m = TrigModel(np.array([[0, 0]]), np.array([1.0 + 0j]))
@@ -436,33 +467,6 @@ class TestCompressedLoss:
         m = TrigModel(np.array([[1, 0]]), np.array([1.0 + 0j]))
         with pytest.raises(ValueError, match="real-valued"):
             compressed_loss(m, ws)
-
-
-def _node_terms(model: TrigModel, ws) -> tuple[float, float]:
-    """The compressed loss's data terms by the node path: coefficients
-    bucketed by residue, one inverse FFT to the node values, then the
-    two weighted dot products; raises on a model not real on the nodes."""
-    L = ws.rule.L
-    r = (model.frequencies @ np.asarray(ws.rule.g)) % L
-    b = np.bincount(r, model.theta.real, L) + 1j * np.bincount(
-        r, model.theta.imag, L
-    )
-    f = L * np.fft.ifft(b)
-    if float(np.max(np.abs(f.imag))) > 1e-9:
-        raise ValueError("not real-valued")
-    fr = f.real
-    return float((fr * fr) @ ws.w_xz / L), float(fr @ ws.w_xyz / L)
-
-
-def _real_model(seed: int, d: int, reach: int, m: int) -> TrigModel:
-    """A random support closed under negation, theta_{-k} = conj theta_k."""
-    rng = np.random.default_rng(seed)
-    half = rng.integers(-reach, reach + 1, size=(m, d))
-    rows = sorted({tuple(r) for r in half} | {tuple(-r) for r in half})
-    index = {row: i for i, row in enumerate(rows)}
-    neg = [index[tuple(-v for v in row)] for row in rows]
-    z = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
-    return TrigModel(np.array(rows), 0.5 * (z + z[neg].conj()))
 
 
 def _weights(seed: int, rule: LatticeRule):
@@ -753,6 +757,10 @@ class TestLossMatrix:
         b = compressed_loss(model, ws2)
         assert len(built) == 3
         assert abs(b.quadratic - a1.quadratic) <= 1e-12 * abs(a1.quadratic)
+        ws2.w_xyz = ws1.w_xyz.copy()
+        c = compressed_loss(model, ws2)
+        assert compressed_loss(model, ws2) == c and len(built) == 4
+        assert abs(c.cross - a1.cross) <= 1e-12 * abs(a1.cross)
 
     @pytest.mark.parametrize("L, g", [(509, (1, 205)), (65537, (1, 4099))])
     def test_node_bucketing_matches_bincount(self, L, g) -> None:
@@ -871,6 +879,80 @@ class TestLossMatrix:
             TrigModel(np.vstack([first.frequencies[:1]] * 2), [1.0, 1.0])
         third = TrigModel(first.frequencies.copy(), first.theta)
         assert third._cache is not first._cache
+
+
+def _realness_branch(model: TrigModel, ws) -> str:
+    """The realness decision by the two norms of h, from the class sums
+    by bincount: "real" when sum (|Re h| + |Im h|) <= 1e-9, "raise" when
+    sqrt(sum |h|^2) > 1e-9, else "nodes"."""
+    L = ws.rule.L
+    r = (model.frequencies @ np.asarray(ws.rule.g)) % L
+    b = np.bincount(r, model.theta.real, L) + 1j * np.bincount(
+        r, model.theta.imag, L
+    )
+    h = 0.5 * (b - b[(-np.arange(L)) % L].conj())
+    if np.abs(h.real).sum() + np.abs(h.imag).sum() <= 1e-9:
+        return "real"
+    return "raise" if math.sqrt(float((np.abs(h) ** 2).sum())) > 1e-9 else (
+        "nodes"
+    )
+
+
+class TestRealnessDecision:
+    """One dot product shows a model real; a model it leaves in doubt
+    takes the 1-norm, the 2-norm and the nodes, as before."""
+
+    @pytest.mark.parametrize("L, g, reach, m, fits", [
+        (61, (1, 25), 6, 30, True),
+        (64, (1, 27), 6, 30, True),
+        (509, (1, 205), 60, 1500, False),
+        (1024, (1, 411), 40, 400, False),
+    ])
+    def test_same_branch_as_the_norms(
+        self, L, g, reach, m, fits, monkeypatch
+    ) -> None:
+        from latcompress import model as model_mod
+
+        ws = _weights(L + 7, LatticeRule(L, g))
+        base = _real_model(L + 8, 2, reach, m)
+        calls = []
+        node_values = model_mod._node_values
+
+        def counted(*args):
+            calls.append(1)
+            return node_values(*args)
+
+        monkeypatch.setattr(model_mod, "_node_values", counted)
+        rng = np.random.default_rng(L)
+        seen = set()
+        for delta in (1e-12, 1e-11, 1e-10, 4e-10, 9e-10, 1.1e-9, 3e-9, 1e-8):
+            for count in (1, 3, 40):
+                # count coefficients moved by delta off conjugate symmetry:
+                # one row's move puts delta into sum |h|, delta / sqrt 2
+                # into sqrt(sum |h|^2)
+                pick = rng.choice(base.size, count, replace=False)
+                theta = base.theta.copy()
+                theta[pick] += delta * rng.choice([1, -1, 1j, -1j], count)
+                model = base.with_theta(theta)
+                want = _realness_branch(model, ws)
+                seen.add(want)
+                before = len(calls)
+                try:
+                    quad, crs = _node_terms(model, ws)
+                except ValueError:
+                    quad = crs = None
+                if want == "raise" or (want == "nodes" and quad is None):
+                    with pytest.raises(ValueError, match="real-valued"):
+                        compressed_loss(model, ws)
+                else:
+                    report = compressed_loss(model, ws)
+                    scale = abs(quad) + abs(crs)
+                    assert abs(report.quadratic - quad) <= 1e-12 * scale
+                    assert abs(report.cross - crs) <= 1e-12 * scale
+                assert len(calls) - before == (want == "nodes")
+        assert seen == {"real", "nodes", "raise"}
+        assert (base._cache.loss.W is not None) == fits
+
 
 def _closed_model(rows, seed: int) -> TrigModel:
     """A one-coordinate model on ``rows`` (closed under negation) with
