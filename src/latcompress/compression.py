@@ -30,9 +30,15 @@ coordinates (:func:`_side`).  A named family's plan is read from its
 run tables (:func:`_table_plan`), priced and run as one object, and
 its set is never enumerated; a custom set and a model's support fold
 their rows (:func:`_fold`, :func:`_split_plan`), the oracle of the table
-plan in the tests.  Either
-plan finishes in one lattice fold (:func:`_node_weights`), one complex
-FFT for both weight vectors where the set is closed under negation.
+plan in the tests.  Once the rule is known, a named family's plan sums
+its tails by lattice residue where that is priced cheaper
+(:func:`_collapse`): one cell per head and residue serves every tail of
+that residue, of both signs, and the pass yields the class sums the
+weights need (on stepcross-6d's set 4,496 cells for 12,737 pair cells).
+Every plan finishes in one lattice finisher (:func:`_finish`), one
+complex FFT for both weight vectors where the set is closed under
+negation; a pair-cell plan first sums its representatives per residue
+class (:func:`_node_weights`), n entries for n representatives.
 ``rectangle`` and ``step-cross`` run one Dirichlet-kernel DP laid out
 by the links of the walk that counts the set (``IndexSet._groups``),
 which also size every split general-FFT is priced by, and never
@@ -650,8 +656,10 @@ class _Fold(NamedTuple):
     present (in lexicographic order when the rows were); ``rep[i]`` is the
     representative of row i and ``flip[i]`` tells whether row i is
     ``-reps[rep[i]]``.  ``closed``: every representative but the zero row
-    comes as often as its negation, so the weights are real.  ``reps`` is
-    None for a plan read from run tables (:func:`_table_plan`).
+    comes as often as its negation, so the weights are real.  A plan read
+    from run tables (:func:`_table_plan`) builds none of the rows:
+    ``reps``, ``rep`` and ``flip`` are None, as every representative is
+    a row, and so is its negation but for the zero row's, the first.
     """
 
     reps: Optional[np.ndarray]
@@ -827,8 +835,15 @@ def _split_price(sizes: _Sizes) -> float:
     vectors: its pair cells, whose partial sums are also written and
     added once per block of samples, the coordinates of its phases and
     the cosine and sine columns of its axes."""
-    return (sizes.cells * (_GEMM_S + _BLOCK_S / _block(sizes, 2))
-            + sizes.coords * _PHASE_S + sizes.trig * _TRIG_S)
+    return (_cells_price(sizes, 2) + sizes.coords * _PHASE_S
+            + sizes.trig * _TRIG_S)
+
+
+def _cells_price(sizes: _Sizes, stack: int) -> float:
+    """Predicted seconds per sample of a pass's products with both
+    coefficient vectors: its cells, whose partial sums are also written
+    and added once per block of samples (:func:`_block`)."""
+    return sizes.cells * (_GEMM_S + _BLOCK_S / _block(sizes, stack))
 
 
 class _TableSplit(NamedTuple):
@@ -947,11 +962,9 @@ def _table_plan(split: _TableSplit) -> _SplitPlan:
         flip = np.arange(len(ii)) >= len(ii) - len(both)
         buckets.append((a0, a1, tb, ii, jj, flip, np.arange(s, s + len(ii))))
         s += len(ii)
-    # the rows: every representative, then each but the zero row negated
-    fold = _Fold(None, np.append(np.arange(s), np.arange(1, s)),
-                 np.arange(2 * s - 1) >= s, True)
+    # the rows: every representative, and each but the zero row negated
     return _SplitPlan(heads, tails, tuple(buckets), _Sides(heads, tails),
-                      split.sizes, fold)
+                      split.sizes, _Fold(None, None, None, True))
 
 
 def _split_rows(freq: np.ndarray) -> _SplitPlan:
@@ -1105,6 +1118,252 @@ def _split_adjoint(
     return sums
 
 
+class _Collapse(NamedTuple):
+    """A named family's table plan with its tails summed by residue
+    (:func:`_collapse`).  ``heads`` are the plan's heads, those that
+    admit the longest prefix of the tails first; ``tails`` its tails by
+    segment (the tails a prefix adds to the one before), and within a
+    segment in the order F is summed from them.  ``res`` holds the
+    residue of each row of F: per segment, the residues that first
+    appear in it follow the rows of the segments before, so each
+    prefix's rows are a leading slice.  ``steps`` holds per prefix,
+    shortest first, ``(old, new, lo, a0, a1, r)``: its segment's tails
+    add into F as ``old`` and ``new`` say (:func:`_runs`), changing rows
+    ``[lo, r)``, and the heads ``[a0, a1)`` then pair with rows ``[0,
+    r)``.  ``zero`` is the place of the zero tail, ``head_res`` each
+    head's residue and ``reflect`` tells the heads other than zero,
+    whose cells also take the tails' negations; ``sizes`` is what the
+    pass does per sample, its cells those of ``(head, row)`` and its
+    widest operand F (:class:`_Prefixes`)."""
+
+    heads: np.ndarray
+    tails: np.ndarray
+    sides: _Sides
+    sizes: _Sizes
+    steps: tuple
+    zero: int
+    head_res: np.ndarray
+    res: np.ndarray
+    reflect: np.ndarray
+
+
+class _Prefixes(NamedTuple):
+    """How a table plan's heads pair with prefixes of its tails, read
+    from the plan (:func:`_prefixes`): per head the index ``of`` of its
+    prefix among ``ends``, the prefixes' lengths, shortest first, the
+    heads ``held`` per prefix, each tail's residue, and what the plan
+    collapsed by residue (:func:`_collapse`) does per sample: ``sizes``,
+    its cells those of ``(head, residue)`` and its widest operand F, one
+    row per residue, and ``adds``, its rows of samples added or scaled
+    outside the products, the tails added into F and, at most, F's rows
+    stacked again by c for each prefix."""
+
+    of: np.ndarray
+    ends: list
+    held: np.ndarray
+    tail_res: np.ndarray
+    sizes: _Sizes
+    adds: int
+
+
+def _prefixes(plan: _SplitPlan, rule: LatticeRule) -> _Prefixes:
+    """The prefixes of a named family's table plan and the sizes of its
+    collapse, without laying the collapse out: a prefix's rows of F are
+    the residues that first appear among its tails."""
+    # a head's tails are a prefix: as many tails as it has cells (a, tau)
+    admits = np.empty(len(plan.heads), dtype=np.intp)
+    for a0, a1, _, ii, _, flip, _ in plan.buckets:
+        admits[a0:a1] = np.bincount(ii[~flip], minlength=a1 - a0)
+    ends = _distinct(admits)
+    of = np.searchsorted(ends, admits)
+    held = np.bincount(of, minlength=len(ends))
+    tail_res = _residues(plan.tails, rule, slice(plan.heads.shape[1], None))
+    order = np.argsort(tail_res, kind="stable")
+    srt = tail_res[order]
+    firsts = np.sort(order[np.diff(srt, prepend=srt[:1] - 1) != 0])
+    rows = np.searchsorted(firsts, ends)
+    sizes = plan.sizes._replace(cells=int(held @ rows), widest=int(rows[-1]))
+    return _Prefixes(of, ends.tolist(), held, tail_res, sizes,
+                     len(plan.tails) + int(rows.sum()))
+
+
+def _runs(res: np.ndarray, row: np.ndarray) -> tuple:
+    """How one segment's tails, of residues ``res``, add into F, given
+    ``row``, F's row of each residue so far (-1: none), which it extends
+    by the residues new here.
+
+    A residue's tails are a run.  The runs go longest first, so the
+    j-th tails of the runs longer than j are the leading runs, and the
+    tails are laid out depth by depth: the first tail of every run, then
+    the second of every run that has one, and so on.  F then takes each
+    depth as one slice of the tails' phases, added row for row: the
+    new residues' rows follow F's rows so far in the runs' order, so
+    their depths add into leading slices of them (the first depth
+    writes them), and the residues of F so far add into their rows.
+    Returns the segment's tails in that order, as positions in ``res``,
+    and for the runs of residues F has and then for the new ones, the
+    lengths ``k`` of the depths (a depth's rows are ``rows[:k]``) and
+    the rows."""
+    order = np.argsort(res, kind="stable")
+    srt = res[order]
+    first = np.flatnonzero(np.diff(srt, prepend=srt[:1] - 1))
+    length = np.diff(np.append(first, len(res)))
+    held = row[srt[first]] >= 0
+    taken, out = [], []
+    for new, kind in ((False, held), (True, ~held)):
+        # longest first, ties as the residues first appear
+        runs = np.flatnonzero(kind)
+        runs = runs[np.lexsort((order[first[runs]], -length[runs]))]
+        if new:
+            row[srt[first[runs]]] = row.max() + 1 + np.arange(len(runs))
+        depths = [int(k) for k in
+                  np.count_nonzero(length[runs][:, None]
+                                   > np.arange(int(length.max(initial=0))),
+                                   axis=0) if k]
+        for j, k in enumerate(depths):
+            taken.append(order[first[runs[:k]] + j])
+        out.append((depths, row[srt[first[runs]]]))
+    return np.concatenate(taken), tuple(out)
+
+
+def _collapse(
+    plan: _SplitPlan, rule: LatticeRule, prefixes: _Prefixes
+) -> _Collapse:
+    """A named family's table plan (:func:`_table_plan`) with its tails
+    summed by residue: the weights need the sums ``S(k)`` only through
+    their class sums over the residues ``rho(k) = k . g mod L``, and a
+    pair cell's residues are ``rho(a) +- rho(tau)``.
+
+    Each head pairs with a prefix of the tails, and per prefix and
+    residue v, ``F_v = sum exp(2 pi i tau . x)`` over its tails tau of
+    residue v.  With a head's ``e_a``, ``X = sum_n c e_a Re F_v`` and ``Y
+    = sum_n c e_a Im F_v``, ``X + i Y`` sums ``S(a, tau)`` over those
+    tails, to be added at the residue ``rho(a) + v``, and ``X - i Y``
+    sums ``S(a, -tau)``, at ``rho(a) - v``: one cell ``(a, v)``, 4 real
+    multiply-adds a sample and vector, serves every tail of residue v of
+    both signs.  The zero tail is its own negation and enters F at half
+    weight, once over both signs; the zero head's cells take no
+    negations, whose sums are the conjugates the finisher adds
+    (:func:`_finish`), and its cell with the zero tail, the zero row, is
+    then half of it as :func:`_node_weights` has it.  The prefixes' F
+    are running sums, each segment adding its tails' phases depth by
+    depth (:func:`_runs`), and their rows leading slices of the
+    largest, so per block of samples F is built once, one addition per
+    tail.
+    """
+    L, h = rule.L, plan.heads.shape[1]
+    ends, held = prefixes.ends, prefixes.held
+    row = np.full(L, -1)
+    horder = np.argsort(-prefixes.of, kind="stable")
+    heads = plan.heads[horder]
+    a0 = len(heads)
+    order, steps, done = [], [], 0
+    for t0, t1, n in zip([0] + ends[:-1], ends, held.tolist()):
+        taken, (old, new) = _runs(prefixes.tail_res[t0:t1], row)
+        order.append(t0 + taken)
+        r = int(row.max()) + 1
+        lo = int(old[1].min()) if len(old[1]) else done
+        steps.append((old, new, lo, a0 - n, a0, r))
+        a0, done = a0 - n, r
+    tails = plan.tails[np.concatenate(order)]
+    res = np.empty(r, dtype=np.int64)
+    res[row[row >= 0]] = np.flatnonzero(row >= 0)
+    return _Collapse(heads, tails, _Sides(heads, tails), prefixes.sizes,
+                     tuple(steps), int(np.flatnonzero(~tails.any(axis=1))[0]),
+                     _residues(heads, rule, slice(None, h)), res,
+                     heads.any(axis=1))
+
+
+def _collapse_price(prefixes: _Prefixes) -> float:
+    """Predicted seconds per sample of a collapsed pass after its phases,
+    with both coefficient vectors, to set against :func:`_cells_price`
+    of the table plan it collapses: its cells, whose partial sums are
+    written and added once per block of samples (a block also holding F
+    beside F stacked by c), and its rows added or scaled outside the
+    products (``adds``), a complex row of samples each, priced as a
+    coordinate of a phase (a gather and a product of such a row)."""
+    return _cells_price(prefixes.sizes, 3) + prefixes.adds * _PHASE_S
+
+
+def _collapsed_adjoint(
+    X: np.ndarray, tails: _Collapse, cvecs: list, threads: int, L: int
+) -> list[np.ndarray]:
+    """The class sums ``b_u = sum S(r)`` over the representatives r of
+    residue u of a collapsed plan (:func:`_collapse`), one length-L
+    vector per real coefficient vector c, for :func:`_finish`.
+
+    Per block of samples, F is built one prefix at a time, its
+    segment's tails added in, and stacked once per vector and scaled
+    by its c in one buffer ``(rows, vector, cos | sin, samples)``, so a
+    prefix's F for every vector is a leading slice; one real product of
+    that slice with the cosine and sine rows of the prefix's heads gives
+    the four real sums of every cell for each vector.  The products are
+    summed over the blocks, and each cell's ``X +- i Y`` is added at its
+    residues once at the end.
+    """
+    p, rows = len(cvecs), len(tails.res)
+    block, phases = _split_phases(tails, len(X), p + 1)
+    ones = [not np.any(cv != 1.0) for cv in cvecs]
+
+    def one(s: int, e: int) -> list[np.ndarray]:
+        A, B = phases(X[s:e])
+        B[tails.zero] *= 0.5  # its phases are 1: exact
+        m = e - s
+        # made per block, so never held while the next block's phases
+        # are built; F apart, as additions into a strided view of the
+        # stack cost about half as much again
+        stacked, F = np.empty((rows, p, 2, m)), np.empty((rows, 2, m))
+        cells, t, done = [], 0, 0
+        for (old, into), (new, _), lo, a0, a1, r in tails.steps:
+            if old:
+                # the runs of residues F has, summed apart, then added
+                part, t = B[t:t + old[0]], t + old[0]
+                if len(old) > 1:
+                    part = part.copy()
+                    for k in old[1:]:
+                        part[:k] += B[t:t + k]
+                        t += k
+                F[into] += part
+            for j, k in enumerate(new):
+                if j:
+                    F[done:done + k] += B[t:t + k]
+                else:
+                    F[done:done + k] = B[t:t + k]
+                t += k
+            done = r
+            # the rows from lo on changed: stacked again
+            for v, (cv, unit) in enumerate(zip(cvecs, ones)):
+                if unit:
+                    stacked[lo:r, v] = F[lo:r]
+                else:
+                    np.multiply(F[lo:r], cv[s:e], out=stacked[lo:r, v])
+            cells.append(stacked[:r].reshape(-1, m)
+                         @ A[a0:a1].reshape(-1, m).T)
+        return cells
+
+    cells = _sum_blocks(len(X), block, one, threads)
+    del one, phases  # the phase buffers go before the sums are formed
+    parts = [[np.zeros(L), np.zeros(L)] for _ in cvecs]
+    for (*_, a0, a1, r), prod in zip(tails.steps, cells):
+        # g[row, vector, p, head, q]: the sum of c, F's real (p = 0) or
+        # imaginary (p = 1) part and the head's cosine (q = 0) or sine
+        # (q = 1)
+        g = prod.reshape(r, p, 2, a1 - a0, 2)
+        head, res = tails.head_res[a0:a1], tails.res[:r, None]
+        up, down = (head + res) % L, (head - res) % L
+        keep = tails.reflect[a0:a1]
+        for (re, im), gv in zip(parts, g.transpose(1, 2, 4, 0, 3)):
+            (xc, xs), (yc, ys) = gv
+            # X + i Y at rho(a) + v, X - i Y at rho(a) - v
+            re += np.bincount(up.ravel(), (xc - ys).ravel(), L)
+            im += np.bincount(up.ravel(), (xs + yc).ravel(), L)
+            re += np.bincount(down[:, keep].ravel(),
+                              (xc + ys)[:, keep].ravel(), L)
+            im += np.bincount(down[:, keep].ravel(),
+                              (xs - yc)[:, keep].ravel(), L)
+    return [re + 1j * im for re, im in parts]
+
+
 def _split_forward(
     X: np.ndarray, plan: _SplitPlan, theta: np.ndarray
 ) -> np.ndarray:
@@ -1255,45 +1514,107 @@ def _node_weights(
 ) -> list[np.ndarray]:
     """``sum_k S(k) exp(-2 pi i k . z_l)`` at every node for each vector
     of ``sums``, over the rows k of the plan's set, from the sums
-    ``S(r)`` of its representatives with ``S(-r) = conj S(r)``: a row r
-    takes S(r) to the residue of -r, a row -r takes conj S(r) to that of
-    r.  A representative's residue is its head's plus or minus its
-    tail's; row i of the fold takes entry ``rep[i] + n flip[i]`` of
-    ``(S, conj S)``, and one residue classing serves every vector.
+    ``S(r)`` of its representatives with ``S(-r) = conj S(r)``.
 
-    A set closed under negation has real weights, so two vectors run as
-    one: with ``2^e`` an exact power of two that brings the second
-    vector's sums to the first's magnitude, ``S_1 + i 2^e S_2`` takes one
-    gather, one ``np.add.reduceat`` and one length-L inverse FFT
-    (:func:`_lattice_sum`); the real part is the first vector and the
-    imaginary part over ``2^e`` the second, each within rounding of its
-    own size.  Any other set takes one FFT per vector.
+    Each representative's residue ``rho = k . g mod L``, its head's plus
+    or minus its tail's, is classed once (:func:`_classes`), n entries
+    for n representatives, and one classing serves every vector.  Per
+    vector, one gather and one ``np.add.reduceat`` sum S per class, each
+    representative weighted by the rows it stands for; :func:`_finish`
+    then takes a class sum to the negated residue, where its rows r
+    take S(r), and its conjugate to the residue itself, where the rows
+    -r take conj S(r).  On a set closed under negation every
+    representative stands for as many rows r as rows -r, so one class
+    sum serves both signs: a table plan's representatives each stand
+    for one of each, but the zero row, the first, which is its own
+    negation and enters at half weight on both sides (S(0) is the real
+    sum of the coefficients, so the halves add up to it exactly); a
+    custom set's take half their count of rows.  Any other set sums its
+    representatives once per sign, each weighted by its rows of that
+    sign.  No array of the set's rows is built.
     """
-    L, h, n = rule.L, plan.heads.shape[1], len(sums[0])
+    L, n = rule.L, len(sums[0])
+    classes = _classes(_cell_residues(plan, rule), L)
+    fold = plan.fold
+
+    def class_sums(s: np.ndarray, weight) -> np.ndarray:
+        b = np.zeros(L, dtype=np.complex128)
+        if n:
+            part = s.take(classes.order)
+            if weight is None:
+                # the zero row, representative 0 of residue 0, leads the
+                # stable class order
+                part[0] *= 0.5
+            else:
+                part *= weight.take(classes.order)
+            b[classes.occupied] = np.add.reduceat(part, classes.starts)
+        return b
+
+    if fold.rep is None:
+        weights = None
+    elif fold.closed:
+        weights = 0.5 * np.bincount(fold.rep, minlength=n)
+    else:
+        plus = np.bincount(fold.rep, ~fold.flip, n)
+        minus = np.bincount(fold.rep, fold.flip, n)
+        return _finish([class_sums(s, plus) for s in sums], L,
+                       [class_sums(s, minus) for s in sums])
+    return _finish([class_sums(s, weights) for s in sums], L)
+
+
+def _cell_residues(plan: _SplitPlan, rule: LatticeRule) -> np.ndarray:
+    """``r . g mod L`` for every representative r of the plan, in the
+    order of the buckets' ``rows``: its head's residue plus or minus its
+    tail's."""
+    L, h = rule.L, plan.heads.shape[1]
     head = _residues(plan.heads, rule, slice(None, h))
     tail = _residues(plan.tails, rule, slice(h, None))
-    rho = np.empty(n, dtype=np.int64)
+    rho = np.empty(sum(len(b[6]) for b in plan.buckets), dtype=np.int64)
     for a0, a1, tb, ii, jj, flip, rows in plan.buckets:
-        a, t = head[a0:a1][ii], tail[tb][jj]
-        rho[rows] = np.where(flip, a - t, a + t) % L
-    src = plan.fold.rep + n * plan.fold.flip
-    classes = _classes(np.concatenate((-rho % L, rho)).take(src), L)
-    classes = classes._replace(order=src.take(classes.order))
-    if not plan.fold.closed:
-        return [_lattice_sum(classes, np.concatenate((s, s.conj())))
-                for s in sums]
+        t = tail[tb].take(jj)
+        np.negative(t, out=t, where=flip)
+        t += head[a0:a1].take(ii)
+        t %= L
+        rho[rows] = t
+    return rho
+
+
+def _finish(
+    plus: list[np.ndarray], L: int, minus: Optional[list] = None
+) -> list[np.ndarray]:
+    """The weights ``L ifft(b)`` of class sums: per vector, ``b[-u] =
+    plus[u]`` and ``b[u] += conj minus[u]`` at every residue u, the
+    class sums of the rows that take S(r) and of those that take conj
+    S(r) (:func:`_node_weights`); ``minus`` is ``plus`` when not given,
+    a set closed under negation.
+
+    Such a set has real weights, so two vectors run as one: with ``2^e``
+    an exact power of two that brings the second vector's class sums to
+    the first's magnitude, ``b_1 + i 2^e b_2`` takes one length-L
+    inverse FFT; the real part is the first vector and the imaginary
+    part over ``2^e`` the second, each within rounding of its own size.
+    Any other set takes one FFT per vector."""
+    neg = (-np.arange(L)) % L
+    if minus is not None:
+        out = []
+        for p, m in zip(plus, minus):
+            b = p.take(neg)
+            b += m.conj()
+            out.append(L * np.fft.ifft(b))
+        return out
     out = []
     # an odd vector out pairs with zeros
-    for s1, s2 in zip(sums[::2], sums[1::2] + [np.zeros_like(sums[0])]):
-        top1, top2 = (float(np.max(np.abs(s.view(np.float64)), initial=0))
-                      for s in (s1, s2))
+    for b1, b2 in zip(plus[::2], plus[1::2] + [np.zeros(L, complex)]):
+        top1, top2 = (float(np.max(np.abs(b.view(np.float64)), initial=0))
+                      for b in (b1, b2))
         e = math.frexp(top1)[1] - math.frexp(top2)[1] if top1 and top2 else 0
         scale = math.ldexp(1.0, e)
-        z = 1j * (scale * s2)
-        w = _lattice_sum(classes,
-                         np.concatenate((s1 + z, s1.conj() - z.conj())))
+        z = 1j * (scale * b2)
+        b = (b1 + z).take(neg)
+        b += b1.conj() - z.conj()
+        w = L * np.fft.ifft(b)
         out += [np.ascontiguousarray(w.real), w.imag / scale]
-    return out[:len(sums)]
+    return out[:len(plus)]
 
 
 # The weight routes: (data, rule, index_set, cvecs, threads, cap) in, one
@@ -1384,9 +1705,10 @@ def _general_fft_route(
     threads: int,
     cap: int,
     split: Union[_TableSplit, _SplitPlan, None] = None,
+    collapse: Optional[bool] = None,
 ) -> list[np.ndarray]:
     """One adjoint transform pass shared by every coefficient vector,
-    then one lattice fold (:func:`_node_weights`), whatever the plan.
+    then one lattice finisher (:func:`_finish`), whatever the plan.
 
     phi_hat_k = (1/N) sum_n c_n exp(2 pi i k . x_n) by the cheapest
     head/tail split of the set (:func:`_split_adjoint`), blocked over n;
@@ -1397,8 +1719,15 @@ def _general_fft_route(
     of them, and the fold takes each one's sum for r and its conjugate
     for -r.  A named family's plan is read from its run tables
     (:func:`_table_plan`), so its rows are never built; a lazy one above
-    ``cap`` rows is refused all the same, before any work.  A custom
-    set's plan comes from its rows (:func:`_split_rows`).
+    ``cap`` rows is refused all the same, before any work.  Once the rule
+    is known, its tails are collapsed by residue (:func:`_collapse`)
+    where that pass is priced below the table plan's products
+    (:func:`_collapse_price`, :func:`_cells_price`; the phases are the
+    same), or as ``collapse`` says when it is not None, and the pass
+    sums each residue class (:func:`_collapsed_adjoint`).  A custom
+    set's plan comes from its rows (:func:`_split_rows`); its pair cells
+    are summed (:func:`_split_adjoint`) and folded
+    (:func:`_node_weights`).
     """
     if index_set.frequencies is None and index_set.cardinality() > cap:
         raise CapExceeded(index_set.cardinality(), cap)
@@ -1408,6 +1737,14 @@ def _general_fft_route(
     else:
         plan = _table_plan(split if split is not None
                            else _cheapest_split(index_set))
+        prefixes = _prefixes(plan, rule) if collapse is not False else None
+        if collapse or (collapse is None and _collapse_price(prefixes)
+                        < _cells_price(plan.sizes, 2)):
+            tails = _collapse(plan, rule, prefixes)
+            sums = _collapsed_adjoint(data.X, tails, cvecs, threads, rule.L)
+            for b in sums:
+                b /= data.N
+            return _finish(sums, rule.L)
     sums = _split_adjoint(data.X, plan, cvecs, threads)
     for acc in sums:
         acc /= data.N  # in place: the undivided sums are not held beside
@@ -1579,6 +1916,17 @@ def _run(
         )
     cvecs = [_coefficients(data, c) for c in cs]
     return route(data, rule, index_set, cvecs, threads, cap, **extra)
+
+
+def _collapsed_weights(
+    data: Dataset, rule: LatticeRule, index_set: IndexSet, threads: int = 1
+) -> list[np.ndarray]:
+    """Both weight vectors of a named family by general-FFT at its
+    cheapest split, with the tails collapsed by residue whatever the
+    price (:func:`_collapse`): the collapsed pass's entry for the oracle
+    checks, which ``auto`` may take only once they hold."""
+    return _run("general-fft", data, ["ones", "responses"], rule, index_set,
+                threads, collapse=True)
 
 
 def weights_naive(

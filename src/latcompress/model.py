@@ -426,12 +426,27 @@ def _penalty(
         if not 0.0 <= mix <= 1.0:
             raise ValueError(f"mixing parameter {mix!r} outside [0, 1]")
         a = np.abs(th)
-        return mix * float(np.add.reduce(a)) + (1.0 - mix) * float(a.dot(a))
+        return mix * _total(a) + (1.0 - mix) * float(a.dot(a))
     if kind == "none":
         return 0.0
     if kind == "lasso":
-        return float(np.add.reduce(np.abs(th)))
+        return _total(np.abs(th))
     return float(np.count_nonzero(th))
+
+
+# Ones for _total, grown as needed and never written.
+_ONES = np.ones(256)
+
+
+def _total(a: np.ndarray) -> float:
+    """The sum of the real vector a, as a dot product with ones: on 41
+    entries 0.47 us, against 1.0 us for ``np.add.reduce`` (numpy's
+    per-call cost of a reduction)."""
+    global _ONES
+    ones = _ONES
+    if len(ones) < len(a):
+        ones = _ONES = np.ones(2 * len(a))
+    return float(a.dot(ones[:len(a)]))
 
 
 def _penalty_weight(lam) -> float:
@@ -606,15 +621,24 @@ def compressed_loss(
     return LossReport._of(quad, crs, float(weights.mean_y2), pen, lam)
 
 
-# Entries up to which a support's loss runs as a product with its matrix
-# W (:func:`_loss_matrix`) rather than on its class sums: 2^17, so W
-# holds at most 1 MiB.  With W near that size (147 rows on as many
-# classes, 129,948 entries) a call took 17-18 us, against 23-30 us on the
-# class sums at L = 509 and 1021 and 158-178 us at L = 4099 and 8191; at
-# 1.9 times the size (201 rows) it took 44 us against 22-31 us at L =
-# 509 and 1021 (medians of three, 2-core host, one BLAS thread).  So the
-# cap stays where W still wins at every L; ``test_size_rule`` pins it.
+# When a support's loss runs as a product with its matrix W
+# (:func:`_loss_matrix`) rather than on its class sums: while W's entries
+# are at most the larger of _MATRIX_ENTRIES and _CALL_ENTRIES +
+# _TERM_ENTRIES (M + P log2 P) for M rows and the class sums' FFT length
+# P (:func:`_kernel_length`).  Fitted on BENCH_loss_dispatch.json's
+# matrix_cap figures (medians of three, 2-core host, one BLAS thread): a
+# W call took 17-18 us at 129,948 entries and 44 us at 242,808 at every
+# L, priced at the larger rate, 1.82e-4 us an entry; the class sums took
+# 22-24, 30-32, 152-158 and 166-178 us at L = 509, 1021, 4099 and 8191
+# (P = 1024, 2048, 16,384 and 16,384), 15.8 + 6.5e-4 (M + P log2 P) us by
+# least squares.  So W is taken up to about 123,000 entries at L = 509,
+# 167,000 at 1021 and 903,000 (7 MB) past 4099, the last beyond the
+# largest W timed; and always up to 2^17 (1 MiB), where W won at every L
+# timed, so the boundary at L = 509 stays where ``test_size_rule`` pins
+# it.
 _MATRIX_ENTRIES = 1 << 17
+_CALL_ENTRIES = 86_000
+_TERM_ENTRIES = 3.56
 
 
 def _data_terms(model: TrigModel, weights: WeightSet) -> tuple[float, float]:
@@ -756,14 +780,16 @@ def _loss_matrix(
     """
     L = rule.L
     M = len(freq)
-    # n >= 1: a support of more than 255 rows does not fit, and needs no
-    # residues here
-    if (2 * M + 2) * 2 * M > _MATRIX_ENTRIES:
+    P = _kernel_length(L)
+    cap = max(_MATRIX_ENTRIES,
+              _CALL_ENTRIES + _TERM_ENTRIES * (M + P * math.log2(P)))
+    # n >= 1: a support too large for W with one class needs no residues
+    if (2 * M + 2) * 2 * M > cap:
         return None
     r = _residues(freq, rule)
     u = _distinct(np.concatenate([r, -r % L]))
     n = len(u)
-    if (2 * M + n + 1) * 2 * M > _MATRIX_ENTRIES:
+    if (2 * M + n + 1) * 2 * M > cap:
         return None
     W = np.zeros((2 * M + n + 1, 2 * M))
     W[0] = s_xyz[r].conj().view(np.float64) / L
@@ -813,14 +839,20 @@ def _loss_kernel(L: int, s_xz: np.ndarray) -> np.ndarray:
     transforms ``2 b``.  So a loss costs one fast real FFT of length P =
     O(L); U is made once per support and weight set.
     """
-    if _smooth(L):
-        P, T = L, s_xz
+    P = _kernel_length(L)
+    if P == L:
+        T = s_xz
     else:
-        P = 1 << (2 * L - 2).bit_length()
         T = np.zeros(P, dtype=np.complex128)
         T[:L + 1] = s_xz[np.arange(L + 1) % L]
         T[P - L:] = T[L:0:-1].conj()
     return np.fft.ifft(T).real / (4 * L)
+
+
+def _kernel_length(L: int) -> int:
+    """The FFT length P of :func:`_loss_kernel`: L when L has no prime
+    factor above 7, else the smallest power of two of at least 2L - 1."""
+    return L if _smooth(L) else 1 << (2 * L - 2).bit_length()
 
 
 def _smooth(n: int) -> bool:

@@ -9,12 +9,14 @@ and tests can assert on the same data.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import BoundQuery, loss_gap_envelope, select_parameter
 from .compression import (
     Dataset,
+    _collapsed_weights,
     choose_route,
     compress,
     weights_general_fft,
@@ -75,7 +77,11 @@ def oracle_suite(
     of its weight vectors, ``w_xz`` (coefficients one) and ``w_xyz`` (the
     responses), are checked.  With ``inject_fault`` the first instance's
     first fast output is perturbed by 1e-3 in one entry, which the
-    comparison must catch and localise.
+    comparison must catch and localise.  Each named family's weights are
+    also made with general-FFT's tails collapsed by residue, whatever the
+    price says (:func:`~latcompress.compression._collapse`), and checked
+    the same way; they count among the suite's checks, and ``collapsed``
+    reports their number and largest residual apart.
 
     Three compressed losses are then checked against the node oracle
     (:func:`_loss_checks`): one on the loss matrix, one past its size on
@@ -85,8 +91,8 @@ def oracle_suite(
     """
     rng = np.random.default_rng([int(seed), 101])
     failures: list[str] = []
-    worst = 0.0
-    checks = 0
+    worst = collapsed_worst = 0.0
+    checks = collapsed = 0
     for i in range(int(instances)):
         L = int(rng.choice(_PRIMES))
         d = int(rng.integers(1, 4))
@@ -111,8 +117,12 @@ def oracle_suite(
         routes = choose_route(n, rule, spec)["costs"]
         refs = [weights_naive(data, c, rule, spec)
                 for c in ("ones", "responses")]
-        for j, route in enumerate(routes):
-            ws = compress(data, rule, spec, route, threads)
+        runs = [(route, compress(data, rule, spec, route, threads))
+                for route in routes]
+        if spec.family != "custom":
+            runs.append(("general-fft collapsed", _Vectors(
+                *_collapsed_weights(data, rule, spec, threads))))
+        for j, (route, ws) in enumerate(runs):
             for k, (name, ref) in enumerate(zip(("w_xz", "w_xyz"), refs)):
                 fast = getattr(ws, name)
                 if inject_fault and i == 0 and j == 0 and k == 0:
@@ -121,6 +131,9 @@ def oracle_suite(
                 gap = _relative_gap(fast, ref)
                 worst = max(worst, gap)
                 checks += 1
+                if isinstance(ws, _Vectors):
+                    collapsed += 1
+                    collapsed_worst = max(collapsed_worst, gap)
                 if gap > 1e-9:
                     node = int(np.argmax(np.abs(fast - ref)))
                     failures.append(
@@ -134,7 +147,15 @@ def oracle_suite(
         failures,
     )
     out["loss"] = {"checks": loss_checks, "max_residual": loss_worst}
+    out["collapsed"] = {"checks": collapsed, "max_residual": collapsed_worst}
     return out
+
+
+class _Vectors(NamedTuple):
+    """Two weight vectors made apart from :func:`compress`."""
+
+    w_xz: np.ndarray
+    w_xyz: np.ndarray
 
 
 def _node_terms(model: TrigModel, ws) -> tuple[float, float]:
@@ -270,8 +291,8 @@ def aliasing_suite(seed: int = 0, instances: int = 10) -> dict:
     """
     rng = np.random.default_rng([int(seed), 202])
     failures: list[str] = []
-    worst = 0.0
-    checks = 0
+    worst = collapsed_worst = 0.0
+    checks = collapsed = 0
     for i in range(int(instances)):
         L = int(rng.choice(_PRIMES))
         d = int(rng.integers(1, 4))

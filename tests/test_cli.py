@@ -475,6 +475,7 @@ class TestVerifyCommand:
         suite = reports[0]["suites"][0]
         weight_checks = suite["checks"] - suite["loss"]["checks"]
         assert suite["passed"] and weight_checks % 2 == 0
+        assert suite["collapsed"]["checks"] % 2 == 0
         compress = verify.compress
 
         def faulty(*args, **kwargs):
@@ -487,7 +488,9 @@ class TestVerifyCommand:
         report = verify.oracle_suite(instances=2)
         assert not report["passed"]
         assert all("w_xyz at node 0" in f for f in report["failures"])
-        weight_checks = report["checks"] - report["loss"]["checks"]
+        # the collapsed pass's weights are made apart from compress
+        weight_checks = (report["checks"] - report["loss"]["checks"]
+                         - report["collapsed"]["checks"])
         assert len(report["failures"]) == weight_checks // 2
 
 
@@ -540,8 +543,9 @@ class TestVerifyCommand:
             "oracle-equivalence", "set-inclusions", "aliasing-identity",
             "loss-gap-envelope",
         ]
-        assert [s["checks"] for s in suites] == [39, 127, 10, 2]
+        assert [s["checks"] for s in suites] == [57, 127, 10, 2]
         assert suites[0]["loss"]["checks"] == 3
+        assert suites[0]["collapsed"]["checks"] == 18
         assert all(s["passed"] and not s["failures"] for s in suites)
 
     def test_threads_reach_the_envelope_suite(

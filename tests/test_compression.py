@@ -1515,3 +1515,139 @@ class TestWeightSet:
                 spec,
                 "naive",
             )
+
+
+class TestCollapse:
+    """General-FFT with a named family's tails summed by lattice residue
+    (``compression._collapse``) against the direct sums, the table plan's
+    pass and its own runs on more threads."""
+
+    @pytest.mark.parametrize("spec", [
+        IndexSet.cross(1.0, (1.0, 0.5, 0.3), 40.0),
+        IndexSet.rectangle(1.0, (1.0, 0.5, 0.2), 30.0),
+        IndexSet.step_cross(1.0, (1.0,) * 4, 4),
+        IndexSet.step_cross(0.7, (1.0, 0.5, 0.25), 5, materialize=False),
+    ])
+    def test_every_split_matches_naive(self, spec) -> None:
+        # at every split point, h = 1 (a zero head and a one-coordinate
+        # head side) to h = d (only the zero tail, of width 0): both
+        # weight vectors within 1e-12 of the direct sums, real
+        data = _dataset(60, 50, spec.d)
+        rule = LatticeRule(31, (1, 12, 7, 5)[:spec.d])
+        refs = [weights_naive(data, c, rule, spec)
+                for c in ("ones", "responses")]
+        cvecs = [np.ones(data.N), data.Y]
+        for split in compression._table_splits(spec):
+            plan = compression._table_plan(split)
+            tails = compression._collapse(
+                plan, rule, compression._prefixes(plan, rule))
+            assert not tails.tails[tails.zero].any()
+            assert tails.reflect.sum() == len(tails.heads) - 1
+            got = compression._general_fft_route(
+                data, rule, spec, cvecs, 1, 10**6, split=split,
+                collapse=True)
+            for w, ref in zip(got, refs):
+                assert w.dtype == np.float64
+                assert _gap(w, ref) < 1e-12, split.h
+
+    def test_prefix_rows_lead(self) -> None:
+        # each prefix's rows of F are a leading slice, each holding one
+        # residue, and every tail of the prefix adds into one of them
+        spec = IndexSet.step_cross(1.0, (1.0,) * 5, 5, materialize=False)
+        rule = LatticeRule(61, (1, 12, 7, 5, 3))
+        for split in compression._table_splits(spec):
+            plan = compression._table_plan(split)
+            prefixes = compression._prefixes(plan, rule)
+            tails = compression._collapse(plan, rule, prefixes)
+            assert len(np.unique(tails.res)) == len(tails.res)
+            assert tails.sizes.widest == len(tails.res)
+            assert tails.sizes.cells == sum(
+                (a1 - a0) * r for *_, a0, a1, r in tails.steps)
+            h = split.h
+            res = compression._residues(tails.tails, rule, slice(h, None))
+            t, done = 0, 0
+            for (old, into), (new, rows), lo, a0, a1, r in tails.steps:
+                k = sum(old) + sum(new)
+                seg = set(res[t:t + k].tolist())
+                assert seg <= set(tails.res[:r].tolist())
+                assert set(tails.res[done:r].tolist()) <= seg
+                assert lo <= done and (not len(into) or into.min() == lo)
+                np.testing.assert_array_equal(rows, done + np.arange(
+                    r - done))
+                t, done = t + k, r
+            assert t == len(tails.tails) == len(plan.tails)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_bitwise(self, threads) -> None:
+        # blocks are fixed by the problem size and summed in order: the
+        # collapsed weights are bitwise the same for 1, 2 and 3 threads
+        spec = IndexSet.step_cross(1.0, (1.0,) * 5, 4, materialize=False)
+        rule = LatticeRule(61, (1, 12, 7, 5, 3))
+        data = _dataset(61, 3000, 5)
+        split = compression._cheapest_split(spec)
+        plan = compression._table_plan(split)
+        tails = compression._collapse(
+            plan, rule, compression._prefixes(plan, rule))
+        assert compression._split_phases(tails, data.N, 3)[0] * 3 < data.N
+        one = compression._collapsed_weights(data, rule, spec, 1)
+        many = compression._collapsed_weights(data, rule, spec, threads)
+        for a, b in zip(one, many):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spec, rule, collapsed", [
+        # stepcross-6d's set and rule: 4,496 collapsed cells against
+        # 12,737 pair cells over 4 prefixes
+        (IndexSet.step_cross(1.0, (1.0,) * 6, 6, materialize=False),
+         LatticeRule(127, (1, 35, 15, 40, 32, 32)), True),
+        # cross-4d's: nearly every tail its own residue at L = 8191
+        (IndexSet.cross(2.0, (1.0,) * 4, 677441.845789146,
+                        materialize=False),
+         LatticeRule(8191, (1, 3457, 2970, 655)), False),
+    ])
+    def test_price_picks_the_plan(
+        self, spec, rule, collapsed, monkeypatch
+    ) -> None:
+        # auto runs the collapsed pass exactly where its price is below
+        # the table plan's products, at the split choose_route priced
+        runs = []
+        adjoint = compression._collapsed_adjoint
+
+        def counted(*args):
+            runs.append(args[1])
+            return adjoint(*args)
+
+        monkeypatch.setattr(compression, "_collapsed_adjoint", counted)
+        plan = compression._table_plan(compression._cheapest_split(spec))
+        prefixes = compression._prefixes(plan, rule)
+        cheaper = (compression._collapse_price(prefixes)
+                   < compression._cells_price(plan.sizes, 2))
+        assert cheaper == collapsed
+        data = _dataset(62, 40, spec.d)
+        ws = compress(data, rule, spec)
+        assert ws.algorithm == "general-fft"
+        assert len(runs) == collapsed
+        if collapsed:
+            assert runs[0].sizes.cells == 4496 and len(runs[0].steps) == 4
+            assert plan.sizes.cells == 12737
+
+    def test_finisher_memory_per_representative(self) -> None:
+        # the finisher classes the n representatives' residues once and
+        # gathers S per vector: its peak above its entry stays below 40
+        # bytes a representative, where arrays over the 2n - 1 rows (an
+        # index, residues of both signs, their gather) take 140
+        spec = IndexSet.step_cross(1.0, (1.0,) * 6, 6, materialize=False)
+        rule = LatticeRule(127, (1, 35, 57, 19, 44, 101))
+        plan = compression._table_plan(compression._cheapest_split(spec))
+        n = sum(len(b[6]) for b in plan.buckets)
+        assert n == (spec.cardinality() + 1) // 2
+        rng = np.random.default_rng(63)
+        sums = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(2)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            compression._node_weights(plan, sums, rule)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n

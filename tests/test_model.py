@@ -692,6 +692,35 @@ class TestLossMatrix:
         assert (model._cache.loss.W is not None) == fits
         assert (model._cache.nodes is None) == fits
 
+    @pytest.mark.parametrize("L, g, pairs, reach, on_w", [
+        # stepcross-6d's and cross-4d's model supports (25 and 41 rows)
+        (127, (1, 35, 15, 40, 32, 32), 12, 2, True),
+        (8191, (1, 3457, 2970, 655), 20, 4, True),
+        # paper-2d's 129 x 129 grid
+        (509, (1, 209), None, 64, False),
+    ])
+    def test_workload_supports_keep_their_path(
+        self, L, g, pairs, reach, on_w
+    ) -> None:
+        # the cap, priced with L, leaves the benchmark's supports where
+        # they were: the two small ones on W, the grid on the class sums
+        from latcompress.model import _loss_matrix
+
+        d = len(g)
+        if pairs is None:
+            k = np.arange(-reach, reach + 1)
+            freq = np.stack(np.meshgrid(k, k, indexing="ij"), -1)
+            freq = freq.reshape(-1, 2)
+        else:
+            rng = np.random.default_rng(38)
+            half = rng.integers(-reach, reach + 1, size=(pairs, d))
+            half[:, 0] = np.abs(half[:, 0]) + 1
+            freq = np.vstack([np.zeros((1, d), dtype=np.int64), half, -half])
+        assert len(freq) == (2 * pairs + 1 if pairs else 16_641)
+        spectra = np.zeros(L, dtype=np.complex128)
+        matrix = _loss_matrix(freq, LatticeRule(L, g), spectra, spectra)
+        assert (matrix is not None) == on_w
+
     @pytest.mark.parametrize("L, g, row", [
         (61, (1, 25), [0, 0]),  # the class 0
         (64, (1, 27), [5, 1]),  # the class L / 2 = 32
@@ -973,7 +1002,11 @@ def _class_sum_cases():
                  (64, 64), (1000, 1000), (1024, 1024)]:
         top = L // 2 + 100  # every class, some by several rows
         cases.append((L, P, range(-top, top + 1), L))
-        few = [r + L * j for r in (0, 1, -1, 3, -3) for j in range(-30, 31)]
+        # past W's cap, which grows with L's FFT length: 305 rows up to
+        # L = 1024, 505 at L = 8191
+        reach = 50 if L > 4096 else 30
+        few = [r + L * j for r in (0, 1, -1, 3, -3)
+               for j in range(-reach, reach + 1)]
         cases.append((L, P, few, 5))
         if L % 2 == 0:
             # the class L / 2, with -(L/2 + L j) = L/2 + L (-j - 1)
