@@ -1705,7 +1705,7 @@ def _general_fft_route(
     threads: int,
     cap: int,
     split: Union[_TableSplit, _SplitPlan, None] = None,
-    collapse: Optional[bool] = None,
+    collapse: bool = False,
 ) -> list[np.ndarray]:
     """One adjoint transform pass shared by every coefficient vector,
     then one lattice finisher (:func:`_finish`), whatever the plan.
@@ -1723,7 +1723,7 @@ def _general_fft_route(
     is known, its tails are collapsed by residue (:func:`_collapse`)
     where that pass is priced below the table plan's products
     (:func:`_collapse_price`, :func:`_cells_price`; the phases are the
-    same), or as ``collapse`` says when it is not None, and the pass
+    same), or whatever the price when ``collapse`` is set, and the pass
     sums each residue class (:func:`_collapsed_adjoint`).  A custom
     set's plan comes from its rows (:func:`_split_rows`); its pair cells
     are summed (:func:`_split_adjoint`) and folded
@@ -1737,9 +1737,8 @@ def _general_fft_route(
     else:
         plan = _table_plan(split if split is not None
                            else _cheapest_split(index_set))
-        prefixes = _prefixes(plan, rule) if collapse is not False else None
-        if collapse or (collapse is None and _collapse_price(prefixes)
-                        < _cells_price(plan.sizes, 2)):
+        prefixes = _prefixes(plan, rule)
+        if collapse or _collapse_price(prefixes) < _cells_price(plan.sizes, 2):
             tails = _collapse(plan, rule, prefixes)
             sums = _collapsed_adjoint(data.X, tails, cvecs, threads, rule.L)
             for b in sums:

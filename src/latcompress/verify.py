@@ -9,7 +9,6 @@ and tests can assert on the same data.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +42,9 @@ __all__ = [
 ]
 
 _PRIMES = (29, 31, 53, 61)
+# The oracle suite's run of general-FFT with a named family's tails
+# collapsed by residue whatever the price.
+_COLLAPSED = "general-fft collapsed"
 
 
 def _result(name, checks, residual, failures):
@@ -117,21 +119,23 @@ def oracle_suite(
         routes = choose_route(n, rule, spec)["costs"]
         refs = [weights_naive(data, c, rule, spec)
                 for c in ("ones", "responses")]
-        runs = [(route, compress(data, rule, spec, route, threads))
-                for route in routes]
+        runs = []
+        for route in routes:
+            ws = compress(data, rule, spec, route, threads)
+            runs.append((route, (ws.w_xz, ws.w_xyz)))
         if spec.family != "custom":
-            runs.append(("general-fft collapsed", _Vectors(
-                *_collapsed_weights(data, rule, spec, threads))))
-        for j, (route, ws) in enumerate(runs):
-            for k, (name, ref) in enumerate(zip(("w_xz", "w_xyz"), refs)):
-                fast = getattr(ws, name)
+            runs.append((_COLLAPSED,
+                         _collapsed_weights(data, rule, spec, threads)))
+        for j, (route, vectors) in enumerate(runs):
+            for k, (name, fast, ref) in enumerate(
+                    zip(("w_xz", "w_xyz"), vectors, refs)):
                 if inject_fault and i == 0 and j == 0 and k == 0:
                     fast = np.array(fast, copy=True)
                     fast[L // 2] += 1e-3
                 gap = _relative_gap(fast, ref)
                 worst = max(worst, gap)
                 checks += 1
-                if isinstance(ws, _Vectors):
+                if route == _COLLAPSED:
                     collapsed += 1
                     collapsed_worst = max(collapsed_worst, gap)
                 if gap > 1e-9:
@@ -149,13 +153,6 @@ def oracle_suite(
     out["loss"] = {"checks": loss_checks, "max_residual": loss_worst}
     out["collapsed"] = {"checks": collapsed, "max_residual": collapsed_worst}
     return out
-
-
-class _Vectors(NamedTuple):
-    """Two weight vectors made apart from :func:`compress`."""
-
-    w_xz: np.ndarray
-    w_xyz: np.ndarray
 
 
 def _node_terms(model: TrigModel, ws) -> tuple[float, float]:
@@ -291,8 +288,8 @@ def aliasing_suite(seed: int = 0, instances: int = 10) -> dict:
     """
     rng = np.random.default_rng([int(seed), 202])
     failures: list[str] = []
-    worst = collapsed_worst = 0.0
-    checks = collapsed = 0
+    worst = 0.0
+    checks = 0
     for i in range(int(instances)):
         L = int(rng.choice(_PRIMES))
         d = int(rng.integers(1, 4))
